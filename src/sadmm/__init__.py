@@ -63,8 +63,6 @@ from .solvers import (
     FixedOne,
     RateParams,
     SolverConfig,
-    asvrg_admm_gc_epoch,
-    asvrg_admm_sc_epoch,
     batch_admm_epoch,
     beta_star,
     gamma_min,
@@ -75,8 +73,8 @@ from .solvers import (
     rho_rate,
     stoc_admm_chunk,
     stoc_admm_step,
-    svrg_admm_epoch,
     theta_next,
+    vr_admm_epoch,
 )
 from .vr import BatchSampler, Snapshot, delta_b, variance_bound_rhs, vr_gradient
 

@@ -1,9 +1,7 @@
 """Experiment harness: graph-guided penalty construction, experiment
 configuration, solver runners and CSV trace emission.
 
-The harness owns all I/O. Solver runs are pure given (problem, config),
-so independent (solver, seed) runs may execute concurrently; the worker
-cap comes from the SADMM_WORKERS environment variable.
+The harness owns all I/O. Solver runs are pure given (problem, config).
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ import hashlib
 import logging
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -20,7 +17,7 @@ import numpy as np
 import scipy.sparse
 
 from .datasets import make_classification, parse_libsvm, train_test_split
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, ConvergenceError, DataFormatError
 from .linalg import SparseMatrixCSR, spmv, vstack
 from .losses import Dataset, LossKind, LossObjective
 from .metrics import (
@@ -41,8 +38,6 @@ from .solvers import (
     FixedOne,
     RateParams,
     SolverConfig,
-    asvrg_admm_gc_epoch,
-    asvrg_admm_sc_epoch,
     batch_admm_epoch,
     beta_star,
     init_batch_state,
@@ -50,7 +45,7 @@ from .solvers import (
     init_vr_state,
     optimal_theta_sc,
     stoc_admm_chunk,
-    svrg_admm_epoch,
+    vr_admm_epoch,
     warn_if_outside_rate_regime,
 )
 from .vr import delta_b
@@ -60,7 +55,8 @@ logger = logging.getLogger(__name__)
 PROBLEMS = ("fused_lasso", "gg_logistic", "gg_svm")
 SOLVERS = ("batch", "stoc", "svrg", "asvrg_sc", "asvrg_gc")
 
-VR_SOLVERS = ("svrg", "asvrg_sc", "asvrg_gc")
+# momentum schedule type each variance-reduced solver runs with
+VR_SCHEDULES = {"svrg": FixedOne, "asvrg_sc": ConstantTheta, "asvrg_gc": DecayingTheta}
 
 
 # ---------------------------------------------------------------------------
@@ -100,20 +96,12 @@ def build_graph_spec(data: Dataset, threshold: float) -> GraphSpec:
         logger.warning(
             "skipping %d constant feature(s) in graph construction", int(degenerate.sum())
         )
-    edges = []
-    d = data.dim
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = cov / np.outer(sd, sd)
-    for i in range(d):
-        if degenerate[i]:
-            continue
-        for j in range(i + 1, d):
-            if degenerate[j]:
-                continue
-            c = corr[i, j]
-            if abs(c) > threshold:
-                edges.append((i, j, float(c)))
-    return GraphSpec(tuple(edges))
+    sd = np.where(degenerate, 1.0, sd)  # their pairs are masked out below
+    corr = cov / np.outer(sd, sd)
+    keep = ~degenerate
+    pairs = np.triu(np.outer(keep, keep), k=1)
+    i, j = np.nonzero(pairs & (np.abs(corr) > threshold))  # row-major order
+    return GraphSpec(tuple(zip(i.tolist(), j.tolist(), corr[i, j].tolist())))
 
 
 def graph_matrix(edges, dim: int) -> SparseMatrixCSR:
@@ -307,7 +295,7 @@ def resolve_solver_config(problem: ProblemSpec, cfg: ExperimentConfig, seed: int
     L = problem.f.smoothness
     mu = problem.f.strong_convexity
     b = cfg.b
-    if cfg.solver in VR_SOLVERS:
+    if cfg.solver in VR_SCHEDULES:
         m = cfg.m if cfg.m else max(1, (2 * n) // b)
     elif cfg.solver == "stoc":
         m = cfg.m if cfg.m else n
@@ -442,14 +430,6 @@ def get_reference(
 # runners
 
 
-_VR_VARIANT = {"svrg": "svrg", "asvrg_sc": "sc", "asvrg_gc": "gc"}
-_VR_EPOCH = {
-    "svrg": svrg_admm_epoch,
-    "asvrg_sc": asvrg_admm_sc_epoch,
-    "asvrg_gc": asvrg_admm_gc_epoch,
-}
-
-
 def run_solver(
     problem: ProblemSpec,
     solver: str,
@@ -464,9 +444,14 @@ def run_solver(
     solver its current iterate, and the decaying-step solver its running
     average. Row 0 is the initial point.
     """
-    if solver in VR_SOLVERS:
-        state = init_vr_state(problem, config, _VR_VARIANT[solver])
-        epoch_fn = _VR_EPOCH[solver]
+    if solver in VR_SCHEDULES:
+        if not isinstance(config.schedule, VR_SCHEDULES[solver]):
+            raise ConfigError(
+                f"solver {solver!r} needs a {VR_SCHEDULES[solver].__name__} schedule, "
+                f"got {config.schedule!r}"
+            )
+        state = init_vr_state(problem, config)
+        epoch_fn = vr_admm_epoch
         point = lambda st: (st.snapshot.x_tilde, st.y_tilde)
         if solver != "asvrg_gc":
             warn_if_outside_rate_regime(problem, config, state.theta)
@@ -551,13 +536,6 @@ def median_summary(traces: list[list[TraceRecord]]) -> list[TraceRecord]:
     return out
 
 
-def _worker_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("SADMM_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run cfg.solver for every seed, write one CSV per (solver, seed) plus
     a per-epoch median summary; returns the written paths."""
@@ -575,19 +553,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         write_trace_csv(path, recs)
         return path, recs
 
-    workers = _worker_cap()
-    if workers > 1 and len(cfg.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_seed, cfg.seeds))
-    else:
-        results = [one_seed(s) for s in cfg.seeds]
+    results = [one_seed(s) for s in cfg.seeds]
     paths = [p for p, _ in results]
     summary = median_summary([r for _, r in results])
     summary_path = out_dir / f"{cfg.problem}_{cfg.solver}_summary.csv"
     write_trace_csv(summary_path, summary)
     meta_path = out_dir / f"{cfg.problem}_{cfg.solver}_meta.txt"
     with open(meta_path, "w") as fh:
-        fh.write(f"workers = {workers}\n")
         for f_ in fields(cfg):
             fh.write(f"{f_.name} = {getattr(cfg, f_.name)}\n")
     return {
@@ -624,7 +596,8 @@ def grid_search_eta_beta(
             config = resolve_solver_config(problem, trial, seed)
             try:
                 recs = run_solver(problem, solver, config, ref=ref)
-            except Exception as exc:  # diverging settings are just skipped
+            except (ConfigError, ConvergenceError, FloatingPointError) as exc:
+                # invalid or diverging settings are skipped; anything else is a bug
                 logger.info("grid point eta=%.3g beta=%.3g failed: %s", eta, beta, exc)
                 continue
             gap = recs[-1].objective_gap

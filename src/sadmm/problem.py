@@ -1,9 +1,6 @@
 """Problem container: smooth part f, regularizer h, and the coupling matrix A.
 
-The solvers address  min_x f(x) + h(y)  s.t.  Ax - y = 0,  i.e. the linear
-coupling uses B = -I and c = 0. The B and c slots are reserved in the
-interface so a general coupling could be added without signature changes,
-but only the identity reduction is implemented.
+The solvers address  min_x f(x) + h(y)  s.t.  Ax - y = 0.
 """
 
 from __future__ import annotations
@@ -57,12 +54,8 @@ class ProblemSpec:
     f: SmoothObjective
     reg: Regularizer
     A: SparseMatrixCSR
-    B: None = None  # reserved; None means -identity
-    c: None = None  # reserved; None means zero
 
     def __post_init__(self):
-        if self.B is not None or self.c is not None:
-            raise NotImplementedError("only the B = -I, c = 0 coupling is implemented")
         if self.A.cols != self.f.dim:
             raise ValueError(
                 f"A has {self.A.cols} columns but the smooth objective dimension is {self.f.dim}"
@@ -81,7 +74,7 @@ class ProblemSpec:
         return compute_spectral_constants(self.A, tol=1e-10)
 
     def constraint_residual(self, v, y) -> np.ndarray:
-        """A v + B y - c, i.e. A v - y."""
+        """A v - y."""
         return spmv(self.A, v) - np.asarray(y, dtype=np.float64)
 
     def objective(self, x) -> float:

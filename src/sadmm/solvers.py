@@ -14,10 +14,12 @@ A^T A, the inexact-Uzawa trick that removes the A^T A solve):
     z_k = z_{k-1} - eta (g_k + beta A^T (A z_{k-1} - y_k + lambda_{k-1}))
                     / (gamma theta)
 
-Two momentum regimes are supported: a constant theta (strongly convex
-case, geometric rate) and a decaying theta with (1-theta_s)/theta_s^2 =
-1/theta_{s-1}^2 (general convex case, accelerated sublinear rate). theta=1
-recovers the momentum-free variance-reduced baseline.
+One epoch function, vr_admm_epoch, runs all three variance-reduced
+solvers; the momentum schedule in the config selects the regime: a
+constant theta (strongly convex case, geometric rate), a decaying theta
+with (1-theta_s)/theta_s^2 = 1/theta_{s-1}^2 (general convex case,
+accelerated sublinear rate), or theta fixed at 1, the momentum-free
+variance-reduced baseline.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ def beta_star(params: RateParams, spectra: SpectralConstants) -> float:
 # variance-reduced solvers
 
 
-def _initial_theta(problem: ProblemSpec, config: SolverConfig, variant: str) -> float:
+def _initial_theta(problem: ProblemSpec, config: SolverConfig) -> float:
     """Validate the schedule against the step size and return theta_0."""
     L = problem.f.smoothness
     if config.eta >= 1.0 / (2.0 * L):
@@ -265,9 +267,7 @@ def _initial_theta(problem: ProblemSpec, config: SolverConfig, variant: str) -> 
     alpha = 1.0 / (L * config.eta)
     bound = 1.0 - delta / (alpha - 1.0)
     sched = config.schedule
-    if variant == "gc":
-        if not isinstance(sched, DecayingTheta):
-            raise ConfigError("the accelerated general-convex solver needs a DecayingTheta schedule")
+    if isinstance(sched, DecayingTheta):
         theta0 = bound if sched.theta0 is None else float(sched.theta0)
         if not 0.0 < theta0 <= 1.0:
             raise ConfigError(f"theta0 = {theta0} outside (0, 1]")
@@ -276,7 +276,6 @@ def _initial_theta(problem: ProblemSpec, config: SolverConfig, variant: str) -> 
                 f"theta0 = {theta0:.6f} exceeds the batch-size bound 1 - delta/(alpha-1) = {bound:.6f}"
             )
         return theta0
-    # constant-theta family
     if isinstance(sched, FixedOne):
         return 1.0
     if isinstance(sched, ConstantTheta):
@@ -296,7 +295,7 @@ def _initial_theta(problem: ProblemSpec, config: SolverConfig, variant: str) -> 
                 f"theta = {theta:.6f} exceeds the bound 1 - delta/(alpha-1) = {bound:.6f}"
             )
         return theta
-    raise ConfigError(f"schedule {sched!r} not valid for the constant-theta solver")
+    raise ConfigError(f"unknown momentum schedule {sched!r}")
 
 
 def _resolve_gamma(problem: ProblemSpec, config: SolverConfig, theta: float) -> float:
@@ -305,25 +304,25 @@ def _resolve_gamma(problem: ProblemSpec, config: SolverConfig, theta: float) -> 
     return float(config.gamma)
 
 
-def init_vr_state(problem: ProblemSpec, config: SolverConfig, variant: str) -> AdmmState:
+def init_vr_state(problem: ProblemSpec, config: SolverConfig) -> AdmmState:
     """Common epoch-0 state: zero primal/dual estimates plus the snapshot.
 
     The constant-theta family initializes the dual epoch variable from the
     pseudo-inverse relation lambda = -(1/beta) (A^T)^+ grad f(x0); the
-    decaying-theta solver starts the dual at zero and carries it across
+    decaying-theta schedule starts the dual at zero and carries it across
     epochs instead.
     """
-    theta0 = _initial_theta(problem, config, variant)
+    theta0 = _initial_theta(problem, config)
     d1, d2 = problem.d1, problem.d2
     x0 = np.zeros(d1)
     g0 = problem.f.full_grad(x0)
     snapshot = Snapshot(x0, g0)
     warm = None
-    if variant in ("sc", "svrg"):
+    if isinstance(config.schedule, DecayingTheta):
+        lam0 = np.zeros(d2)
+    else:
         warm = solve_aat(problem.A, spmv(problem.A, g0), tol=config.dual_solve_tol)
         lam0 = -(1.0 / config.beta) * warm
-    else:
-        lam0 = np.zeros(d2)
     return AdmmState(
         z=x0.copy(),
         x=x0.copy(),
@@ -340,13 +339,37 @@ def init_vr_state(problem: ProblemSpec, config: SolverConfig, variant: str) -> A
     )
 
 
-def _vr_inner_loop(state, problem, config, theta, gamma, z, x, y, lam):
-    """Runs the m inner iterations; returns iterate sums and final values."""
+def vr_admm_epoch(state: AdmmState, problem: ProblemSpec, config: SolverConfig) -> AdmmState:
+    """One epoch of the variance-reduced solvers: m inner iterations, then
+    the epoch outputs (the inner-x average, the momentum-mixed y average)
+    and a new snapshot at the averaged x.
+
+    The schedule decides the epoch boundaries. With a decaying theta, x
+    warm-starts from the momentum combination of the snapshot and the
+    carried z, (z, lambda) roll over to the next epoch, and theta shrinks
+    along (1-theta_s)/theta_s^2 = 1/theta_{s-1}^2. With a constant theta
+    (or theta fixed at 1, the momentum-free baseline) the inner iterates
+    restart from z = x = x_snap and the dual epoch variable is recomputed
+    from the pseudo-inverse relation at the new snapshot.
+    """
     f, A, reg = problem.f, problem.A, problem.reg
     beta, m = config.beta, config.m
+    decaying = isinstance(config.schedule, DecayingTheta)
+    theta = state.theta
+    gamma = _resolve_gamma(problem, config, theta)
+    x_snap = state.snapshot.x_tilde
+    if decaying:
+        z = state.z_tilde.copy()
+        x = (1.0 - theta) * x_snap + theta * z
+    else:
+        # plain copies: the theta-mix of x_snap with itself need not round to x_snap
+        z = x_snap.copy()
+        x = x_snap.copy()
+    y = state.y_tilde.copy()
+    lam = state.lambda_tilde.copy()
+
     sampler = BatchSampler(f.n, config.b, config.seed)
     epoch = state.epoch + 1
-    x_snap = state.snapshot.x_tilde
     scale = config.eta / (gamma * theta)
     sum_x = np.zeros_like(x)
     sum_y = np.zeros_like(y)
@@ -368,81 +391,22 @@ def _vr_inner_loop(state, problem, config, theta, gamma, z, x, y, lam):
         if config.check_finite:
             _require_finite(z, x, y, lam)
     state.grad_evals += m * 2 * config.b
-    return z, x, y, lam, sum_x, sum_y, sup_z, sup_lam
 
-
-def asvrg_admm_sc_epoch(state: AdmmState, problem: ProblemSpec, config: SolverConfig) -> AdmmState:
-    """One constant-theta epoch.
-
-    Inner iterates restart from the epoch variables (z = x = x_snap), the
-    epoch outputs are the inner-x average, the momentum-mixed y average,
-    and a dual epoch variable recomputed from the pseudo-inverse relation
-    at the new snapshot.
-    """
-    theta = state.theta
-    gamma = _resolve_gamma(problem, config, theta)
-    x_snap = state.snapshot.x_tilde
-    z = x_snap.copy()
-    x = x_snap.copy()
-    y = state.y_tilde.copy()
-    lam = state.lambda_tilde.copy()
-    z, x, y, lam, sum_x, sum_y, sup_z, sup_lam = _vr_inner_loop(
-        state, problem, config, theta, gamma, z, x, y, lam
-    )
-    x_tilde = sum_x / config.m
-    y_tilde = (1.0 - theta) * state.y_tilde + (theta / config.m) * sum_y
-    g_new = problem.f.full_grad(x_tilde)
-    state.grad_evals += problem.f.n
-    warm = solve_aat(
-        problem.A, spmv(problem.A, g_new), tol=config.dual_solve_tol, x0=state.aat_warm
-    )
-    state.aat_warm = warm
+    x_tilde = sum_x / m
+    y_tilde = (1.0 - theta) * state.y_tilde + (theta / m) * sum_y
+    g_new = f.full_grad(x_tilde)
+    state.grad_evals += f.n
     state.z, state.x, state.y, state.lam = z, x, y, lam
     state.snapshot = Snapshot(x_tilde, g_new)
     state.y_tilde = y_tilde
-    state.lambda_tilde = -(1.0 / config.beta) * warm
-    state.z_tilde = x_tilde.copy()
-    state.epoch += 1
-    state.sup_z, state.sup_lambda = sup_z, sup_lam
-    _require_finite(x_tilde, y_tilde, state.lambda_tilde)
-    return state
-
-
-def svrg_admm_epoch(state: AdmmState, problem: ProblemSpec, config: SolverConfig) -> AdmmState:
-    """Momentum-free variance-reduced baseline: the theta = 1 special case
-    of the constant-theta epoch, exposed as its own named solver."""
-    if state.theta != 1.0:
-        raise ConfigError("the variance-reduced baseline runs with theta fixed at 1")
-    return asvrg_admm_sc_epoch(state, problem, config)
-
-
-def asvrg_admm_gc_epoch(state: AdmmState, problem: ProblemSpec, config: SolverConfig) -> AdmmState:
-    """One decaying-theta epoch for general convex problems.
-
-    x warm-starts from the momentum combination of the snapshot and the
-    carried z, and (z, lambda) roll over across epochs; afterwards theta
-    shrinks along the recursion (1-theta_s)/theta_s^2 = 1/theta_{s-1}^2.
-    """
-    theta = state.theta
-    gamma = _resolve_gamma(problem, config, theta)
-    x_snap = state.snapshot.x_tilde
-    z = state.z_tilde.copy()
-    x = (1.0 - theta) * x_snap + theta * z
-    y = state.y_tilde.copy()
-    lam = state.lambda_tilde.copy()
-    z, x, y, lam, sum_x, sum_y, sup_z, sup_lam = _vr_inner_loop(
-        state, problem, config, theta, gamma, z, x, y, lam
-    )
-    x_tilde = sum_x / config.m
-    y_tilde = (1.0 - theta) * state.y_tilde + (theta / config.m) * sum_y
-    g_new = problem.f.full_grad(x_tilde)
-    state.grad_evals += problem.f.n
-    state.z, state.x, state.y, state.lam = z, x, y, lam
-    state.snapshot = Snapshot(x_tilde, g_new)
-    state.y_tilde = y_tilde
-    state.lambda_tilde = lam.copy()
-    state.z_tilde = z.copy()
-    state.theta = theta_next(theta)
+    if decaying:
+        state.lambda_tilde = lam.copy()
+        state.z_tilde = z.copy()
+        state.theta = theta_next(theta)
+    else:
+        state.aat_warm = solve_aat(A, spmv(A, g_new), tol=config.dual_solve_tol, x0=state.aat_warm)
+        state.lambda_tilde = -(1.0 / beta) * state.aat_warm
+        state.z_tilde = x_tilde.copy()
     state.epoch += 1
     state.sup_z, state.sup_lambda = sup_z, sup_lam
     _require_finite(x_tilde, y_tilde, state.lambda_tilde)

@@ -81,21 +81,6 @@ def test_spectra_subcommand(tmp_path, capsys):
     assert float(vals["omega"]) >= 1.0
 
 
-def test_worker_cap_env(tmp_path, monkeypatch):
-    from sadmm.harness import ExperimentConfig, run_experiment
-
-    monkeypatch.setenv("SADMM_WORKERS", "2")
-    cfg = ExperimentConfig(
-        problem="gg_logistic", synth_n=100, synth_d=8, solver="svrg", b=4,
-        eta="auto", beta="auto", gamma="auto", epochs=1, seeds=(0, 1, 2),
-        output_dir=str(tmp_path / "out"),
-    )
-    result = run_experiment(cfg)
-    assert len(result["traces"]) == 3
-    meta = (tmp_path / "out" / "gg_logistic_svrg_meta.txt").read_text()
-    assert "workers = 2" in meta
-
-
 A9A = os.environ.get("SADMM_A9A_PATH")
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sadmm.datasets import make_classification
-from sadmm.errors import ConfigError, DataFormatError
+import sadmm.harness
+from sadmm.errors import ConfigError, ConvergenceError, DataFormatError
 from sadmm.harness import (
     ExperimentConfig,
     GraphSpec,
@@ -15,6 +16,7 @@ from sadmm.harness import (
     config_from_file,
     get_reference,
     graph_matrix,
+    grid_search_eta_beta,
     load_graph,
     median_summary,
     parse_config_file,
@@ -80,6 +82,33 @@ class TestGraph:
         data = dataset_from_rows(rows, [1, -1] * 15, dim=2)
         spec = build_graph_spec(data, 0.5)
         assert spec.edges == ()
+
+    def test_edges_match_loop_transcription(self):
+        # correlated features of both signs plus one constant feature (n is a
+        # power of two so its variance cancels exactly); the edges must equal,
+        # value for value and in order, a pairwise loop
+        rng = np.random.default_rng(8)
+        F = rng.standard_normal((64, 3)) @ rng.standard_normal((3, 9))
+        F += 0.5 * rng.standard_normal((64, 9))
+        F[:, 4] = 2.0
+        rows = [dict(enumerate(map(float, r))) for r in F]
+        data = dataset_from_rows(rows, [1, -1] * 32, dim=9)
+        threshold = 0.3
+        X = data.features._scipy
+        mu = np.asarray(X.mean(axis=0)).ravel()
+        cov = (X.T @ X).toarray() / data.n - np.outer(mu, mu)
+        sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        degenerate = sd <= 1e-12 * max(sd.max(), 1.0)
+        assert degenerate.tolist() == [j == 4 for j in range(9)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = cov / np.outer(sd, sd)
+        expected = []
+        for i in range(9):
+            for j in range(i + 1, 9):
+                if not (degenerate[i] or degenerate[j]) and abs(corr[i, j]) > threshold:
+                    expected.append((i, j, float(corr[i, j])))
+        assert {np.sign(w) for _, _, w in expected} == {-1.0, 1.0}
+        assert build_graph_spec(data, threshold).edges == tuple(expected)
 
     def test_stacked_matrix_full_column_rank(self):
         data = make_classification(300, 10, seed=6)
@@ -303,3 +332,31 @@ def test_median_summary_rejects_mismatched():
     rec = TraceRecord(0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         median_summary([[rec], [rec, rec]])
+
+
+class TestGridSearch:
+    def test_skips_failed_points_and_propagates_bugs(self, monkeypatch):
+        cfg = small_cfg(solver="svrg")
+        problem, *_ = assemble_problem(cfg)
+        ref = compute_reference(problem, tol=1e-8)
+        etas = [1.0 / (8.0 * problem.f.smoothness)]
+        real = sadmm.harness.run_solver
+
+        def diverges_at_small_beta(problem, solver, config, **kw):
+            if config.beta == 0.1:
+                raise ConvergenceError("solver diverged: non-finite iterate")
+            return real(problem, solver, config, **kw)
+
+        monkeypatch.setattr(sadmm.harness, "run_solver", diverges_at_small_beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eta, beta = grid_search_eta_beta(problem, "svrg", cfg, ref, etas=etas,
+                                             betas=[0.1, 1.0], epochs=1)
+        assert (eta, beta) == (etas[0], 1.0)
+
+        def buggy(*args, **kw):
+            raise TypeError("bug in a solver")
+
+        monkeypatch.setattr(sadmm.harness, "run_solver", buggy)
+        with pytest.raises(TypeError):
+            grid_search_eta_beta(problem, "svrg", cfg, ref, etas=etas, betas=[1.0], epochs=1)

@@ -16,8 +16,6 @@ from sadmm.solvers import (
     FixedOne,
     RateParams,
     SolverConfig,
-    asvrg_admm_gc_epoch,
-    asvrg_admm_sc_epoch,
     batch_admm_epoch,
     beta_star,
     gamma_min,
@@ -28,8 +26,8 @@ from sadmm.solvers import (
     rho_rate,
     stoc_admm_chunk,
     stoc_admm_step,
-    svrg_admm_epoch,
     theta_next,
+    vr_admm_epoch,
 )
 from sadmm.vr import delta_b
 
@@ -348,7 +346,7 @@ class TestVRConfigValidation:
         L = problem.f.smoothness
         cfg = SolverConfig(m=5, eta=1.0 / L, beta=0.5, b=2, schedule=FixedOne())
         with pytest.raises(ConfigError):
-            init_vr_state(problem, cfg, "svrg")
+            init_vr_state(problem, cfg)
 
     def test_constant_theta_bound_enforced(self):
         problem = vr_problem()
@@ -358,29 +356,35 @@ class TestVRConfigValidation:
         bound = 1.0 - delta / (1.0 / (L * eta) - 1.0)
         bad = SolverConfig(m=5, eta=eta, beta=0.5, b=1, schedule=ConstantTheta(bound + 0.05))
         with pytest.raises(ConfigError):
-            init_vr_state(problem, bad, "sc")
+            init_vr_state(problem, bad)
         ok = SolverConfig(m=5, eta=eta, beta=0.5, b=1, schedule=ConstantTheta(bound - 0.01))
-        init_vr_state(problem, ok, "sc")
+        init_vr_state(problem, ok)
 
     def test_theta_exactly_one_allowed(self):
         # the degenerate momentum-free mode must run even for b < n
         problem = vr_problem()
         cfg = vr_config(problem, theta=1.0, b=2)
-        state = init_vr_state(problem, cfg, "sc")
+        state = init_vr_state(problem, cfg)
         assert state.theta == 1.0
 
     def test_gc_needs_decaying_schedule(self):
         problem = vr_problem()
         cfg = vr_config(problem, theta=0.5)
         with pytest.raises(ConfigError):
-            init_vr_state(problem, cfg, "gc")
+            run_solver(problem, "asvrg_gc", cfg)
+
+    def test_svrg_rejects_momentum_schedule(self):
+        problem = vr_problem()
+        cfg = vr_config(problem, theta=0.5)
+        with pytest.raises(ConfigError):
+            run_solver(problem, "svrg", cfg)
 
     def test_gc_default_theta0(self):
         problem = vr_problem()
         L = problem.f.smoothness
         eta = 1.0 / (8.0 * L)
         cfg = SolverConfig(m=5, eta=eta, beta=0.5, b=2, schedule=DecayingTheta())
-        state = init_vr_state(problem, cfg, "gc")
+        state = init_vr_state(problem, cfg)
         delta = delta_b(problem.f.n, 2)
         assert state.theta == pytest.approx(1.0 - L * eta * delta / (1.0 - L * eta))
 
@@ -389,28 +393,28 @@ class TestVREpochIdentities:
     def test_dual_update_identity_single_step(self):
         problem = vr_problem(seed=3)
         cfg = vr_config(problem, theta=0.6, m=1, b=3)
-        state = init_vr_state(problem, cfg, "sc")
+        state = init_vr_state(problem, cfg)
         lam0 = state.lambda_tilde.copy()
-        asvrg_admm_sc_epoch(state, problem, cfg)
+        vr_admm_epoch(state, problem, cfg)
         expected = lam0 + (spmv(problem.A, state.z) - state.y)
         assert np.array_equal(state.lam, expected)
 
     def test_interpolation_identity_single_step(self):
         problem = vr_problem(seed=4)
         cfg = vr_config(problem, theta=0.6, m=1, b=3)
-        state = init_vr_state(problem, cfg, "sc")
+        state = init_vr_state(problem, cfg)
         x_snap = state.snapshot.x_tilde.copy()
         theta = state.theta
-        asvrg_admm_sc_epoch(state, problem, cfg)
+        vr_admm_epoch(state, problem, cfg)
         assert np.array_equal(state.x, (1.0 - theta) * x_snap + theta * state.z)
 
     def test_epoch_averages(self):
         problem = vr_problem(seed=5)
         cfg = vr_config(problem, theta=0.7, m=1, b=2)
-        state = init_vr_state(problem, cfg, "sc")
+        state = init_vr_state(problem, cfg)
         y_tilde0 = state.y_tilde.copy()
         theta = state.theta
-        asvrg_admm_sc_epoch(state, problem, cfg)
+        vr_admm_epoch(state, problem, cfg)
         # with m = 1 the averages are the single inner iterates
         assert np.array_equal(state.snapshot.x_tilde, state.x)
         assert np.allclose(state.y_tilde, (1 - theta) * y_tilde0 + theta * state.y)
@@ -418,8 +422,8 @@ class TestVREpochIdentities:
     def test_sc_dual_epoch_variable_from_pseudo_inverse(self):
         problem = vr_problem(seed=6)
         cfg = vr_config(problem, theta=0.7, m=2, b=2)
-        state = init_vr_state(problem, cfg, "sc")
-        asvrg_admm_sc_epoch(state, problem, cfg)
+        state = init_vr_state(problem, cfg)
+        vr_admm_epoch(state, problem, cfg)
         # the dual epoch variable solves A A^T (-beta lam) = A grad f(x_tilde)
         g = problem.f.full_grad(state.snapshot.x_tilde)
         u = -cfg.beta * state.lambda_tilde
@@ -430,8 +434,8 @@ class TestVREpochIdentities:
         problem = vr_problem(seed=7)
         L = problem.f.smoothness
         cfg = SolverConfig(m=2, eta=1.0 / (8 * L), beta=0.5, b=2, schedule=DecayingTheta(), epochs=2)
-        state = init_vr_state(problem, cfg, "gc")
-        asvrg_admm_gc_epoch(state, problem, cfg)
+        state = init_vr_state(problem, cfg)
+        vr_admm_epoch(state, problem, cfg)
         assert np.array_equal(state.z_tilde, state.z)
         assert np.array_equal(state.lambda_tilde, state.lam)
 
@@ -441,17 +445,17 @@ class TestVREpochIdentities:
         n = problem.f.n
         L = problem.f.smoothness
         cfg = SolverConfig(m=1, eta=1.0 / (8 * L), beta=0.5, b=n, schedule=DecayingTheta(), epochs=1)
-        state = init_vr_state(problem, cfg, "gc")
+        state = init_vr_state(problem, cfg)
         assert state.theta == 1.0  # delta(n) = 0
 
     def test_theta_schedule_across_epochs(self):
         problem = vr_problem(seed=9)
         L = problem.f.smoothness
         cfg = SolverConfig(m=3, eta=1.0 / (8 * L), beta=0.5, b=2, schedule=DecayingTheta(), epochs=5)
-        state = init_vr_state(problem, cfg, "gc")
+        state = init_vr_state(problem, cfg)
         thetas = [state.theta]
         for _ in range(5):
-            asvrg_admm_gc_epoch(state, problem, cfg)
+            vr_admm_epoch(state, problem, cfg)
             thetas.append(state.theta)
         delta = delta_b(problem.f.n, 2)
         alpha = 1.0 / (L * cfg.eta)
@@ -473,11 +477,11 @@ class TestDegeneracy:
         problem = vr_problem(seed=10)
         cfg1 = vr_config(problem, theta=None, b=3, m=8, epochs=4, seed=11)  # FixedOne
         cfg2 = vr_config(problem, theta=1.0, b=3, m=8, epochs=4, seed=11)
-        s1 = init_vr_state(problem, cfg1, "svrg")
-        s2 = init_vr_state(problem, cfg2, "sc")
+        s1 = init_vr_state(problem, cfg1)
+        s2 = init_vr_state(problem, cfg2)
         for _ in range(4):
-            svrg_admm_epoch(s1, problem, cfg1)
-            asvrg_admm_sc_epoch(s2, problem, cfg2)
+            vr_admm_epoch(s1, problem, cfg1)
+            vr_admm_epoch(s2, problem, cfg2)
         assert np.array_equal(s1.snapshot.x_tilde, s2.snapshot.x_tilde)
         assert np.array_equal(s1.y_tilde, s2.y_tilde)
         assert np.array_equal(s1.lam, s2.lam)
@@ -490,9 +494,9 @@ class TestDegeneracy:
         for seed in (1, 999):
             cfg = SolverConfig(m=1, eta=1.0 / (8 * L), beta=0.5, b=n,
                                schedule=DecayingTheta(), epochs=3, seed=seed)
-            state = init_vr_state(problem, cfg, "gc")
+            state = init_vr_state(problem, cfg)
             for _ in range(3):
-                asvrg_admm_gc_epoch(state, problem, cfg)
+                vr_admm_epoch(state, problem, cfg)
             outs.append(state.snapshot.x_tilde.copy())
         assert np.array_equal(outs[0], outs[1])
 
@@ -501,7 +505,7 @@ class TestDegeneracy:
         problem = vr_problem(seed=13)
         n = problem.f.n
         cfg = vr_config(problem, theta=1.0, b=n, m=1, epochs=1)
-        state = init_vr_state(problem, cfg, "sc")
+        state = init_vr_state(problem, cfg)
         x_snap = state.snapshot.x_tilde.copy()
         g_snap = state.snapshot.full_grad.copy()
         gamma = gamma_min(cfg.eta, cfg.beta, 1.0, problem.spectra.ata_norm)
@@ -512,7 +516,7 @@ class TestDegeneracy:
         y1 = y_update(problem.reg, spmv(problem.A, x_snap), state.lambda_tilde, cfg.beta)
         u = spmv(problem.A, x_snap) - y1 + state.lambda_tilde
         z1 = x_snap - cfg.eta * (g_snap + cfg.beta * spmv_t(problem.A, u)) / (gamma * 1.0)
-        asvrg_admm_sc_epoch(state, problem, cfg)
+        vr_admm_epoch(state, problem, cfg)
         assert np.allclose(state.z, z1, atol=1e-15)
 
 
@@ -547,7 +551,7 @@ class TestEpochReplayOracle:
     def test_constant_weight_epoch_matches_replay(self):
         problem = vr_problem(seed=50)
         cfg = vr_config(problem, theta=0.6, b=3, m=3, seed=4)
-        state = init_vr_state(problem, cfg, "sc")
+        state = init_vr_state(problem, cfg)
         theta = state.theta
         gamma = gamma_min(cfg.eta, cfg.beta, theta, problem.spectra.ata_norm)
         x_snap = state.snapshot.x_tilde.copy()
@@ -558,7 +562,7 @@ class TestEpochReplayOracle:
             x_snap.copy(), x_snap.copy(), state.y_tilde.copy(), state.lambda_tilde.copy(),
             x_snap, snap, epoch=1,
         )
-        asvrg_admm_sc_epoch(state, problem, cfg)
+        vr_admm_epoch(state, problem, cfg)
         assert np.array_equal(state.z, z)
         assert np.array_equal(state.x, x)
         assert np.array_equal(state.y, y)
@@ -571,8 +575,8 @@ class TestEpochReplayOracle:
         L = problem.f.smoothness
         cfg = SolverConfig(m=3, eta=1.0 / (8 * L), beta=0.4, b=2, gamma=2.5,
                            schedule=DecayingTheta(), epochs=2, seed=6)
-        state = init_vr_state(problem, cfg, "gc")
-        asvrg_admm_gc_epoch(state, problem, cfg)  # epoch 1 moves the state
+        state = init_vr_state(problem, cfg)
+        vr_admm_epoch(state, problem, cfg)  # epoch 1 moves the state
         theta = state.theta
         x_snap = state.snapshot.x_tilde.copy()
         snap = state.snapshot
@@ -583,7 +587,7 @@ class TestEpochReplayOracle:
             z0, x0, state.y_tilde.copy(), state.lambda_tilde.copy(),
             x_snap, snap, epoch=2,
         )
-        asvrg_admm_gc_epoch(state, problem, cfg)
+        vr_admm_epoch(state, problem, cfg)
         assert np.array_equal(state.z_tilde, z)
         assert np.array_equal(state.lambda_tilde, lam)
         assert np.array_equal(state.snapshot.x_tilde, sum_x / cfg.m)
@@ -651,17 +655,6 @@ class TestRateRegimeWarnings:
         from sadmm.solvers import warn_if_outside_rate_regime
 
         assert warn_if_outside_rate_regime(problem, cfg, theta=1.0) is None
-
-
-def test_reserved_coupling_slots_rejected():
-    data = tiny_dataset(n=10, dim=3, seed=33)
-    with pytest.raises(NotImplementedError):
-        ProblemSpec(
-            LossObjective(LossKind.logistic(), data),
-            Regularizer(0.0),
-            SparseMatrixCSR.identity(3),
-            B="general",
-        )
 
 
 class TestFiniteIterates:
