@@ -40,7 +40,6 @@ from .losses import (
     Dataset,
     LossKind,
     LossObjective,
-    Sample,
     full_grad,
     loss_value,
     per_sample_grad,

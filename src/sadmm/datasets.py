@@ -6,9 +6,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from .errors import DataFormatError
+from .errors import DataFormatError, DimensionError
 from .linalg import SparseMatrixCSR
-from .losses import Dataset, Sample
+from .losses import Dataset
 
 
 def parse_libsvm(path, dim: int | None = None) -> Dataset:
@@ -18,7 +18,7 @@ def parse_libsvm(path, dim: int | None = None) -> Dataset:
     {-1,+1} are normalized to +-1. dim defaults to the largest index seen.
     Malformed lines raise DataFormatError carrying the line number.
     """
-    samples = []
+    offsets, indices, values, labels = [0], [], [], []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -29,13 +29,10 @@ def parse_libsvm(path, dim: int | None = None) -> Dataset:
                 raw_label = float(parts[0])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad label {parts[0]!r}") from exc
-            if raw_label in (1.0, -1.0):
-                label = int(raw_label)
-            elif raw_label == 0.0:
-                label = -1
-            else:
+            if raw_label not in (0.0, 1.0, -1.0):
                 raise DataFormatError(f"{path}:{lineno}: label must be 0/1 or -1/+1, got {parts[0]}")
-            idx, val = [], []
+            labels.append(-1.0 if raw_label == 0.0 else raw_label)
+            prev = -1
             for tok in parts[1:]:
                 try:
                     i_str, v_str = tok.split(":", 1)
@@ -45,26 +42,30 @@ def parse_libsvm(path, dim: int | None = None) -> Dataset:
                     raise DataFormatError(f"{path}:{lineno}: bad feature token {tok!r}") from exc
                 if i < 1:
                     raise DataFormatError(f"{path}:{lineno}: feature index {i} must be >= 1")
-                idx.append(i - 1)
-                val.append(v)
-            if any(b <= a for a, b in zip(idx, idx[1:])):
-                raise DataFormatError(f"{path}:{lineno}: feature indices must be strictly increasing")
-            try:
-                samples.append(Sample(np.array(idx, dtype=np.int64), np.array(val), label))
-            except DataFormatError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not samples:
+                if i - 1 <= prev:
+                    raise DataFormatError(f"{path}:{lineno}: feature indices must be strictly increasing")
+                prev = i - 1
+                indices.append(prev)
+                values.append(v)
+            offsets.append(len(indices))
+    if not labels:
         raise DataFormatError(f"{path}: empty file")
-    return Dataset.from_samples(samples, dim=dim)
+    max_idx = max(indices, default=-1)
+    if dim is None:
+        dim = max_idx + 1
+    elif max_idx >= dim:
+        raise DimensionError(f"feature index {max_idx} exceeds dim {dim}")
+    return Dataset(SparseMatrixCSR(len(labels), dim, offsets, indices, values), labels)
 
 
 def write_libsvm(path, data: Dataset) -> None:
     """Inverse of parse_libsvm (1-based indices, +-1 labels)."""
+    F = data.features
     with open(path, "w") as fh:
         for i in range(data.n):
-            s = data.sample(i)
-            toks = [f"{'+1' if s.label > 0 else '-1'}"]
-            toks += [f"{j + 1}:{repr(float(v))}" for j, v in zip(s.indices, s.values)]
+            lo, hi = F.row_offsets[i], F.row_offsets[i + 1]
+            toks = ["+1" if data.labels[i] > 0 else "-1"]
+            toks += [f"{j + 1}:{repr(float(v))}" for j, v in zip(F.col_indices[lo:hi], F.values[lo:hi])]
             fh.write(" ".join(toks) + "\n")
 
 
@@ -80,7 +81,7 @@ def train_test_split(data: Dataset, test_fraction: float, seed: int) -> tuple[Da
     test_idx, train_idx = np.sort(perm[:n_test]), np.sort(perm[n_test:])
 
     def take(idx):
-        sub = data.features._scipy[idx]
+        sub = data.features.csr[idx]
         return Dataset(SparseMatrixCSR.from_scipy(sub), data.labels[idx])
 
     return take(train_idx), take(test_idx)

@@ -10,6 +10,7 @@ import hashlib
 import logging
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .metrics import (
     TraceRecord,
     compute_reference,
     evaluate,
+    kkt_residuals,
     p_criterion,
 )
 from .problem import ProblemSpec
@@ -84,19 +86,20 @@ def build_graph_spec(data: Dataset, threshold: float) -> GraphSpec:
     exceeds the threshold. Constant features are skipped with a warning."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError("threshold must be in (0, 1)")
-    X = data.features._scipy
+    X = data.features.csr
     n = data.n
     mu = np.asarray(X.mean(axis=0)).ravel()
     second = (X.T @ X).toarray() / n
     cov = second - np.outer(mu, mu)
     var = np.clip(np.diag(cov), 0.0, None)
-    sd = np.sqrt(var)
-    degenerate = sd <= 1e-12 * max(sd.max(), 1.0)
+    # E[x^2] - mu^2 leaves rounding noise of order eps * E[x^2], so a constant
+    # feature is one whose variance is tiny against its own second moment
+    degenerate = var <= 1e-12 * np.diag(second)
     if degenerate.any():
         logger.warning(
             "skipping %d constant feature(s) in graph construction", int(degenerate.sum())
         )
-    sd = np.where(degenerate, 1.0, sd)  # their pairs are masked out below
+    sd = np.sqrt(np.where(degenerate, 1.0, var))  # their pairs are masked out below
     corr = cov / np.outer(sd, sd)
     keep = ~degenerate
     pairs = np.triu(np.outer(keep, keep), k=1)
@@ -405,6 +408,22 @@ def _load_reference(path: Path) -> ReferenceSolution:
         )
 
 
+def _load_certified(path: Path, problem: ProblemSpec, tol: float) -> ReferenceSolution | None:
+    """The cached reference if it reads back with the problem's shapes and
+    its recomputed KKT residual is within tol; None otherwise."""
+    try:
+        ref = _load_reference(path)
+    except (OSError, EOFError, KeyError, IndexError, ValueError, zipfile.BadZipFile):
+        return None
+    d1, d2 = problem.d1, problem.d2
+    shapes = (ref.x_star.shape, ref.grad_f_star.shape, ref.y_star.shape,
+              ref.lambda_star.shape, ref.h_subgrad_star.shape)
+    if shapes != ((d1,), (d1,), (d2,), (d2,), (d2,)):
+        return None
+    kkt = max(kkt_residuals(problem, ref.x_star, ref.y_star, ref.lambda_star, ref.beta))
+    return ref if kkt <= tol else None
+
+
 def get_reference(
     problem: ProblemSpec,
     kind: LossKind,
@@ -414,13 +433,18 @@ def get_reference(
     cache_dir=None,
 ) -> ReferenceSolution:
     """Compute (or load from the content-addressed cache) the certified
-    optimum of the instance."""
+    optimum of the instance. A cached entry is certified again on load; one
+    that cannot be read, has the wrong shapes or fails the KKT check at tol
+    is recomputed and overwritten."""
     if cache_dir is None:
         return compute_reference(problem, tol=tol, beta=beta)
     key = reference_key(kind, data, problem.reg, problem.A, tol, beta)
     path = Path(cache_dir) / f"{key}.npz"
     if path.exists():
-        return _load_reference(path)
+        ref = _load_certified(path, problem, tol)
+        if ref is not None:
+            return ref
+        logger.warning("recomputing the unreadable or uncertified reference %s", path)
     ref = compute_reference(problem, tol=tol, beta=beta)
     _save_reference(path, ref)
     return ref

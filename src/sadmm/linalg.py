@@ -81,14 +81,16 @@ class SparseMatrixCSR:
         return (self.rows, self.cols)
 
     @cached_property
-    def _scipy(self) -> scipy.sparse.csr_matrix:
+    def csr(self) -> scipy.sparse.csr_matrix:
+        """The same matrix as a scipy CSR matrix, for its sparse products."""
         return scipy.sparse.csr_matrix(
             (self.values, self.col_indices, self.row_offsets), shape=(self.rows, self.cols)
         )
 
     @cached_property
-    def _scipy_t(self) -> scipy.sparse.csr_matrix:
-        return self._scipy.T.tocsr()
+    def csr_t(self) -> scipy.sparse.csr_matrix:
+        """The transpose, stored row-major so A^T y is a CSR product."""
+        return self.csr.T.tocsr()
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseMatrixCSR":
@@ -112,12 +114,12 @@ class SparseMatrixCSR:
         return cls.from_scipy(coo)
 
     def to_dense(self) -> np.ndarray:
-        return self._scipy.toarray()
+        return self.csr.toarray()
 
 
 def vstack(blocks) -> SparseMatrixCSR:
     """Stack matrices vertically (shared column count)."""
-    return SparseMatrixCSR.from_scipy(scipy.sparse.vstack([b._scipy for b in blocks]))
+    return SparseMatrixCSR.from_scipy(scipy.sparse.vstack([b.csr for b in blocks]))
 
 
 def as_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
@@ -132,13 +134,13 @@ def as_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
 def spmv(A: SparseMatrixCSR, x) -> np.ndarray:
     """A @ x."""
     x = as_vector(x, A.cols, "x")
-    return A._scipy @ x
+    return A.csr @ x
 
 
 def spmv_t(A: SparseMatrixCSR, y) -> np.ndarray:
     """A^T @ y."""
     y = as_vector(y, A.rows, "y")
-    return A._scipy_t @ y
+    return A.csr_t @ y
 
 
 def _start_vector(A: SparseMatrixCSR, dim: int, stream: int = 0) -> np.ndarray:
@@ -188,7 +190,7 @@ def spectral_norm_ata(A: SparseMatrixCSR, tol: float = 1e-9, max_iter: int = 100
         raise ValueError("tol must be positive")
     if A.nnz == 0:
         raise MatrixFormatError("spectral norm of an all-zero matrix is undefined here")
-    sp, spt = A._scipy, A._scipy_t
+    sp, spt = A.csr, A.csr_t
     lam, _ = _power_iteration(lambda v: spt @ (sp @ v), _start_vector(A, A.cols), tol, max_iter)
     return lam
 
@@ -196,7 +198,7 @@ def spectral_norm_ata(A: SparseMatrixCSR, tol: float = 1e-9, max_iter: int = 100
 def _min_gram_eig(A: SparseMatrixCSR, sigma_max: float, tol: float, max_iter: int):
     """(sigma_min, iterations) as documented in min_eig_aat. The caller
     supplies sigma_max, since each caller computes it to its own tolerance."""
-    sp, spt = A._scipy, A._scipy_t
+    sp, spt = A.csr, A.csr_t
     if A.rows <= A.cols:
         dim = A.rows
         gram = lambda v: sp @ (spt @ v)
@@ -273,7 +275,7 @@ def solve_aat(
     nv = np.linalg.norm(v)
     if nv == 0.0:
         return np.zeros(A.rows)
-    sp, spt = A._scipy, A._scipy_t
+    sp, spt = A.csr, A.csr_t
     op = scipy.sparse.linalg.LinearOperator(
         (A.rows, A.rows), matvec=lambda w: sp @ (spt @ w), dtype=np.float64
     )
@@ -293,7 +295,7 @@ def solve_aat(
 
 def write_matrix_market(path, A: SparseMatrixCSR, comment: str = "") -> None:
     """Write A as 'coordinate real general' Matrix Market."""
-    scipy.io.mmwrite(str(path), A._scipy.tocoo(), comment=comment, field="real", symmetry="general")
+    scipy.io.mmwrite(str(path), A.csr.tocoo(), comment=comment, field="real", symmetry="general")
 
 
 def read_matrix_market(path) -> SparseMatrixCSR:

@@ -5,6 +5,11 @@ f_i(x) over labeled samples. Three variants are supported: plain logistic,
 l2-regularized logistic, and the huberized hinge (a C^1 piecewise-quadratic
 smoothing of the hinge). The optional ridge term lambda2/2 ||x||^2 is folded
 into every f_i, which is what makes f strongly convex with mu = lambda2.
+
+Full-data quantities go through scipy's CSR products. A mini-batch gradient,
+whatever the batch size, is one vectorised pass over the batch's nonzeros
+in the raw CSR arrays: a gather, a bincount for the margins, and a bincount
+that scatters the gradient.
 """
 
 from __future__ import annotations
@@ -50,25 +55,6 @@ class LossKind:
 
 
 @dataclass(frozen=True, eq=False)
-class Sample:
-    """One labeled sparse feature row."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.label not in (-1, 1):
-            raise DataFormatError(f"label must be +1 or -1, got {self.label}")
-        if len(self.indices) != len(self.values):
-            raise DataFormatError("indices/values length mismatch")
-        if len(self.indices) > 1 and np.any(np.diff(self.indices) <= 0):
-            raise DataFormatError("feature indices must be strictly increasing")
-
-
-@dataclass(frozen=True, eq=False)
 class Dataset:
     """Labeled samples stored as a CSR feature matrix, with cached row norms."""
 
@@ -84,7 +70,7 @@ class Dataset:
             raise DataFormatError("labels must be +1 or -1")
         object.__setattr__(self, "labels", labels)
         if self.norms_sq is None:
-            sq = self.features._scipy.multiply(self.features._scipy)
+            sq = self.features.csr.multiply(self.features.csr)
             object.__setattr__(self, "norms_sq", np.asarray(sq.sum(axis=1)).ravel())
 
     @property
@@ -95,38 +81,10 @@ class Dataset:
     def dim(self) -> int:
         return self.features.cols
 
-    def sample(self, i: int) -> Sample:
-        lo, hi = self.features.row_offsets[i], self.features.row_offsets[i + 1]
-        return Sample(
-            self.features.col_indices[lo:hi],
-            self.features.values[lo:hi],
-            int(self.labels[i]),
-        )
 
-    @classmethod
-    def from_samples(cls, samples, dim: int | None = None) -> "Dataset":
-        if not samples:
-            raise DataFormatError("empty dataset")
-        max_idx = max((int(s.indices.max()) for s in samples if len(s.indices)), default=-1)
-        if dim is None:
-            dim = max_idx + 1
-        elif max_idx >= dim:
-            raise DimensionError(f"feature index {max_idx} exceeds dim {dim}")
-        offsets = np.zeros(len(samples) + 1, dtype=np.int64)
-        for i, s in enumerate(samples):
-            offsets[i + 1] = offsets[i] + len(s.indices)
-        idx = np.concatenate([s.indices for s in samples]) if offsets[-1] else np.zeros(0, np.int64)
-        val = np.concatenate([s.values for s in samples]) if offsets[-1] else np.zeros(0)
-        feats = SparseMatrixCSR(len(samples), dim, offsets, idx, val)
-        return cls(feats, np.array([s.label for s in samples], dtype=np.float64))
-
-
-def _margins(data: Dataset, x: np.ndarray, idx=None) -> np.ndarray:
+def _margins(data: Dataset, x: np.ndarray) -> np.ndarray:
     # t_i = b_i a_i^T x
-    if idx is None:
-        return data.labels * (data.features._scipy @ x)
-    sub = data.features._scipy[idx]
-    return data.labels[idx] * (sub @ x)
+    return data.labels * (data.features.csr @ x)
 
 
 def _loss_of_margin(kind: LossKind, t: np.ndarray) -> np.ndarray:
@@ -183,27 +141,19 @@ def subset_mean_grad(kind: LossKind, data: Dataset, x, idx) -> np.ndarray:
         raise ValueError("empty index subset")
     if idx.min() < 0 or idx.max() >= data.n:
         raise IndexError("sample index out of range")
-    if len(idx) <= 32:
-        # small batches dominate the solvers' inner loops; work on the raw
-        # CSR arrays instead of building scipy submatrices
-        off = data.features.row_offsets
-        cols = data.features.col_indices
-        vals = data.features.values
-        t = np.empty(len(idx))
-        for pos, i in enumerate(idx):
-            lo, hi = off[i], off[i + 1]
-            t[pos] = vals[lo:hi] @ x[cols[lo:hi]]
-        t *= data.labels[idx]
-        coef = _dloss_of_margin(kind, t) * data.labels[idx] / len(idx)
-        g = np.zeros(data.dim)
-        for pos, i in enumerate(idx):
-            lo, hi = off[i], off[i + 1]
-            g[cols[lo:hi]] += coef[pos] * vals[lo:hi]
-    else:
-        sub = data.features._scipy[idx]
-        t = data.labels[idx] * (sub @ x)
-        coef = _dloss_of_margin(kind, t) * data.labels[idx] / len(idx)
-        g = sub.T @ coef
+    # one pass over the batch's nonzeros in the CSR arrays: row[k] is the
+    # batch position owning nonzero k, pos[k] its offset in col_indices/values
+    off = data.features.row_offsets
+    starts = off[idx]
+    counts = off[idx + 1] - starts
+    row = np.repeat(np.arange(len(idx)), counts)
+    pos = np.arange(len(row)) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    cols = data.features.col_indices[pos]
+    vals = data.features.values[pos]
+    labels = data.labels[idx]
+    t = labels * np.bincount(row, weights=vals * x[cols], minlength=len(idx))
+    coef = _dloss_of_margin(kind, t) * labels / len(idx)
+    g = np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
     if kind.lambda2 > 0:
         g = g + kind.lambda2 * x
     return g
@@ -221,7 +171,7 @@ def full_grad(kind: LossKind, data: Dataset, x) -> np.ndarray:
     x = as_vector(x, data.dim, "x")
     t = _margins(data, x)
     coef = _dloss_of_margin(kind, t) * data.labels / data.n
-    g = data.features._scipy_t @ coef
+    g = data.features.csr_t @ coef
     if kind.lambda2 > 0:
         g = g + kind.lambda2 * x
     return g
@@ -233,7 +183,7 @@ def hess_vec(kind: LossKind, data: Dataset, x, v) -> np.ndarray:
     v = as_vector(v, data.dim, "v")
     t = _margins(data, x)
     coef = _d2loss_of_margin(kind, t) / data.n
-    hv = data.features._scipy_t @ (coef * (data.features._scipy @ v))
+    hv = data.features.csr_t @ (coef * (data.features.csr @ v))
     if kind.lambda2 > 0:
         hv = hv + kind.lambda2 * v
     return hv

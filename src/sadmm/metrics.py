@@ -72,7 +72,7 @@ def _dense_hessian(problem: ProblemSpec, x) -> np.ndarray:
 def _constrained_newton(problem: ProblemSpec, sign_pattern, x0, nu0, max_newton: int = 30):
     """Newton on  min f(x) + lambda1 * s^T (Ax)_S  s.t. (Ax)_Z = 0,
     where Z is the zero set of sign_pattern. Returns (x, nu, y, beta*lam)."""
-    A_sp = problem.A._scipy
+    A_sp = problem.A.csr
     lam1 = problem.reg.lambda1
     d1, d2 = problem.d1, problem.d2
     zero_set = np.where(sign_pattern == 0.0)[0]
@@ -237,7 +237,7 @@ def evaluate(x, test: Dataset, kind: LossKind) -> tuple[float, float]:
         raise ValueError("empty test set")
     x = as_vector(x, test.dim, "x")
     loss = loss_value(kind, test, x)
-    margins = test.labels * (test.features._scipy @ x)
+    margins = test.labels * (test.features.csr @ x)
     accuracy = float(np.mean(margins > 0.0))
     return loss, accuracy
 

@@ -533,7 +533,7 @@ def init_stoc_state(problem: ProblemSpec, config: SolverConfig) -> AdmmState:
 
 def _ata_eig(state: AdmmState, problem: ProblemSpec):
     if state.ata_eig is None:
-        ata = (problem.A._scipy.T @ problem.A._scipy).toarray()
+        ata = (problem.A.csr.T @ problem.A.csr).toarray()
         w, Q = np.linalg.eigh(ata)
         state.ata_eig = (w, Q)
     return state.ata_eig

@@ -7,7 +7,7 @@ from sadmm.datasets import (
     train_test_split,
     write_libsvm,
 )
-from sadmm.errors import DataFormatError
+from sadmm.errors import DataFormatError, DimensionError
 
 
 class TestParseLibsvm:
@@ -17,10 +17,10 @@ class TestParseLibsvm:
         data = parse_libsvm(path)
         assert data.n == 1
         assert data.dim == 3
-        s = data.sample(0)
-        assert s.label == 1
-        assert np.array_equal(s.indices, [0, 2])
-        assert np.allclose(s.values, [0.5, 2.0])
+        assert np.array_equal(data.labels, [1.0])
+        assert np.array_equal(data.features.row_offsets, [0, 2])
+        assert np.array_equal(data.features.col_indices, [0, 2])
+        assert np.allclose(data.features.values, [0.5, 2.0])
 
     def test_zero_one_labels_normalized(self, tmp_path):
         path = tmp_path / "d.txt"
@@ -33,6 +33,12 @@ class TestParseLibsvm:
         path = tmp_path / "d.txt"
         path.write_text("+1 1:1\n")
         assert parse_libsvm(path, dim=10).dim == 10
+
+    def test_index_beyond_dim_rejected(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("+1 1:1\n-1 2:1 4:1\n")
+        with pytest.raises(DimensionError, match="index 3 exceeds dim 3"):
+            parse_libsvm(path, dim=3)
 
     def test_malformed_token_reports_line(self, tmp_path):
         path = tmp_path / "d.txt"

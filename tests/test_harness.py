@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from sadmm.harness import (
     write_trace_csv,
 )
 from sadmm.linalg import min_eig_aat
-from sadmm.metrics import CSV_HEADER, TraceRecord, compute_reference
+from sadmm.metrics import CSV_HEADER, TraceRecord, compute_reference, kkt_residuals
 from sadmm.solvers import ConstantTheta, FixedOne, SolverConfig
 
 from helpers import dataset_from_rows
@@ -80,8 +81,20 @@ class TestGraph:
     def test_constant_feature_skipped(self, caplog):
         rows = [{0: 1.0, 1: float(v)} for v in np.random.default_rng(5).standard_normal(30)]
         data = dataset_from_rows(rows, [1, -1] * 15, dim=2)
-        spec = build_graph_spec(data, 0.5)
+        with caplog.at_level(logging.WARNING, logger="sadmm.harness"):
+            spec = build_graph_spec(data, 0.5)
         assert spec.edges == ()
+        assert "skipping 1 constant feature(s)" in caplog.text
+        caplog.clear()
+        # n = 80: E[x^2] - mu^2 leaves rounding noise in the variance of the
+        # constant columns 1 and 3, which must not pair them into an edge
+        F = np.random.default_rng(6).standard_normal((80, 2))
+        rows = [{0: float(a), 1: 2.0, 2: float(c), 3: 1.0} for a, c in F]
+        data = dataset_from_rows(rows, [1, -1] * 40, dim=4)
+        with caplog.at_level(logging.WARNING, logger="sadmm.harness"):
+            spec = build_graph_spec(data, 0.9)
+        assert spec.edges == ()
+        assert "skipping 2 constant feature(s)" in caplog.text
 
     def test_edges_match_loop_transcription(self):
         # correlated features of both signs plus one constant feature (n is a
@@ -94,11 +107,12 @@ class TestGraph:
         rows = [dict(enumerate(map(float, r))) for r in F]
         data = dataset_from_rows(rows, [1, -1] * 32, dim=9)
         threshold = 0.3
-        X = data.features._scipy
+        X = data.features.csr
         mu = np.asarray(X.mean(axis=0)).ravel()
         cov = (X.T @ X).toarray() / data.n - np.outer(mu, mu)
-        sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-        degenerate = sd <= 1e-12 * max(sd.max(), 1.0)
+        var = np.clip(np.diag(cov), 0.0, None)
+        degenerate = var <= 1e-12 * np.diag((X.T @ X).toarray() / data.n)
+        sd = np.sqrt(var)
         assert degenerate.tolist() == [j == 4 for j in range(9)]
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = cov / np.outer(sd, sd)
@@ -283,6 +297,25 @@ class TestRunExperiment:
         # different tolerance gets its own entry
         get_reference(problem, kind, train, tol=1e-8, beta=0.1, cache_dir=cache)
         assert len(list(cache.glob("*.npz"))) == 2
+        # an entry with a perturbed x_star, then a truncated file: each is
+        # recomputed, certified and overwritten instead of being returned
+        path = files[0]
+
+        def assert_recomputed():
+            r = get_reference(problem, kind, train, tol=1e-10, beta=0.1, cache_dir=cache)
+            assert max(kkt_residuals(problem, r.x_star, r.y_star, r.lambda_star, r.beta)) <= 1e-10
+            assert np.array_equal(r.x_star, r1.x_star)
+            with np.load(path) as z:
+                assert np.array_equal(z["x_star"], r1.x_star)
+
+        with np.load(path) as z:
+            entry = dict(z)
+        entry["x_star"] = entry["x_star"] + 1e-3
+        with open(path, "wb") as fh:
+            np.savez(fh, **entry)
+        assert_recomputed()
+        path.write_bytes(path.read_bytes()[:200])
+        assert_recomputed()
 
 
 class TestDegeneracyThroughHarness:

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from sadmm.errors import DataFormatError, DimensionError
+from sadmm.errors import DimensionError
+from sadmm.linalg import SparseMatrixCSR
 from sadmm.losses import (
     Dataset,
     LossKind,
     LossObjective,
-    Sample,
+    _dloss_of_margin,
     full_grad,
     hess_vec,
     loss_value,
@@ -21,29 +22,9 @@ from helpers import ALL_KINDS, dataset_from_rows, tiny_dataset
 
 
 class TestTypes:
-    def test_sample_label_validation(self):
-        with pytest.raises(DataFormatError):
-            Sample(np.array([0]), np.array([1.0]), 2)
-
-    def test_sample_indices_increasing(self):
-        with pytest.raises(DataFormatError):
-            Sample(np.array([1, 1]), np.array([1.0, 2.0]), 1)
-
     def test_norms_cached(self):
         data = dataset_from_rows([{0: 3.0, 2: 4.0}], [1], dim=3)
         assert data.norms_sq[0] == pytest.approx(25.0)
-
-    def test_from_samples_roundtrip(self):
-        samples = [
-            Sample(np.array([0, 2]), np.array([0.5, 2.0]), 1),
-            Sample(np.array([1]), np.array([-1.0]), -1),
-        ]
-        data = Dataset.from_samples(samples, dim=3)
-        assert data.n == 2 and data.dim == 3
-        back = data.sample(0)
-        assert np.array_equal(back.indices, samples[0].indices)
-        assert np.array_equal(back.values, samples[0].values)
-        assert back.label == 1
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -136,6 +117,32 @@ class TestGradients:
         data = tiny_dataset(n=3, dim=2)
         with pytest.raises(IndexError):
             per_sample_grad(LossKind.logistic(), data, np.zeros(2), 3)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")
+def test_subset_grad_matches_dense_transcription(kind):
+    # the CSR kernel against X[idx] products on the dense matrix; row 5 is
+    # all zero and is in every batch, and the batches repeat rows
+    rng = np.random.default_rng(19)
+    n, dim = 40, 7
+    X = rng.standard_normal((n, dim)) * (rng.random((n, dim)) < 0.5)
+    X[5] = 0.0
+    data = Dataset(SparseMatrixCSR.from_dense(X), rng.choice([-1.0, 1.0], size=n))
+    X = data.features.to_dense()
+    for b in (1, 2, 32, 33, n):
+        idx = rng.permutation(n) if b == n else rng.integers(0, n, size=b)
+        idx[0] = 5
+        x = 2.0 * rng.standard_normal(dim)
+        t = data.labels[idx] * (X[idx] @ x)
+        coef = _dloss_of_margin(kind, t) * data.labels[idx] / b
+        expected = X[idx].T @ coef + kind.lambda2 * x
+        got = subset_mean_grad(kind, data, x, idx)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
+    with pytest.raises(ValueError):
+        subset_mean_grad(kind, data, x, [])
+    for bad in (-1, n):
+        with pytest.raises(IndexError):
+            subset_mean_grad(kind, data, x, [0, bad])
 
 
 def finite_difference_grad(kind, data, x, step=1e-6):
