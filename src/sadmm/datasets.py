@@ -3,6 +3,8 @@ and the synthetic generators used by the benchmark presets."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse
 
@@ -16,9 +18,12 @@ def parse_libsvm(path, dim: int | None = None) -> Dataset:
 
     Indices are 1-based in the file and mapped to 0-based; labels {0,1} or
     {-1,+1} are normalized to +-1. dim defaults to the largest index seen.
-    Malformed lines raise DataFormatError carrying the line number.
+    Explicit zero values are dropped (their index still counts towards dim).
+    Malformed lines and non-finite values raise DataFormatError carrying the
+    line number.
     """
     offsets, indices, values, labels = [0], [], [], []
+    max_idx = -1
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -44,13 +49,16 @@ def parse_libsvm(path, dim: int | None = None) -> Dataset:
                     raise DataFormatError(f"{path}:{lineno}: feature index {i} must be >= 1")
                 if i - 1 <= prev:
                     raise DataFormatError(f"{path}:{lineno}: feature indices must be strictly increasing")
+                if not math.isfinite(v):
+                    raise DataFormatError(f"{path}:{lineno}: feature value {v_str!r} is not finite")
                 prev = i - 1
-                indices.append(prev)
-                values.append(v)
+                max_idx = max(max_idx, prev)
+                if v != 0.0:
+                    indices.append(prev)
+                    values.append(v)
             offsets.append(len(indices))
     if not labels:
         raise DataFormatError(f"{path}: empty file")
-    max_idx = max(indices, default=-1)
     if dim is None:
         dim = max_idx + 1
     elif max_idx >= dim:

@@ -491,12 +491,16 @@ def run_solver(
         raise ConfigError(f"unknown solver {solver!r}")
 
     timer = EpochTimer()
+    below_ref = []  # raw gaps below -ref.tol: the reference is not optimal
 
     def record(st) -> TraceRecord:
         x_pt, y_pt = point(st)
         obj = problem.objective(x_pt)
         if ref is not None:
-            gap = max(obj - ref.objective_star, GAP_FLOOR)
+            raw_gap = obj - ref.objective_star
+            if raw_gap < -ref.tol:
+                below_ref.append(raw_gap)
+            gap = max(raw_gap, GAP_FLOOR)
             p_val = p_criterion(x_pt, y_pt, ref, problem)
         else:
             gap = float("nan")
@@ -526,6 +530,12 @@ def run_solver(
         with timer:
             epoch_fn(state, problem, config)
         records.append(record(state))
+    if below_ref:
+        logger.warning(
+            "%s: %d of %d trace rows beat the reference objective by more than its "
+            "tolerance %.1e (most negative raw gap %.3e); the reference is not optimal",
+            solver, len(below_ref), len(records), ref.tol, min(below_ref),
+        )
     return records
 
 

@@ -189,6 +189,23 @@ def hess_vec(kind: LossKind, data: Dataset, x, v) -> np.ndarray:
     return hv
 
 
+def hessian(kind: LossKind, data: Dataset, x) -> np.ndarray:
+    """Dense (generalized) Hessian of f at x, symmetrised.
+
+    One product X^T (diag(c) X) with the curvature c computed once; the
+    sparse-times-dense product accumulates every entry in the same order
+    as hess_vec does for a unit vector, so H[:, j] equals hess_vec(x, e_j)
+    bit for bit before the symmetrisation.
+    """
+    x = as_vector(x, data.dim, "x")
+    t = _margins(data, x)
+    coef = _d2loss_of_margin(kind, t) / data.n
+    H = data.features.csr_t @ (coef[:, None] * data.features.csr.toarray())
+    if kind.lambda2 > 0:
+        H[np.diag_indices_from(H)] += kind.lambda2
+    return 0.5 * (H + H.T)
+
+
 def smoothness_constant(kind: LossKind, data: Dataset) -> float:
     """L = max_i L_i with L_i the gradient Lipschitz constant of f_i.
 
@@ -208,8 +225,9 @@ class LossObjective:
     """Binds a LossKind and Dataset into the smooth-objective oracle.
 
     Exposes the interface the estimators and solvers consume: value,
-    full_grad, subset_grad (mean over a batch), hess_vec, plus the
-    smoothness constant L = max_i L_i and strong convexity mu = lambda2.
+    full_grad, subset_grad (mean over a batch), hess_vec, the dense
+    hessian, plus the smoothness constant L = max_i L_i and strong
+    convexity mu = lambda2.
     """
 
     def __init__(self, kind: LossKind, data: Dataset, L_f: float | None = None):
@@ -251,3 +269,6 @@ class LossObjective:
 
     def hess_vec(self, x, v) -> np.ndarray:
         return hess_vec(self.kind, self.data, x, v)
+
+    def hessian(self, x) -> np.ndarray:
+        return hessian(self.kind, self.data, x)

@@ -60,15 +60,6 @@ def kkt_residuals(problem: ProblemSpec, x, y, lam, beta: float) -> tuple[float, 
     return r_x, r_y, r_feas
 
 
-def _dense_hessian(problem: ProblemSpec, x) -> np.ndarray:
-    d = problem.d1
-    H = np.empty((d, d))
-    eye = np.eye(d)
-    for j in range(d):
-        H[:, j] = problem.f.hess_vec(x, eye[j])
-    return 0.5 * (H + H.T)
-
-
 def _constrained_newton(problem: ProblemSpec, sign_pattern, x0, nu0, max_newton: int = 30):
     """Newton on  min f(x) + lambda1 * s^T (Ax)_S  s.t. (Ax)_Z = 0,
     where Z is the zero set of sign_pattern. Returns (x, nu, y, beta*lam)."""
@@ -89,7 +80,7 @@ def _constrained_newton(problem: ProblemSpec, sign_pattern, x0, nu0, max_newton:
         feas = AZ @ x if nz else np.zeros(0)
         if max(np.abs(grad_stat).max(), np.abs(feas).max() if nz else 0.0) <= 1e-14:
             break
-        H = _dense_hessian(problem, x)
+        H = problem.f.hessian(x)
         M = np.zeros((d1 + nz, d1 + nz))
         M[:d1, :d1] = H
         if nz:

@@ -46,6 +46,10 @@ class SmoothObjective(Protocol):
 
     def hess_vec(self, x, v) -> np.ndarray: ...
 
+    def hessian(self, x) -> np.ndarray:
+        """Dense symmetric (generalized) Hessian of f at x."""
+        ...
+
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:

@@ -61,6 +61,9 @@ class QuadraticObjective:
     def hess_vec(self, x, v) -> np.ndarray:
         return self.q * np.asarray(v, dtype=np.float64)
 
+    def hessian(self, x) -> np.ndarray:
+        return self.q * np.eye(self.dim)
+
 
 def quadratic_problem(centers, q=1.0, lambda1=0.0, A=None) -> ProblemSpec:
     f = QuadraticObjective(np.asarray(centers, dtype=np.float64), q=q)

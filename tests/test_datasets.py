@@ -52,6 +52,22 @@ class TestParseLibsvm:
         with pytest.raises(DataFormatError, match=":1:"):
             parse_libsvm(path)
 
+    def test_explicit_zeros_dropped(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("+1 1:0.5 2:0\n-1 1:0.0 3:-0.0\n")
+        data = parse_libsvm(path)
+        assert data.dim == 3
+        assert np.array_equal(data.features.row_offsets, [0, 1, 1])
+        assert np.array_equal(data.features.col_indices, [0])
+        assert np.array_equal(data.features.values, [0.5])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "d.txt"
+        path.write_text(f"+1 1:0.5\n-1 1:{value}\n")
+        with pytest.raises(DataFormatError, match=":2:.*not finite"):
+            parse_libsvm(path)
+
     def test_nonincreasing_indices_rejected(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("+1 2:1 2:2\n")

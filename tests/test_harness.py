@@ -29,7 +29,7 @@ from sadmm.harness import (
     write_trace_csv,
 )
 from sadmm.linalg import min_eig_aat
-from sadmm.metrics import CSV_HEADER, TraceRecord, compute_reference, kkt_residuals
+from sadmm.metrics import CSV_HEADER, GAP_FLOOR, TraceRecord, compute_reference, kkt_residuals
 from sadmm.solvers import ConstantTheta, FixedOne, SolverConfig
 
 from helpers import dataset_from_rows
@@ -316,6 +316,29 @@ class TestRunExperiment:
         assert_recomputed()
         path.write_bytes(path.read_bytes()[:200])
         assert_recomputed()
+
+
+class TestNegativeGaps:
+    def test_rows_below_the_reference_are_logged(self, caplog):
+        cfg = small_cfg(epochs=8)
+        problem, *_ = assemble_problem(cfg)
+        config = resolve_solver_config(problem, cfg, seed=0)
+        ref = compute_reference(problem, tol=1e-10)
+        with caplog.at_level(logging.WARNING, logger="sadmm.harness"):
+            certified = run_solver(problem, "batch", config, ref=ref)
+        assert "beat the reference" not in caplog.text
+        wrong = dataclasses.replace(ref, objective_star=ref.objective_star + 1e-3)
+        with caplog.at_level(logging.WARNING, logger="sadmm.harness"):
+            recs = run_solver(problem, "batch", config, ref=wrong)
+        below = [r.objective - wrong.objective_star for r in recs]
+        below = [g for g in below if g < -wrong.tol]
+        assert below
+        assert f"{len(below)} of {len(recs)} trace rows beat the reference" in caplog.text
+        assert f"most negative raw gap {min(below):.3e}" in caplog.text
+        assert len([r for r in caplog.records if "beat the reference" in r.message]) == 1
+        # the trace itself still clamps
+        assert all(r.objective_gap >= GAP_FLOOR for r in recs)
+        assert [r.objective for r in recs] == [r.objective for r in certified]
 
 
 class TestDegeneracyThroughHarness:

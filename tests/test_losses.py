@@ -232,6 +232,26 @@ def test_hess_vec_matches_grad_differences():
     assert np.allclose(hv, fd, atol=1e-6)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")
+def test_hessian_matches_hess_vec_columns(kind):
+    # the one-product Hessian against the column-by-column hess_vec oracle,
+    # byte for byte; row 3 is all zero
+    rng = np.random.default_rng(31)
+    n, dim = 50, 8
+    X = rng.standard_normal((n, dim)) * (rng.random((n, dim)) < 0.5)
+    X[3] = 0.0
+    data = Dataset(SparseMatrixCSR.from_dense(X), rng.choice([-1.0, 1.0], size=n))
+    f = LossObjective(kind, data)
+    eye = np.eye(dim)
+    for scale in (0.3, 1.0, 3.0):
+        x = scale * rng.standard_normal(dim)
+        cols = np.column_stack([f.hess_vec(x, eye[j]) for j in range(dim)])
+        expected = 0.5 * (cols + cols.T)
+        got = f.hessian(x)
+        assert got.shape == (dim, dim)
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_objective_adapter():
     data = tiny_dataset(n=5, dim=3, seed=30)
     kind = LossKind.l2_logistic(0.05)
