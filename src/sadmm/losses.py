@@ -9,7 +9,10 @@ into every f_i, which is what makes f strongly convex with mu = lambda2.
 Full-data quantities go through scipy's CSR products. A mini-batch gradient,
 whatever the batch size, is one vectorised pass over the batch's nonzeros
 in the raw CSR arrays: a gather, a bincount for the margins, and a bincount
-that scatters the gradient.
+that scatters the gradient. A mini-batch gradient difference between two
+points, the core of the variance-reduced estimator, is also one gather and
+one scatter: both margins come from the same gathered nonzeros, and only
+the difference of the two loss derivatives is scattered.
 """
 
 from __future__ import annotations
@@ -133,29 +136,58 @@ def loss_value(kind: LossKind, data: Dataset, x) -> float:
     return val
 
 
-def subset_mean_grad(kind: LossKind, data: Dataset, x, idx) -> np.ndarray:
-    """Mean of per-sample gradients over the index subset ``idx``."""
-    x = as_vector(x, data.dim, "x")
+def _gather_rows(data: Dataset, idx):
+    """The nonzeros of the rows ``idx``, read once from the CSR arrays.
+
+    Returns (row, cols, vals, labels): nonzero k sits in column cols[k] with
+    value vals[k] and belongs to batch position row[k], whose label is
+    labels[row[k]].
+    """
     idx = np.asarray(idx, dtype=np.int64)
     if len(idx) == 0:
         raise ValueError("empty index subset")
     if idx.min() < 0 or idx.max() >= data.n:
         raise IndexError("sample index out of range")
-    # one pass over the batch's nonzeros in the CSR arrays: row[k] is the
-    # batch position owning nonzero k, pos[k] its offset in col_indices/values
     off = data.features.row_offsets
     starts = off[idx]
     counts = off[idx + 1] - starts
-    row = np.repeat(np.arange(len(idx)), counts)
-    pos = np.arange(len(row)) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    cols = data.features.col_indices[pos]
-    vals = data.features.values[pos]
-    labels = data.labels[idx]
-    t = labels * np.bincount(row, weights=vals * x[cols], minlength=len(idx))
-    coef = _dloss_of_margin(kind, t) * labels / len(idx)
+    ends = counts.cumsum()
+    row = np.arange(len(idx)).repeat(counts)
+    # pos[k]: offset of nonzero k in col_indices/values
+    pos = np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
+    return row, data.features.col_indices[pos], data.features.values[pos], data.labels[idx]
+
+
+def subset_mean_grad(kind: LossKind, data: Dataset, x, idx) -> np.ndarray:
+    """Mean of per-sample gradients over the index subset ``idx``."""
+    x = as_vector(x, data.dim, "x")
+    row, cols, vals, labels = _gather_rows(data, idx)
+    b = len(labels)
+    t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
+    coef = _dloss_of_margin(kind, t) * labels / b
     g = np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
     if kind.lambda2 > 0:
         g = g + kind.lambda2 * x
+    return g
+
+
+def subset_mean_grad_diff(kind: LossKind, data: Dataset, x, x_ref, idx) -> np.ndarray:
+    """Mean over ``idx`` of grad f_i(x) - grad f_i(x_ref).
+
+    Every f_i is a loss of the margin b_i a_i^T x, so the difference of the
+    two gradients is a_i times the difference of the two loss derivatives:
+    the batch is gathered once and scattered once.
+    """
+    x = as_vector(x, data.dim, "x")
+    x_ref = as_vector(x_ref, data.dim, "x_ref")
+    row, cols, vals, labels = _gather_rows(data, idx)
+    b = len(labels)
+    t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
+    t_ref = labels * np.bincount(row, weights=vals * x_ref[cols], minlength=b)
+    coef = (_dloss_of_margin(kind, t) - _dloss_of_margin(kind, t_ref)) * labels / b
+    g = np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
+    if kind.lambda2 > 0:
+        g = g + kind.lambda2 * (x - x_ref)
     return g
 
 
@@ -225,8 +257,9 @@ class LossObjective:
     """Binds a LossKind and Dataset into the smooth-objective oracle.
 
     Exposes the interface the estimators and solvers consume: value,
-    full_grad, subset_grad (mean over a batch), hess_vec, the dense
-    hessian, plus the smoothness constant L = max_i L_i and strong
+    full_grad, subset_grad (mean over a batch), subset_grad_diff (mean
+    gradient difference between two points over a batch), hess_vec, the
+    dense hessian, plus the smoothness constant L = max_i L_i and strong
     convexity mu = lambda2.
     """
 
@@ -266,6 +299,9 @@ class LossObjective:
 
     def subset_grad(self, x, idx) -> np.ndarray:
         return subset_mean_grad(self.kind, self.data, x, idx)
+
+    def subset_grad_diff(self, x, x_ref, idx) -> np.ndarray:
+        return subset_mean_grad_diff(self.kind, self.data, x, x_ref, idx)
 
     def hess_vec(self, x, v) -> np.ndarray:
         return hess_vec(self.kind, self.data, x, v)

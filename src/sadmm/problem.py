@@ -44,6 +44,10 @@ class SmoothObjective(Protocol):
 
     def subset_grad(self, x, idx) -> np.ndarray: ...
 
+    def subset_grad_diff(self, x, x_ref, idx) -> np.ndarray:
+        """Mean over idx of grad f_i(x) - grad f_i(x_ref)."""
+        ...
+
     def hess_vec(self, x, v) -> np.ndarray: ...
 
     def hessian(self, x) -> np.ndarray:

@@ -124,6 +124,7 @@ class AdmmState:
     y_bar: np.ndarray | None = None
     steps: int = 0  # global step counter (stochastic solver)
     ata_eig: tuple | None = None  # cached eigendecomposition of A^T A
+    sampler: BatchSampler | None = None  # single-sample draws (stochastic solver)
 
 
 def _sup(v: np.ndarray) -> float:
@@ -528,6 +529,7 @@ def init_stoc_state(problem: ProblemSpec, config: SolverConfig) -> AdmmState:
         theta=1.0,
         x_bar=zeros1.copy(),
         y_bar=zeros2.copy(),
+        sampler=BatchSampler(problem.f.n, 1, config.seed),
     )
 
 
@@ -551,7 +553,7 @@ def stoc_admm_step(state: AdmmState, problem: ProblemSpec, config: SolverConfig,
         raise ConfigError("step index k must be >= 1")
     f, A, reg, beta = problem.f, problem.A, problem.reg, config.beta
     eta_k = config.eta / math.sqrt(k)
-    i = BatchSampler(f.n, 1, config.seed).draw(0, k)
+    i = state.sampler.draw(0, k)
     Ax_prev = spmv(A, state.x)
     y = y_update(reg, Ax_prev, state.lam, beta)
     g = f.subset_grad(state.x, i)

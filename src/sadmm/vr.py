@@ -38,7 +38,16 @@ class BatchSampler:
 
     Counter-based: the draw for (epoch, k) is a pure function of
     (seed, epoch, k), so any stochastic run can be replayed exactly from its
-    seed. Returned indices are sorted, which makes batch-gradient reductions
+    seed, and draws may be made in any order. epoch and k must each be below
+    2**32, so that together they fill one 64-bit counter word.
+
+    The sampler holds one Philox stream keyed by the seed and rewinds it for
+    every draw to the counter ((epoch << 32) | k) << 128 with its output
+    buffer cleared, which is exactly the state a fresh
+    Philox(key=seed, counter=...) starts from. Because every draw rewinds
+    that one stream, a sampler must not be shared between threads.
+
+    Returned indices are sorted, which makes batch-gradient reductions
     independent of the draw order (and makes b = n runs seed-independent).
     """
 
@@ -48,23 +57,32 @@ class BatchSampler:
         self.n = n
         self.b = b
         self.seed = int(seed)
+        self._bitgen = np.random.Philox(key=self.seed)
+        self._rng = np.random.Generator(self._bitgen)
+        # the fresh stream's state; draw rewrites the counter word that
+        # holds (epoch << 32) | k, and the rest resets the output buffer
+        self._start = self._bitgen.state
 
     def draw(self, epoch: int, k: int) -> np.ndarray:
         if epoch < 0 or k < 0:
             raise ValueError("epoch and k must be non-negative")
-        counter = ((epoch << 32) | k) << 128
-        rng = np.random.Generator(np.random.Philox(key=self.seed, counter=counter))
+        if epoch >= 1 << 32 or k >= 1 << 32:
+            raise ValueError("epoch and k must be below 2**32")
         if self.b == self.n:
             return np.arange(self.n)
+        self._start["state"]["counter"][2] = (epoch << 32) | k
+        self._bitgen.state = self._start
+        rng = self._rng
         if self.b == 1:
-            return rng.integers(self.n, size=1)
+            # the scalar draw takes the same value as size=1, at lower cost
+            return np.array([rng.integers(self.n)])
         if self.b * 16 < self.n:
             # rejection sampling beats the O(n) partial shuffle for small b;
             # retrying the whole tuple keeps subsets exactly uniform
             while True:
                 idx = rng.integers(self.n, size=self.b)
                 idx.sort()
-                if np.all(np.diff(idx) > 0):
+                if (idx[1:] > idx[:-1]).all():
                     return idx
         idx = rng.choice(self.n, size=self.b, replace=False)
         idx.sort()
@@ -94,9 +112,7 @@ def vr_gradient(snap: Snapshot, f, x, batch) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != snap.x_tilde.shape:
         raise DimensionError("x does not match the snapshot dimension (stale snapshot?)")
-    g_now = f.subset_grad(x, batch)
-    g_snap = f.subset_grad(snap.x_tilde, batch)
-    return g_now - g_snap + snap.full_grad
+    return f.subset_grad_diff(x, snap.x_tilde, batch) + snap.full_grad
 
 
 def variance_bound_rhs(snap: Snapshot, f, x, L: float, b: int) -> float:

@@ -58,6 +58,10 @@ class QuadraticObjective:
         idx = np.asarray(idx, dtype=np.int64)
         return self.q * (np.asarray(x, dtype=np.float64) - self.centers[idx].mean(axis=0))
 
+    def subset_grad_diff(self, x, x_ref, idx) -> np.ndarray:
+        # every component's gradient is q (x - c_i): the centers cancel
+        return self.q * (np.asarray(x, dtype=np.float64) - np.asarray(x_ref, dtype=np.float64))
+
     def hess_vec(self, x, v) -> np.ndarray:
         return self.q * np.asarray(v, dtype=np.float64)
 

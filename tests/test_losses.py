@@ -16,6 +16,7 @@ from sadmm.losses import (
     per_sample_grad,
     smoothness_constant,
     subset_mean_grad,
+    subset_mean_grad_diff,
 )
 
 from helpers import ALL_KINDS, dataset_from_rows, tiny_dataset
@@ -143,6 +144,41 @@ def test_subset_grad_matches_dense_transcription(kind):
     for bad in (-1, n):
         with pytest.raises(IndexError):
             subset_mean_grad(kind, data, x, [0, bad])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")
+def test_subset_grad_diff_matches_gradient_differences(kind):
+    # the one-gather kernel against two subset_grad calls and against X[idx]
+    # products on the dense matrix; row 5 is all zero and in every batch
+    rng = np.random.default_rng(23)
+    n, dim = 40, 7
+    X = rng.standard_normal((n, dim)) * (rng.random((n, dim)) < 0.5)
+    X[5] = 0.0
+    data = Dataset(SparseMatrixCSR.from_dense(X), rng.choice([-1.0, 1.0], size=n))
+    X = data.features.to_dense()
+    f = LossObjective(kind, data)
+    for b in (1, 2, 32, 33, n):
+        idx = rng.permutation(n) if b == n else rng.integers(0, n, size=b)
+        idx[0] = 5
+        x, x_ref = 2.0 * rng.standard_normal(dim), 2.0 * rng.standard_normal(dim)
+        got = f.subset_grad_diff(x, x_ref, idx)
+        np.testing.assert_allclose(
+            got, f.subset_grad(x, idx) - f.subset_grad(x_ref, idx), rtol=0.0, atol=1e-15
+        )
+        labels = data.labels[idx]
+        coef = (
+            _dloss_of_margin(kind, labels * (X[idx] @ x))
+            - _dloss_of_margin(kind, labels * (X[idx] @ x_ref))
+        ) * labels / b
+        expected = X[idx].T @ coef + kind.lambda2 * (x - x_ref)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
+    with pytest.raises(ValueError):
+        subset_mean_grad_diff(kind, data, x, x_ref, [])
+    for bad in (-1, n):
+        with pytest.raises(IndexError):
+            subset_mean_grad_diff(kind, data, x, x_ref, [0, bad])
+    with pytest.raises(DimensionError):
+        subset_mean_grad_diff(kind, data, x, x_ref[:-1], [0, 1])
 
 
 def finite_difference_grad(kind, data, x, step=1e-6):

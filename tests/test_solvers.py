@@ -318,6 +318,80 @@ class TestStocAdmm:
             stoc_admm_step(state, problem, config, k=0)
 
 
+class TestStocReplay:
+    """stoc_admm_chunk against a straight-line loop that builds a fresh
+    single-sample sampler for every draw, compared bitwise."""
+
+    def test_chunks_match_straight_line_loop(self):
+        from sadmm.linalg import spmv_t
+        from sadmm.prox import y_update
+        from sadmm.vr import BatchSampler
+
+        problem = logistic_problem(n=25, dim=4, seed=9)
+        config = SolverConfig(m=15, eta=0.5, beta=0.5, seed=12)
+        f, A, reg, beta = problem.f, problem.A, problem.reg, config.beta
+        w, Q = np.linalg.eigh((A.csr.T @ A.csr).toarray())
+        x, lam = np.zeros(problem.d1), np.zeros(problem.d2)
+        for k in range(1, 31):
+            eta_k = config.eta / math.sqrt(k)
+            i = BatchSampler(f.n, 1, config.seed).draw(0, k)
+            y = y_update(reg, spmv(A, x), lam, beta)
+            rhs = x / eta_k - f.subset_grad(x, i) - beta * spmv_t(A, lam - y)
+            x = Q @ ((Q.T @ rhs) / (1.0 / eta_k + beta * w))
+            lam = lam + (spmv(A, x) - y)
+        state = init_stoc_state(problem, config)
+        stoc_admm_chunk(state, problem, config, 15)
+        stoc_admm_chunk(state, problem, config, 15)
+        assert state.steps == 30
+        assert np.array_equal(state.x, x)
+        assert np.array_equal(state.y, y)
+        assert np.array_equal(state.lam, lam)
+
+
+class TestLayerBoundaries:
+    """The hot path reaches its layers through the attributes a tracer
+    wraps from outside (solvers.vr_gradient, vr.BatchSampler.draw)."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, attr):
+        calls = []
+        inner = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+        return calls
+
+    def test_vr_epoch_calls_each_layer_m_times(self, monkeypatch):
+        import sadmm.solvers
+        import sadmm.vr
+
+        problem = vr_problem(seed=3)
+        for cfg in (
+            vr_config(problem, b=4, m=9),
+            vr_config(problem, theta=0.5, b=1, m=7),
+        ):
+            state = init_vr_state(problem, cfg)
+            grads = self._count(monkeypatch, sadmm.solvers, "vr_gradient")
+            draws = self._count(monkeypatch, sadmm.vr.BatchSampler, "draw")
+            vr_admm_epoch(state, problem, cfg)
+            monkeypatch.undo()
+            assert len(grads) == cfg.m
+            assert len(draws) == cfg.m
+
+    def test_stoc_chunk_draws_once_per_step(self, monkeypatch):
+        import sadmm.vr
+
+        problem = logistic_problem(n=25, dim=4, seed=8)
+        config = SolverConfig(m=11, eta=0.5, beta=0.5, seed=2)
+        state = init_stoc_state(problem, config)
+        draws = self._count(monkeypatch, sadmm.vr.BatchSampler, "draw")
+        stoc_admm_chunk(state, problem, config, 11)
+        assert len(draws) == 11
+
+
 # ---------------------------------------------------------------------------
 # variance-reduced solvers
 

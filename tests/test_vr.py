@@ -80,6 +80,55 @@ class TestSampler:
             assert abs(c - draws * p) <= 5 * sigma, (pair, c)
 
 
+def fresh_philox_draw(n, b, seed, epoch, k):
+    """Transcription of a draw that builds a fresh Philox at the counter."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=((epoch << 32) | k) << 128))
+    if b == n:
+        return np.arange(n)
+    if b == 1:
+        return rng.integers(n, size=1)
+    if b * 16 < n:
+        while True:
+            idx = rng.integers(n, size=b)
+            idx.sort()
+            if np.all(np.diff(idx) > 0):
+                return idx
+    idx = rng.choice(n, size=b, replace=False)
+    idx.sort()
+    return idx
+
+
+# one (n, b) per branch of draw: single sample, rejection (b*16 < n), choice, b = n
+SAMPLER_BRANCHES = [(2000, 1), (2000, 2), (2000, 20), (100, 50), (300, 256), (12, 12)]
+
+
+class TestSamplerStream:
+    @pytest.mark.parametrize("n,b", SAMPLER_BRANCHES)
+    def test_matches_fresh_philox_per_draw(self, n, b):
+        s = BatchSampler(n, b, seed=41)
+        for epoch in (0, 1, 7, 2**32 - 1):
+            for k in (0, 1, 2, 3, 199, 2**32 - 1):
+                got = s.draw(epoch, k)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, fresh_philox_draw(n, b, 41, epoch, k)), (epoch, k)
+
+    @pytest.mark.parametrize("n,b", SAMPLER_BRANCHES)
+    def test_out_of_order_draws_equal_fresh_samplers(self, n, b):
+        one = BatchSampler(n, b, seed=5)
+        order = [(epoch, k) for k in range(30, 0, -1) for epoch in (3, 1, 2)]
+        for epoch, k in order:
+            assert np.array_equal(one.draw(epoch, k), BatchSampler(n, b, seed=5).draw(epoch, k))
+
+    def test_counter_words_do_not_collide(self):
+        # (epoch << 32) | k must not let k spill into the epoch bits
+        s = BatchSampler(1000, 5, seed=3)
+        with pytest.raises(ValueError):
+            s.draw(0, 2**32)
+        with pytest.raises(ValueError):
+            s.draw(2**32, 0)
+        assert not np.array_equal(s.draw(0, 2**32 - 1), s.draw(1, 0))
+
+
 class TestVRGradient:
     def test_at_snapshot_returns_full_grad(self):
         f = make_objective()
