@@ -29,12 +29,10 @@ from .linalg import (
     SpectralConstants,
     compute_spectral_constants,
     min_eig_aat,
-    read_matrix_market,
     solve_aat,
     spectral_norm_ata,
     spmv,
     spmv_t,
-    write_matrix_market,
 )
 from .losses import (
     Dataset,
@@ -42,7 +40,6 @@ from .losses import (
     LossObjective,
     full_grad,
     loss_value,
-    per_sample_grad,
     smoothness_constant,
 )
 from .metrics import (
@@ -56,12 +53,14 @@ from .metrics import (
 from .problem import ProblemSpec, SmoothObjective
 from .prox import Regularizer, h_value, soft_threshold, y_update
 from .solvers import (
-    AdmmState,
+    BatchState,
     ConstantTheta,
     DecayingTheta,
     FixedOne,
     RateParams,
     SolverConfig,
+    StocState,
+    VRState,
     batch_admm_epoch,
     beta_star,
     gamma_min,

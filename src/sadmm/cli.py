@@ -1,10 +1,13 @@
-"""Command-line entry point: run experiments, build references, inspect spectra."""
+"""Command-line entry point: run experiments, build references, tune step
+sizes, inspect spectra."""
 
 from __future__ import annotations
 
 import argparse
 import logging
 import sys
+import warnings
+from pathlib import Path
 
 from .datasets import parse_libsvm
 from .harness import (
@@ -13,6 +16,7 @@ from .harness import (
     config_from_file,
     get_reference,
     graph_matrix,
+    grid_search_eta_beta,
     run_experiment,
 )
 
@@ -36,10 +40,26 @@ def _add_reference(sub):
     p.add_argument("--tol", type=float, default=None, help="KKT residual tolerance")
 
 
+def _add_tune(sub):
+    p = sub.add_parser("tune", help="grid-search eta and beta for one solver")
+    p.add_argument("--config", required=True)
+    p.add_argument("--solver", help="override the configured solver")
+    p.add_argument("--epochs", type=int, default=6, help="length of each trial run")
+
+
 def _add_spectra(sub):
     p = sub.add_parser("spectra", help="spectral constants of the graph-guided penalty")
     p.add_argument("--data", required=True, help="libsvm data file")
     p.add_argument("--threshold", type=float, required=True, help="correlation threshold")
+
+
+def _cached_reference(cfg):
+    """The configured problem and its certified reference, through the
+    cache under <output_dir>/refcache."""
+    problem, train, _test, kind = assemble_problem(cfg)
+    ref = get_reference(problem, kind, train, tol=cfg.ref_tol, beta=cfg.ref_beta,
+                        cache_dir=Path(cfg.output_dir) / "refcache")
+    return problem, ref
 
 
 def _auto_or_float(raw):
@@ -54,6 +74,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     _add_run(sub)
     _add_reference(sub)
+    _add_tune(sub)
     _add_spectra(sub)
     args = parser.parse_args(argv)
 
@@ -79,20 +100,22 @@ def main(argv=None) -> int:
 
     if args.command == "reference":
         overrides = {"ref_tol": args.tol} if args.tol is not None else {}
-        cfg = config_from_file(args.config, overrides)
-        problem, train, _test, kind = assemble_problem(cfg)
-        from pathlib import Path
-
-        ref = get_reference(
-            problem,
-            kind,
-            train,
-            tol=cfg.ref_tol,
-            beta=cfg.ref_beta,
-            cache_dir=Path(cfg.output_dir) / "refcache",
-        )
+        _problem, ref = _cached_reference(config_from_file(args.config, overrides))
         print(f"objective_star = {ref.objective_star!r}")
         print(f"kkt_residual = {ref.kkt_residual!r}")
+        return 0
+
+    if args.command == "tune":
+        # prints the (eta, beta) pair with the smallest final objective gap
+        # of a short run, in config-file form
+        cfg = config_from_file(args.config, {"solver": args.solver})
+        problem, ref = _cached_reference(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eta, beta = grid_search_eta_beta(problem, cfg.solver, cfg, ref, epochs=args.epochs)
+        print(f"solver = {cfg.solver}")
+        print(f"eta = {eta!r}")
+        print(f"beta = {beta!r}")
         return 0
 
     if args.command == "spectra":

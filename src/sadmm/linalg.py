@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -107,11 +106,6 @@ class SparseMatrixCSR:
     @classmethod
     def identity(cls, n: int) -> "SparseMatrixCSR":
         return cls.from_scipy(scipy.sparse.identity(n, format="csr"))
-
-    @classmethod
-    def from_coo(cls, rows, cols, i, j, v) -> "SparseMatrixCSR":
-        coo = scipy.sparse.coo_matrix((v, (i, j)), shape=(rows, cols))
-        return cls.from_scipy(coo)
 
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
@@ -292,15 +286,3 @@ def solve_aat(
         )
     return u
 
-
-def write_matrix_market(path, A: SparseMatrixCSR, comment: str = "") -> None:
-    """Write A as 'coordinate real general' Matrix Market."""
-    scipy.io.mmwrite(str(path), A.csr.tocoo(), comment=comment, field="real", symmetry="general")
-
-
-def read_matrix_market(path) -> SparseMatrixCSR:
-    try:
-        mat = scipy.io.mmread(str(path))
-    except Exception as exc:
-        raise MatrixFormatError(f"cannot read Matrix Market file {path}: {exc}") from exc
-    return SparseMatrixCSR.from_scipy(mat)

@@ -191,13 +191,6 @@ def subset_mean_grad_diff(kind: LossKind, data: Dataset, x, x_ref, idx) -> np.nd
     return g
 
 
-def per_sample_grad(kind: LossKind, data: Dataset, x, i: int) -> np.ndarray:
-    """Gradient of f_i at x (ridge term included)."""
-    if not 0 <= i < data.n:
-        raise IndexError(f"sample index {i} out of range for n={data.n}")
-    return subset_mean_grad(kind, data, x, [i])
-
-
 def full_grad(kind: LossKind, data: Dataset, x) -> np.ndarray:
     """Gradient of f at x; equals the mean of all per-sample gradients."""
     x = as_vector(x, data.dim, "x")

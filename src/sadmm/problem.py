@@ -81,10 +81,6 @@ class ProblemSpec:
     def spectra(self) -> SpectralConstants:
         return compute_spectral_constants(self.A, tol=1e-10)
 
-    def constraint_residual(self, v, y) -> np.ndarray:
-        """A v - y."""
-        return spmv(self.A, v) - np.asarray(y, dtype=np.float64)
-
     def objective(self, x) -> float:
         """Composite objective f(x) + h(Ax) as a function of x alone."""
         return self.f.value(x) + h_value(self.reg, spmv(self.A, x))

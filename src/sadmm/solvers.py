@@ -95,36 +95,51 @@ class SolverConfig:
             raise ConfigError("gamma must be > 0")
 
 
-@dataclass
-class AdmmState:
-    """Mutable per-run solver state.
+@dataclass(kw_only=True)
+class BatchState:
+    """Mutable per-run state of the batch solver: the current (x, y, lam)
+    and the traced counters. sup_z / sup_lambda record the largest infinity
+    norms of the inner primal and dual iterates seen during the last trace
+    row, for auditing the bounded-domain assumption of the sublinear-rate
+    analysis."""
 
-    The tilde fields are the per-epoch outputs carried across epochs; the
-    plain (z, x, y, lam) fields are the last inner iterates of the most
-    recent epoch. sup_z / sup_lambda record the largest infinity norms of
-    the inner z and lambda iterates seen during the last epoch, for
-    auditing the bounded-domain assumption of the sublinear-rate analysis.
-    """
-
-    z: np.ndarray
     x: np.ndarray
     y: np.ndarray
     lam: np.ndarray
-    snapshot: Snapshot | None
-    y_tilde: np.ndarray
-    lambda_tilde: np.ndarray
-    z_tilde: np.ndarray
     epoch: int = 0
     theta: float = 1.0
     grad_evals: int = 0  # per-sample gradient evaluations so far
     sup_z: float = 0.0
     sup_lambda: float = 0.0
+
+
+@dataclass(kw_only=True)
+class StocState(BatchState):
+    """Decaying-step stochastic solver state: the running averages it
+    traces, Ax = A x of the current x for the next y-update, the
+    single-sample sampler and the eigendecomposition of A^T A behind its
+    exact x-update."""
+
+    x_bar: np.ndarray
+    y_bar: np.ndarray
+    Ax: np.ndarray
+    sampler: BatchSampler
+    ata_eig: tuple[np.ndarray, np.ndarray]
+    steps: int = 0  # global step counter
+
+
+@dataclass(kw_only=True)
+class VRState(BatchState):
+    """Variance-reduced solver state. The tilde fields and the snapshot are
+    the per-epoch outputs carried across epochs; (z, x, y, lam) are the
+    last inner iterates of the most recent epoch."""
+
+    z: np.ndarray
+    snapshot: Snapshot
+    y_tilde: np.ndarray
+    lambda_tilde: np.ndarray
+    z_tilde: np.ndarray
     aat_warm: np.ndarray | None = None  # Krylov warm start for the dual solve
-    x_bar: np.ndarray | None = None  # running averages (stochastic solver)
-    y_bar: np.ndarray | None = None
-    steps: int = 0  # global step counter (stochastic solver)
-    ata_eig: tuple | None = None  # cached eigendecomposition of A^T A
-    sampler: BatchSampler | None = None  # single-sample draws (stochastic solver)
 
 
 def _sup(v: np.ndarray) -> float:
@@ -305,7 +320,7 @@ def _resolve_gamma(problem: ProblemSpec, config: SolverConfig, theta: float) -> 
     return float(config.gamma)
 
 
-def init_vr_state(problem: ProblemSpec, config: SolverConfig) -> AdmmState:
+def init_vr_state(problem: ProblemSpec, config: SolverConfig) -> VRState:
     """Common epoch-0 state: zero primal/dual estimates plus the snapshot.
 
     The constant-theta family initializes the dual epoch variable from the
@@ -324,7 +339,7 @@ def init_vr_state(problem: ProblemSpec, config: SolverConfig) -> AdmmState:
     else:
         warm = solve_aat(problem.A, spmv(problem.A, g0), tol=config.dual_solve_tol)
         lam0 = -(1.0 / config.beta) * warm
-    return AdmmState(
+    return VRState(
         z=x0.copy(),
         x=x0.copy(),
         y=np.zeros(d2),
@@ -333,14 +348,13 @@ def init_vr_state(problem: ProblemSpec, config: SolverConfig) -> AdmmState:
         y_tilde=np.zeros(d2),
         lambda_tilde=lam0.copy(),
         z_tilde=x0.copy(),
-        epoch=0,
         theta=theta0,
         grad_evals=problem.f.n,
         aat_warm=warm,
     )
 
 
-def vr_admm_epoch(state: AdmmState, problem: ProblemSpec, config: SolverConfig) -> AdmmState:
+def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) -> VRState:
     """One epoch of the variance-reduced solvers: m inner iterations, then
     the epoch outputs (the inner-x average, the momentum-mixed y average)
     and a new snapshot at the averaged x.
@@ -359,12 +373,11 @@ def vr_admm_epoch(state: AdmmState, problem: ProblemSpec, config: SolverConfig) 
     theta = state.theta
     gamma = _resolve_gamma(problem, config, theta)
     x_snap = state.snapshot.x_tilde
+    z = state.z_tilde.copy()  # equal to x_snap unless theta decays
     if decaying:
-        z = state.z_tilde.copy()
         x = (1.0 - theta) * x_snap + theta * z
     else:
-        # plain copies: the theta-mix of x_snap with itself need not round to x_snap
-        z = x_snap.copy()
+        # a plain copy: the theta-mix of x_snap with itself need not round to x_snap
         x = x_snap.copy()
     y = state.y_tilde.copy()
     lam = state.lambda_tilde.copy()
@@ -476,23 +489,11 @@ def _minimize_x_subproblem(f, A, beta, y, lam, x0, gtol, max_newton=100):
     return x, n_grads
 
 
-def init_batch_state(problem: ProblemSpec, config: SolverConfig) -> AdmmState:
-    d1, d2 = problem.d1, problem.d2
-    zeros1, zeros2 = np.zeros(d1), np.zeros(d2)
-    return AdmmState(
-        z=zeros1.copy(),
-        x=zeros1.copy(),
-        y=zeros2.copy(),
-        lam=zeros2.copy(),
-        snapshot=None,
-        y_tilde=zeros2.copy(),
-        lambda_tilde=zeros2.copy(),
-        z_tilde=zeros1.copy(),
-        theta=1.0,
-    )
+def init_batch_state(problem: ProblemSpec, config: SolverConfig) -> BatchState:
+    return BatchState(x=np.zeros(problem.d1), y=np.zeros(problem.d2), lam=np.zeros(problem.d2))
 
 
-def batch_admm_epoch(state: AdmmState, problem: ProblemSpec, config: SolverConfig) -> AdmmState:
+def batch_admm_epoch(state: BatchState, problem: ProblemSpec, config: SolverConfig) -> BatchState:
     """One deterministic pass: exact y-update, exact x-subproblem solve,
     then the dual ascent step lambda += Ax - y."""
     f, A, reg, beta = problem.f, problem.A, problem.reg, config.beta
@@ -502,7 +503,6 @@ def batch_admm_epoch(state: AdmmState, problem: ProblemSpec, config: SolverConfi
     Ax = spmv(A, x)
     lam = state.lam + (Ax - y)
     state.x, state.y, state.lam = x, y, lam
-    state.z = x
     state.epoch += 1
     state.sup_z = _sup(x)
     state.sup_lambda = _sup(lam)
@@ -514,38 +514,28 @@ def batch_admm_epoch(state: AdmmState, problem: ProblemSpec, config: SolverConfi
 # decaying-step stochastic solver
 
 
-def init_stoc_state(problem: ProblemSpec, config: SolverConfig) -> AdmmState:
-    d1, d2 = problem.d1, problem.d2
-    zeros1, zeros2 = np.zeros(d1), np.zeros(d2)
-    return AdmmState(
-        z=zeros1.copy(),
-        x=zeros1.copy(),
-        y=zeros2.copy(),
-        lam=zeros2.copy(),
-        snapshot=None,
-        y_tilde=zeros2.copy(),
-        lambda_tilde=zeros2.copy(),
-        z_tilde=zeros1.copy(),
-        theta=1.0,
-        x_bar=zeros1.copy(),
-        y_bar=zeros2.copy(),
+def init_stoc_state(problem: ProblemSpec, config: SolverConfig) -> StocState:
+    """Zero iterates, plus the eigendecomposition of A^T A that every
+    x-update reuses."""
+    A = problem.A
+    x0 = np.zeros(problem.d1)
+    return StocState(
+        x=x0.copy(),
+        y=np.zeros(problem.d2),
+        lam=np.zeros(problem.d2),
+        x_bar=x0.copy(),
+        y_bar=np.zeros(problem.d2),
+        Ax=spmv(A, x0),
         sampler=BatchSampler(problem.f.n, 1, config.seed),
+        ata_eig=np.linalg.eigh((A.csr.T @ A.csr).toarray()),
     )
 
 
-def _ata_eig(state: AdmmState, problem: ProblemSpec):
-    if state.ata_eig is None:
-        ata = (problem.A.csr.T @ problem.A.csr).toarray()
-        w, Q = np.linalg.eigh(ata)
-        state.ata_eig = (w, Q)
-    return state.ata_eig
-
-
-def stoc_admm_step(state: AdmmState, problem: ProblemSpec, config: SolverConfig, k: int) -> AdmmState:
+def stoc_admm_step(state: StocState, problem: ProblemSpec, config: SolverConfig, k: int) -> StocState:
     """One single-sample step with decaying step size eta_k = eta / sqrt(k).
 
     The x-update keeps the exact quadratic penalty (identity proximal
-    metric) and solves (I/eta_k + beta A^T A) x = rhs through a cached
+    metric) and solves (I/eta_k + beta A^T A) x = rhs through the
     eigendecomposition of A^T A; y and lambda update as in the batch
     solver. k is the global 1-based step index.
     """
@@ -554,17 +544,15 @@ def stoc_admm_step(state: AdmmState, problem: ProblemSpec, config: SolverConfig,
     f, A, reg, beta = problem.f, problem.A, problem.reg, config.beta
     eta_k = config.eta / math.sqrt(k)
     i = state.sampler.draw(0, k)
-    Ax_prev = spmv(A, state.x)
-    y = y_update(reg, Ax_prev, state.lam, beta)
+    y = y_update(reg, state.Ax, state.lam, beta)
     g = f.subset_grad(state.x, i)
     state.grad_evals += 1
     rhs = state.x / eta_k - g - beta * spmv_t(A, state.lam - y)
-    w, Q = _ata_eig(state, problem)
+    w, Q = state.ata_eig
     x = Q @ ((Q.T @ rhs) / (1.0 / eta_k + beta * w))
     Ax = spmv(A, x)
     lam = state.lam + (Ax - y)
-    state.x, state.y, state.lam = x, y, lam
-    state.z = x
+    state.x, state.y, state.lam, state.Ax = x, y, lam, Ax
     state.steps = k
     state.x_bar += (x - state.x_bar) / k
     state.y_bar += (y - state.y_bar) / k
@@ -575,7 +563,7 @@ def stoc_admm_step(state: AdmmState, problem: ProblemSpec, config: SolverConfig,
     return state
 
 
-def stoc_admm_chunk(state: AdmmState, problem: ProblemSpec, config: SolverConfig, steps: int) -> AdmmState:
+def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig, steps: int) -> StocState:
     """Run ``steps`` consecutive single-sample steps (one trace row)."""
     state.sup_z = _sup(state.x)
     state.sup_lambda = _sup(state.lam)

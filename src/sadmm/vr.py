@@ -103,12 +103,14 @@ def delta_b(n: int, b: int) -> float:
 
 
 def vr_gradient(snap: Snapshot, f, x, batch) -> np.ndarray:
-    """Snapshot-corrected mini-batch gradient estimate at x."""
+    """Snapshot-corrected mini-batch gradient estimate at x. The batch
+    must be strictly increasing (sorted and distinct), as
+    BatchSampler.draw returns it."""
     batch = np.asarray(batch, dtype=np.int64)
     if len(batch) == 0:
         raise ValueError("empty batch")
-    if len(np.unique(batch)) != len(batch):
-        raise ValueError("batch indices must be distinct")
+    if not (batch[1:] > batch[:-1]).all():
+        raise ValueError("batch indices must be strictly increasing")
     x = np.asarray(x, dtype=np.float64)
     if x.shape != snap.x_tilde.shape:
         raise DimensionError("x does not match the snapshot dimension (stale snapshot?)")

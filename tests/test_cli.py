@@ -67,6 +67,17 @@ def test_reference_subcommand(config_file, capsys):
     assert list((out / "refcache").glob("*.npz"))
 
 
+def test_tune_subcommand(config_file, capsys):
+    cfg, out = config_file
+    rc = main(["tune", "--config", str(cfg), "--solver", "asvrg_gc", "--epochs", "1"])
+    assert rc == 0
+    vals = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    assert vals["solver"] == "asvrg_gc"
+    assert float(vals["eta"]) > 0
+    assert float(vals["beta"]) in (0.01, 0.1, 1.0, 10.0)
+    assert list((out / "refcache").glob("*.npz"))
+
+
 def test_spectra_subcommand(tmp_path, capsys):
     data = make_classification(200, 8, seed=5)
     path = tmp_path / "train.libsvm"

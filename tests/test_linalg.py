@@ -14,13 +14,11 @@ from sadmm.linalg import (
     SparseMatrixCSR,
     compute_spectral_constants,
     min_eig_aat,
-    read_matrix_market,
     solve_aat,
     spectral_norm_ata,
     spmv,
     spmv_t,
     vstack,
-    write_matrix_market,
 )
 
 
@@ -213,24 +211,6 @@ class TestSolveAAT:
         u = solve_aat(A, v, tol=1e-12)
         dense = A.to_dense()
         assert np.linalg.norm(dense @ (dense.T @ u) - v) <= 1e-11 * np.linalg.norm(v)
-
-
-class TestMatrixMarket:
-    def test_round_trip(self, tmp_path):
-        A = random_sparse(5, 7, seed=9, density=0.4)
-        path = tmp_path / "mat.mtx"
-        write_matrix_market(path, A)
-        header = path.read_text().splitlines()[0]
-        assert header.startswith("%%MatrixMarket matrix coordinate real general")
-        B = read_matrix_market(path)
-        assert A.shape == B.shape
-        assert np.allclose(A.to_dense(), B.to_dense())
-
-    def test_read_garbage(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text("not a matrix market file\n")
-        with pytest.raises(MatrixFormatError):
-            read_matrix_market(path)
 
 
 def test_vstack():

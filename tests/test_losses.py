@@ -13,7 +13,6 @@ from sadmm.losses import (
     full_grad,
     hess_vec,
     loss_value,
-    per_sample_grad,
     smoothness_constant,
     subset_mean_grad,
     subset_mean_grad_diff,
@@ -78,35 +77,35 @@ class TestLossValue:
 class TestGradients:
     def test_logistic_grad_at_zero(self):
         data = dataset_from_rows([{0: 2.0, 1: -1.0}], [1], dim=2)
-        g = per_sample_grad(LossKind.logistic(), data, np.zeros(2), 0)
+        g = subset_mean_grad(LossKind.logistic(), data, np.zeros(2), [0])
         assert np.allclose(g, [-1.0, 0.5])  # -(b/2) a
 
     def test_huber_flat_region_gradient(self):
         kind = LossKind.huberized_hinge(0.3, 0.5)
         data = dataset_from_rows([{0: 1.0}], [1], dim=1)
         x = np.array([1.0 + 0.5])  # margin beyond the flat threshold
-        g = per_sample_grad(kind, data, x, 0)
+        g = subset_mean_grad(kind, data, x, [0])
         assert np.allclose(g, 0.3 * x)
 
     def test_ridge_only_for_zero_features(self):
         data = dataset_from_rows([{1: 1.0}, {}], [1, -1], dim=2)
         kind = LossKind.l2_logistic(0.05)
         x = np.array([1.0, 0.0])
-        g = per_sample_grad(kind, data, x, 1)
+        g = subset_mean_grad(kind, data, x, [1])
         assert np.allclose(g, 0.05 * x)
 
     def test_full_grad_is_mean_of_per_sample(self):
         data = tiny_dataset(n=6, dim=4, seed=3)
         x = np.random.default_rng(0).standard_normal(4)
         for kind in ALL_KINDS:
-            mean = np.mean([per_sample_grad(kind, data, x, i) for i in range(6)], axis=0)
+            mean = np.mean([subset_mean_grad(kind, data, x, [i]) for i in range(6)], axis=0)
             assert np.allclose(mean, full_grad(kind, data, x), atol=1e-14)
 
     def test_full_grad_single_sample(self):
         data = tiny_dataset(n=1, dim=4, seed=4)
         x = np.random.default_rng(1).standard_normal(4)
         for kind in ALL_KINDS:
-            assert np.allclose(full_grad(kind, data, x), per_sample_grad(kind, data, x, 0))
+            assert np.allclose(full_grad(kind, data, x), subset_mean_grad(kind, data, x, [0]))
 
     def test_symmetric_zero(self):
         # identical features with balanced labels: sum b_i a_i = 0 at x = 0
@@ -117,7 +116,7 @@ class TestGradients:
     def test_index_out_of_range(self):
         data = tiny_dataset(n=3, dim=2)
         with pytest.raises(IndexError):
-            per_sample_grad(LossKind.logistic(), data, np.zeros(2), 3)
+            subset_mean_grad(LossKind.logistic(), data, np.zeros(2), [3])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")
@@ -216,8 +215,8 @@ def test_per_sample_smoothness(kind):
         x = rng.standard_normal(5) * 3
         y = rng.standard_normal(5) * 3
         for i in range(data.n):
-            gx = per_sample_grad(kind, data, x, i)
-            gy = per_sample_grad(kind, data, y, i)
+            gx = subset_mean_grad(kind, data, x, [i])
+            gy = subset_mean_grad(kind, data, y, [i])
             assert np.linalg.norm(gx - gy) <= L_per[i] * np.linalg.norm(x - y) + 1e-10
 
 

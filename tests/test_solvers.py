@@ -8,6 +8,7 @@ from sadmm.errors import ConfigError
 from sadmm.harness import run_solver
 from sadmm.linalg import SparseMatrixCSR, compute_spectral_constants, spmv
 from sadmm.losses import LossKind, LossObjective
+from sadmm.metrics import compute_reference
 from sadmm.problem import ProblemSpec
 from sadmm.prox import Regularizer
 from sadmm.solvers import (
@@ -391,6 +392,38 @@ class TestLayerBoundaries:
         stoc_admm_chunk(state, problem, config, 11)
         assert len(draws) == 11
 
+    @pytest.mark.parametrize(
+        "solver, init",
+        [("batch", "init_batch_state"), ("stoc", "init_stoc_state"), ("svrg", "init_vr_state")],
+    )
+    def test_run_solver_reaches_harness_attributes(self, monkeypatch, solver, init):
+        # run_solver looks these up in sadmm.harness at call time, so a
+        # tracer that swaps the module attributes sees every call
+        import sadmm.harness
+
+        problem = vr_problem(seed=3)
+        cfg = vr_config(problem, b=2, m=3, epochs=2)
+        ref = compute_reference(problem, tol=1e-8)
+        counts = {
+            attr: self._count(monkeypatch, sadmm.harness, attr)
+            for attr in (init, "batch_admm_epoch", "p_criterion", "evaluate", "spmv")
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_solver(problem, solver, cfg, ref=ref, test=problem.f.data, kind=problem.f.kind)
+        rows = cfg.epochs + 1
+        assert len(counts[init]) == 1
+        assert len(counts["batch_admm_epoch"]) == (cfg.epochs if solver == "batch" else 0)
+        assert len(counts["p_criterion"]) == len(counts["evaluate"]) == len(counts["spmv"]) == rows
+
+    def test_compute_reference_reaches_metrics_batch_epoch(self, monkeypatch):
+        import sadmm.metrics
+
+        problem = vr_problem(seed=3)
+        epochs = self._count(monkeypatch, sadmm.metrics, "batch_admm_epoch")
+        compute_reference(problem, tol=1e-8)
+        assert len(epochs) > 0
+
 
 # ---------------------------------------------------------------------------
 # variance-reduced solvers
@@ -644,28 +677,67 @@ class TestEpochReplayOracle:
         assert np.array_equal(state.snapshot.x_tilde, sum_x / cfg.m)
         assert np.array_equal(state.y_tilde, (1 - theta) * y_t0 + (theta / cfg.m) * sum_y)
 
-    def test_decaying_weight_epoch_matches_replay(self):
+    def test_constant_weight_later_epoch_matches_replay(self):
+        # from epoch 2 on the carried y_tilde is nonzero, so its (1 - theta)
+        # share shows in the new y_tilde
+        problem = vr_problem(seed=52)
+        cfg = vr_config(problem, theta=0.6, b=3, m=3, seed=5)
+        state = init_vr_state(problem, cfg)
+        vr_admm_epoch(state, problem, cfg)  # epoch 1 moves the state
+        theta = state.theta
+        gamma = gamma_min(cfg.eta, cfg.beta, theta, problem.spectra.ata_norm)
+        x_snap = state.snapshot.x_tilde.copy()
+        snap = state.snapshot
+        y_t_prev = state.y_tilde.copy()
+        assert np.any(y_t_prev != 0.0)
+        z, x, y, lam, sum_x, sum_y = self._replay_inner(
+            problem, cfg, theta, gamma,
+            x_snap.copy(), x_snap.copy(), state.y_tilde.copy(), state.lambda_tilde.copy(),
+            x_snap, snap, epoch=2,
+        )
+        vr_admm_epoch(state, problem, cfg)
+        assert np.array_equal(state.z, z)
+        assert np.array_equal(state.x, x)
+        assert np.array_equal(state.y, y)
+        assert np.array_equal(state.lam, lam)
+        assert np.array_equal(state.snapshot.x_tilde, sum_x / cfg.m)
+        assert np.array_equal(state.y_tilde, (1 - theta) * y_t_prev + (theta / cfg.m) * sum_y)
+
+    def _decaying_epoch_matches_replay(self, warm_epochs):
         problem = vr_problem(seed=51)
         L = problem.f.smoothness
         cfg = SolverConfig(m=3, eta=1.0 / (8 * L), beta=0.4, b=2, gamma=2.5,
                            schedule=DecayingTheta(), epochs=2, seed=6)
         state = init_vr_state(problem, cfg)
-        vr_admm_epoch(state, problem, cfg)  # epoch 1 moves the state
+        for _ in range(warm_epochs):  # move the state before the replayed epoch
+            vr_admm_epoch(state, problem, cfg)
         theta = state.theta
         x_snap = state.snapshot.x_tilde.copy()
         snap = state.snapshot
         z0 = state.z_tilde.copy()
         x0 = (1.0 - theta) * x_snap + theta * z0
-        z, x, y, lam, sum_x, _sum_y = self._replay_inner(
+        y_t_prev = state.y_tilde.copy()
+        z, x, y, lam, sum_x, sum_y = self._replay_inner(
             problem, cfg, theta, 2.5,
             z0, x0, state.y_tilde.copy(), state.lambda_tilde.copy(),
-            x_snap, snap, epoch=2,
+            x_snap, snap, epoch=warm_epochs + 1,
         )
         vr_admm_epoch(state, problem, cfg)
         assert np.array_equal(state.z_tilde, z)
         assert np.array_equal(state.lambda_tilde, lam)
         assert np.array_equal(state.snapshot.x_tilde, sum_x / cfg.m)
+        assert np.array_equal(state.y_tilde, (1 - theta) * y_t_prev + (theta / cfg.m) * sum_y)
         assert state.theta == theta_next(theta)
+        return y_t_prev
+
+    def test_decaying_weight_epoch_matches_replay(self):
+        self._decaying_epoch_matches_replay(warm_epochs=1)
+
+    def test_decaying_weight_later_epoch_matches_replay(self):
+        # on this instance y_tilde is still zero after epoch 1; after two
+        # epochs its (1 - theta) carry shows in the new y_tilde
+        y_t_prev = self._decaying_epoch_matches_replay(warm_epochs=2)
+        assert np.any(y_t_prev != 0.0)
 
 
 def test_dual_solve_matches_pseudo_inverse():

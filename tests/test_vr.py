@@ -171,8 +171,9 @@ class TestVRGradient:
     def test_rejects_duplicates(self):
         f = make_objective()
         snap = Snapshot(np.zeros(f.dim), f.full_grad(np.zeros(f.dim)))
-        with pytest.raises(ValueError):
-            vr_gradient(snap, f, np.zeros(f.dim), [1, 1])
+        for batch in ([1, 1], [2, 0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                vr_gradient(snap, f, np.zeros(f.dim), batch)
 
     def test_stale_snapshot_dimension(self):
         f = make_objective(dim=4)
