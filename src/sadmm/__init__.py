@@ -70,7 +70,7 @@ from .solvers import (
     optimal_theta_sc,
     rho_rate,
     stoc_admm_chunk,
-    stoc_admm_step,
+    theta_bound,
     theta_next,
     vr_admm_epoch,
 )

@@ -7,16 +7,14 @@ import argparse
 import logging
 import sys
 import warnings
-from pathlib import Path
 
 from .datasets import parse_libsvm
 from .harness import (
-    assemble_problem,
     build_graph_spec,
     config_from_file,
-    get_reference,
     graph_matrix,
     grid_search_eta_beta,
+    problem_and_reference,
     run_experiment,
 )
 
@@ -26,7 +24,7 @@ def _add_run(sub):
     p.add_argument("--config", required=True, help="key = value experiment config file")
     p.add_argument("--solver", help="override the configured solver")
     p.add_argument("--seeds", "--seed", dest="seeds", help="comma-separated seed list override")
-    p.add_argument("--epochs", type=int, help="override the epoch count")
+    p.add_argument("--epochs", help="override the epoch count")
     p.add_argument("--output-dir", help="override the output directory")
     p.add_argument("--eta", help="step size or 'auto'")
     p.add_argument("--beta", help="penalty weight or 'auto'")
@@ -37,7 +35,7 @@ def _add_run(sub):
 def _add_reference(sub):
     p = sub.add_parser("reference", help="compute and cache the certified optimum")
     p.add_argument("--config", required=True)
-    p.add_argument("--tol", type=float, default=None, help="KKT residual tolerance")
+    p.add_argument("--tol", help="KKT residual tolerance")
 
 
 def _add_tune(sub):
@@ -53,21 +51,6 @@ def _add_spectra(sub):
     p.add_argument("--threshold", type=float, required=True, help="correlation threshold")
 
 
-def _cached_reference(cfg):
-    """The configured problem and its certified reference, through the
-    cache under <output_dir>/refcache."""
-    problem, train, _test, kind = assemble_problem(cfg)
-    ref = get_reference(problem, kind, train, tol=cfg.ref_tol, beta=cfg.ref_beta,
-                        cache_dir=Path(cfg.output_dir) / "refcache")
-    return problem, ref
-
-
-def _auto_or_float(raw):
-    if raw is None:
-        return None
-    return raw if raw == "auto" else float(raw)
-
-
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = argparse.ArgumentParser(prog="sadmm")
@@ -80,16 +63,9 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         overrides = {
-            "solver": args.solver,
-            "epochs": args.epochs,
-            "output_dir": args.output_dir,
-            "eta": _auto_or_float(args.eta),
-            "beta": _auto_or_float(args.beta),
-            "gamma": _auto_or_float(args.gamma),
-            "theta": _auto_or_float(args.theta),
+            key: getattr(args, key)
+            for key in ("solver", "seeds", "epochs", "output_dir", "eta", "beta", "gamma", "theta")
         }
-        if args.seeds:
-            overrides["seeds"] = tuple(int(s) for s in args.seeds.replace(",", " ").split())
         cfg = config_from_file(args.config, overrides)
         result = run_experiment(cfg)
         print(f"reference objective: {result['reference_objective']!r}")
@@ -99,8 +75,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "reference":
-        overrides = {"ref_tol": args.tol} if args.tol is not None else {}
-        _problem, ref = _cached_reference(config_from_file(args.config, overrides))
+        _problem, _test, _kind, ref = problem_and_reference(
+            config_from_file(args.config, {"ref_tol": args.tol})
+        )
         print(f"objective_star = {ref.objective_star!r}")
         print(f"kkt_residual = {ref.kkt_residual!r}")
         return 0
@@ -109,7 +86,7 @@ def main(argv=None) -> int:
         # prints the (eta, beta) pair with the smallest final objective gap
         # of a short run, in config-file form
         cfg = config_from_file(args.config, {"solver": args.solver})
-        problem, ref = _cached_reference(cfg)
+        problem, _test, _kind, ref = problem_and_reference(cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             eta, beta = grid_search_eta_beta(problem, cfg.solver, cfg, ref, epochs=args.epochs)

@@ -10,6 +10,7 @@ import hashlib
 import logging
 import os
 import tempfile
+import time
 import zipfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -24,7 +25,6 @@ from .losses import Dataset, LossKind, LossObjective
 from .metrics import (
     CSV_HEADER,
     GAP_FLOOR,
-    EpochTimer,
     ReferenceSolution,
     TraceRecord,
     compute_reference,
@@ -47,10 +47,10 @@ from .solvers import (
     init_vr_state,
     optimal_theta_sc,
     stoc_admm_chunk,
+    theta_bound,
     vr_admm_epoch,
     warn_if_outside_rate_regime,
 )
-from .vr import delta_b
 
 logger = logging.getLogger(__name__)
 
@@ -245,9 +245,17 @@ def parse_config_file(path) -> dict:
 
 
 def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
+    """The config file's values with the non-None overrides on top; string
+    overrides (as given on a command line) are coerced like file values."""
     values = parse_config_file(path)
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+    for key, value in (overrides or {}).items():
+        if isinstance(value, str):
+            try:
+                value = _coerce(key, value)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+        if value is not None:
+            values[key] = value
     return ExperimentConfig(**values)
 
 
@@ -308,29 +316,21 @@ def resolve_solver_config(problem: ProblemSpec, cfg: ExperimentConfig, seed: int
     if beta == "auto":
         beta = beta_star(RateParams.from_problem(problem), problem.spectra) if mu > 0 else 1.0
     eta = cfg.eta
+    if eta == "auto":
+        eta = 1.0 / L if cfg.solver == "stoc" else 1.0 / (8.0 * L)
+    theta = None if cfg.theta == "auto" else float(cfg.theta)
     schedule = FixedOne()
     if cfg.solver == "asvrg_sc":
-        if cfg.theta == "auto" and cfg.eta == "auto" and mu > 0:
-            params = RateParams.from_problem(problem)
+        if theta is None and cfg.eta == "auto" and mu > 0:
             try:
-                theta, _alpha, eta = optimal_theta_sc(m, b, n, params)
+                theta, _alpha, eta = optimal_theta_sc(m, b, n, RateParams.from_problem(problem))
             except ConfigError:
-                eta = 1.0 / (8.0 * L)
-                theta = 1.0 - delta_b(n, b) / (1.0 / (L * eta) - 1.0)
-            schedule = ConstantTheta(theta)
-        else:
-            if eta == "auto":
-                eta = 1.0 / (8.0 * L)
-            if cfg.theta == "auto":
-                theta = 1.0 - delta_b(n, b) / (1.0 / (L * eta) - 1.0)
-            else:
-                theta = float(cfg.theta)
-            schedule = ConstantTheta(theta)
+                pass
+        if theta is None:
+            theta = theta_bound(problem, eta, b)
+        schedule = ConstantTheta(theta)
     elif cfg.solver == "asvrg_gc":
-        theta0 = None if cfg.theta == "auto" else float(cfg.theta)
-        schedule = DecayingTheta(theta0)
-    if eta == "auto":
-        eta = 1.0 / (8.0 * L) if cfg.solver != "stoc" else 1.0 / L
+        schedule = DecayingTheta(theta)
     return SolverConfig(
         m=m,
         eta=float(eta),
@@ -490,7 +490,7 @@ def run_solver(
     else:
         raise ConfigError(f"unknown solver {solver!r}")
 
-    timer = EpochTimer()
+    wall = 0.0  # time spent inside epoch_fn only
     below_ref = []  # raw gaps below -ref.tol: the reference is not optimal
 
     def record(st) -> TraceRecord:
@@ -512,7 +512,7 @@ def run_solver(
         cv = float(np.linalg.norm(spmv(problem.A, x_pt) - y_pt))
         return TraceRecord(
             epoch=st.epoch,
-            wall_seconds=timer.total,
+            wall_seconds=wall,
             passes=st.grad_evals / problem.f.n,
             objective=obj,
             objective_gap=gap,
@@ -527,8 +527,9 @@ def run_solver(
 
     records = [record(state)]
     for _ in range(config.epochs):
-        with timer:
-            epoch_fn(state, problem, config)
+        t0 = time.perf_counter()
+        epoch_fn(state, problem, config)
+        wall += time.perf_counter() - t0
         records.append(record(state))
     if below_ref:
         logger.warning(
@@ -570,15 +571,23 @@ def median_summary(traces: list[list[TraceRecord]]) -> list[TraceRecord]:
     return out
 
 
+def problem_and_reference(
+    cfg: ExperimentConfig,
+) -> tuple[ProblemSpec, Dataset, LossKind, ReferenceSolution]:
+    """The configured problem, its test set and loss kind, and its certified
+    reference through the cache under <output_dir>/refcache."""
+    problem, train, test, kind = assemble_problem(cfg)
+    ref = get_reference(problem, kind, train, tol=cfg.ref_tol, beta=cfg.ref_beta,
+                        cache_dir=Path(cfg.output_dir) / "refcache")
+    return problem, test, kind, ref
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run cfg.solver for every seed, write one CSV per (solver, seed) plus
     a per-epoch median summary; returns the written paths."""
-    problem, train, test, kind = assemble_problem(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ref = get_reference(
-        problem, kind, train, tol=cfg.ref_tol, beta=cfg.ref_beta, cache_dir=out_dir / "refcache"
-    )
+    problem, test, kind, ref = problem_and_reference(cfg)
 
     def one_seed(seed: int):
         config = resolve_solver_config(problem, cfg, seed)

@@ -256,13 +256,10 @@ class LossObjective:
     convexity mu = lambda2.
     """
 
-    def __init__(self, kind: LossKind, data: Dataset, L_f: float | None = None):
+    def __init__(self, kind: LossKind, data: Dataset):
         self.kind = kind
         self.data = data
         self._L = smoothness_constant(kind, data)
-        # Smoothness of the averaged f can be below max_i L_i; default to the
-        # conservative value unless the caller knows a tighter one.
-        self._L_f = self._L if L_f is None else float(L_f)
 
     @property
     def n(self) -> int:
@@ -278,7 +275,9 @@ class LossObjective:
 
     @property
     def smoothness_avg(self) -> float:
-        return self._L_f
+        # grad f is at most as steep as the steepest grad f_i; L is the
+        # conservative bound
+        return self._L
 
     @property
     def strong_convexity(self) -> float:

@@ -3,7 +3,6 @@ certified reference solutions, and test-set metrics."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -235,11 +234,6 @@ def evaluate(x, test: Dataset, kind: LossKind) -> tuple[float, float]:
 
 GAP_FLOOR = 1e-12  # traces clamp gaps here so log plots stay finite
 
-CSV_HEADER = (
-    "epoch,wall_seconds,passes,objective,objective_gap,p_criterion,"
-    "constraint_violation,test_loss,test_accuracy,theta,sup_z,sup_lambda"
-)
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -276,18 +270,4 @@ class TraceRecord:
         return cls(int(parts[0]), *(float(p) for p in parts[1:]))
 
 
-class EpochTimer:
-    """Accumulates wall time around solver calls only."""
-
-    def __init__(self):
-        self.total = 0.0
-        self._t0 = None
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.total += time.perf_counter() - self._t0
-        self._t0 = None
-        return False
+CSV_HEADER = ",".join(f.name for f in fields(TraceRecord))

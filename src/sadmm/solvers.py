@@ -42,6 +42,8 @@ from .vr import BatchSampler, Snapshot, delta_b, vr_gradient
 # ---------------------------------------------------------------------------
 # configuration
 
+DUAL_SOLVE_TOL = 1e-10  # CG tolerance of the A A^T solve behind the constant-theta dual
+
 
 @dataclass(frozen=True)
 class ConstantTheta:
@@ -74,8 +76,6 @@ class SolverConfig:
     seed: int = 0
     schedule: MomentumSchedule = FixedOne()
     inner_tol: float = 1e-10  # gradient tolerance of the batch x-subproblem
-    dual_solve_tol: float = 1e-10  # CG tolerance for the A A^T dual solve
-    check_finite: bool = False  # verify iterates after every inner step
 
     def __post_init__(self):
         if self.m < 1:
@@ -195,15 +195,11 @@ class RateParams:
             raise ConfigError("kappa, kappa_f and omega must all be >= 1")
 
     @classmethod
-    def from_problem(
-        cls, problem: ProblemSpec, spectra: SpectralConstants | None = None, L_f: float | None = None
-    ) -> "RateParams":
+    def from_problem(cls, problem: ProblemSpec) -> "RateParams":
         mu = problem.f.strong_convexity
         if mu <= 0:
             raise ConfigError("problem is not strongly convex (mu = 0)")
-        L = problem.f.smoothness
-        L_f = problem.f.smoothness_avg if L_f is None else L_f
-        spectra = problem.spectra if spectra is None else spectra
+        L, L_f, spectra = problem.f.smoothness, problem.f.smoothness_avg, problem.spectra
         return cls(
             mu=mu,
             L_f=L_f,
@@ -230,11 +226,7 @@ def rho_rate(
         raise ConfigError("mu must be > 0")
     if theta == 0.0:
         return 1.0
-    gamma = (
-        gamma_min(config.eta, config.beta, theta, spectra.ata_norm)
-        if isinstance(config.gamma, str)
-        else float(config.gamma)
-    )
+    gamma = _resolve_gamma(config, theta, spectra.ata_norm)
     first = theta * (theta * gamma) / (config.eta * config.m * params.mu)
     third = params.L_f * theta / (config.beta * config.m * spectra.aat_min_eig)
     return first + (1.0 - theta) + third
@@ -272,6 +264,13 @@ def beta_star(params: RateParams, spectra: SpectralConstants) -> float:
 # variance-reduced solvers
 
 
+def theta_bound(problem: ProblemSpec, eta: float, b: int) -> float:
+    """Largest momentum weight the batch size b admits at step size eta:
+    1 - delta(b)/(alpha - 1) with alpha = 1/(L eta)."""
+    L = problem.f.smoothness
+    return 1.0 - delta_b(problem.f.n, b) / (1.0 / (L * eta) - 1.0)
+
+
 def _initial_theta(problem: ProblemSpec, config: SolverConfig) -> float:
     """Validate the schedule against the step size and return theta_0."""
     L = problem.f.smoothness
@@ -279,9 +278,7 @@ def _initial_theta(problem: ProblemSpec, config: SolverConfig) -> float:
         raise ConfigError(
             f"eta = {config.eta:.3e} must be below 1/(2L) = {1.0 / (2.0 * L):.3e}"
         )
-    delta = delta_b(problem.f.n, config.b)
-    alpha = 1.0 / (L * config.eta)
-    bound = 1.0 - delta / (alpha - 1.0)
+    bound = theta_bound(problem, config.eta, config.b)
     sched = config.schedule
     if isinstance(sched, DecayingTheta):
         theta0 = bound if sched.theta0 is None else float(sched.theta0)
@@ -302,10 +299,6 @@ def _initial_theta(problem: ProblemSpec, config: SolverConfig) -> float:
             return 1.0
         if not 0.0 < theta < 1.0:
             raise ConfigError(f"theta = {theta} outside (0, 1]")
-        if alpha <= 1.0 + delta:
-            raise ConfigError(
-                f"alpha = 1/(L eta) = {alpha:.3f} must exceed 1 + delta(b) = {1.0 + delta:.3f}"
-            )
         if theta > bound + 1e-12:
             raise ConfigError(
                 f"theta = {theta:.6f} exceeds the bound 1 - delta/(alpha-1) = {bound:.6f}"
@@ -314,10 +307,22 @@ def _initial_theta(problem: ProblemSpec, config: SolverConfig) -> float:
     raise ConfigError(f"unknown momentum schedule {sched!r}")
 
 
-def _resolve_gamma(problem: ProblemSpec, config: SolverConfig, theta: float) -> float:
+def _resolve_gamma(config: SolverConfig, theta: float, ata_norm: float) -> float:
+    """The configured gamma, or gamma_min at this theta when it is 'auto'."""
     if isinstance(config.gamma, str):
-        return gamma_min(config.eta, config.beta, theta, problem.spectra.ata_norm)
+        return gamma_min(config.eta, config.beta, theta, ata_norm)
     return float(config.gamma)
+
+
+def _constant_theta_dual(
+    problem: ProblemSpec, beta: float, g: np.ndarray, warm: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The constant-theta dual epoch variable -(1/beta) (A^T)^+ g at the
+    snapshot gradient g, and the A A^T solution behind it, which warm-starts
+    the next solve."""
+    A = problem.A
+    u = solve_aat(A, spmv(A, g), tol=DUAL_SOLVE_TOL, x0=warm)
+    return -(1.0 / beta) * u, u
 
 
 def init_vr_state(problem: ProblemSpec, config: SolverConfig) -> VRState:
@@ -333,12 +338,10 @@ def init_vr_state(problem: ProblemSpec, config: SolverConfig) -> VRState:
     x0 = np.zeros(d1)
     g0 = problem.f.full_grad(x0)
     snapshot = Snapshot(x0, g0)
-    warm = None
     if isinstance(config.schedule, DecayingTheta):
-        lam0 = np.zeros(d2)
+        lam0, warm = np.zeros(d2), None
     else:
-        warm = solve_aat(problem.A, spmv(problem.A, g0), tol=config.dual_solve_tol)
-        lam0 = -(1.0 / config.beta) * warm
+        lam0, warm = _constant_theta_dual(problem, config.beta, g0)
     return VRState(
         z=x0.copy(),
         x=x0.copy(),
@@ -371,7 +374,7 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
     beta, m = config.beta, config.m
     decaying = isinstance(config.schedule, DecayingTheta)
     theta = state.theta
-    gamma = _resolve_gamma(problem, config, theta)
+    gamma = _resolve_gamma(config, theta, problem.spectra.ata_norm)
     x_snap = state.snapshot.x_tilde
     z = state.z_tilde.copy()  # equal to x_snap unless theta decays
     if decaying:
@@ -402,8 +405,6 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
         sum_y += y
         sup_z = max(sup_z, _sup(z))
         sup_lam = max(sup_lam, _sup(lam))
-        if config.check_finite:
-            _require_finite(z, x, y, lam)
     state.grad_evals += m * 2 * config.b
 
     x_tilde = sum_x / m
@@ -418,8 +419,7 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
         state.z_tilde = z.copy()
         state.theta = theta_next(theta)
     else:
-        state.aat_warm = solve_aat(A, spmv(A, g_new), tol=config.dual_solve_tol, x0=state.aat_warm)
-        state.lambda_tilde = -(1.0 / beta) * state.aat_warm
+        state.lambda_tilde, state.aat_warm = _constant_theta_dual(problem, beta, g_new, state.aat_warm)
         state.z_tilde = x_tilde.copy()
     state.epoch += 1
     state.sup_z, state.sup_lambda = sup_z, sup_lam
@@ -531,59 +531,51 @@ def init_stoc_state(problem: ProblemSpec, config: SolverConfig) -> StocState:
     )
 
 
-def stoc_admm_step(state: StocState, problem: ProblemSpec, config: SolverConfig, k: int) -> StocState:
-    """One single-sample step with decaying step size eta_k = eta / sqrt(k).
+def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig, steps: int) -> StocState:
+    """Run ``steps`` consecutive single-sample steps (one trace row) with
+    the decaying step size eta_k = eta / sqrt(k), k the global 1-based
+    step index.
 
     The x-update keeps the exact quadratic penalty (identity proximal
     metric) and solves (I/eta_k + beta A^T A) x = rhs through the
     eigendecomposition of A^T A; y and lambda update as in the batch
-    solver. k is the global 1-based step index.
+    solver.
     """
-    if k < 1:
-        raise ConfigError("step index k must be >= 1")
-    f, A, reg, beta = problem.f, problem.A, problem.reg, config.beta
-    eta_k = config.eta / math.sqrt(k)
-    i = state.sampler.draw(0, k)
-    y = y_update(reg, state.Ax, state.lam, beta)
-    g = f.subset_grad(state.x, i)
-    state.grad_evals += 1
-    rhs = state.x / eta_k - g - beta * spmv_t(A, state.lam - y)
+    f, A, reg, beta, eta = problem.f, problem.A, problem.reg, config.beta, config.eta
     w, Q = state.ata_eig
-    x = Q @ ((Q.T @ rhs) / (1.0 / eta_k + beta * w))
-    Ax = spmv(A, x)
-    lam = state.lam + (Ax - y)
-    state.x, state.y, state.lam, state.Ax = x, y, lam, Ax
-    state.steps = k
-    state.x_bar += (x - state.x_bar) / k
-    state.y_bar += (y - state.y_bar) / k
-    state.sup_z = max(state.sup_z, _sup(x))
-    state.sup_lambda = max(state.sup_lambda, _sup(lam))
-    if config.check_finite:
-        _require_finite(x, y, lam)
-    return state
-
-
-def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig, steps: int) -> StocState:
-    """Run ``steps`` consecutive single-sample steps (one trace row)."""
-    state.sup_z = _sup(state.x)
-    state.sup_lambda = _sup(state.lam)
+    draw = state.sampler.draw
+    x, y, lam, Ax = state.x, state.y, state.lam, state.Ax
+    x_bar, y_bar = state.x_bar, state.y_bar
+    sup_z, sup_lam = _sup(x), _sup(lam)
     for k in range(state.steps + 1, state.steps + steps + 1):
-        stoc_admm_step(state, problem, config, k)
+        eta_k = eta / math.sqrt(k)
+        i = draw(0, k)
+        y = y_update(reg, Ax, lam, beta)
+        g = f.subset_grad(x, i)
+        rhs = x / eta_k - g - beta * spmv_t(A, lam - y)
+        x = Q @ ((Q.T @ rhs) / (1.0 / eta_k + beta * w))
+        Ax = spmv(A, x)
+        lam = lam + (Ax - y)
+        x_bar += (x - x_bar) / k
+        y_bar += (y - y_bar) / k
+        sup_z = max(sup_z, _sup(x))
+        sup_lam = max(sup_lam, _sup(lam))
+    state.x, state.y, state.lam, state.Ax = x, y, lam, Ax
+    state.steps += steps
+    state.grad_evals += steps
+    state.sup_z, state.sup_lambda = sup_z, sup_lam
     state.epoch += 1
-    _require_finite(state.x, state.y, state.lam)
+    _require_finite(x, y, lam)
     return state
 
 
-def warn_if_outside_rate_regime(
-    problem: ProblemSpec, config: SolverConfig, theta: float, params: RateParams | None = None
-) -> float | None:
+def warn_if_outside_rate_regime(problem: ProblemSpec, config: SolverConfig, theta: float) -> float | None:
     """Compute rho for a strongly convex run and warn when rho >= 1 or the
     supplied gamma undercuts gamma_min; the run proceeds either way."""
     if problem.f.strong_convexity <= 0:
         return None
-    params = RateParams.from_problem(problem) if params is None else params
     spectra = problem.spectra
-    rho = rho_rate(theta, params, config, spectra)
+    rho = rho_rate(theta, RateParams.from_problem(problem), config, spectra)
     if rho >= 1.0:
         warnings.warn(
             f"config outside the geometric-rate regime (rho = {rho:.4f} >= 1)", RuntimeWarning

@@ -56,6 +56,18 @@ def test_run_overrides(config_file, capsys):
     ]
 
 
+def test_run_string_overrides_reach_meta(config_file):
+    cfg, out = config_file
+    rc = main(["run", "--config", str(cfg), "--solver", "asvrg_sc", "--eta", "auto",
+               "--theta", "0.5", "--epochs", "1"])
+    assert rc == 0
+    text = (out / "gg_logistic_asvrg_sc_meta.txt").read_text()
+    meta = dict(line.split(" = ") for line in text.splitlines())
+    assert meta["eta"] == "auto"
+    assert meta["theta"] == "0.5"
+    assert meta["epochs"] == "1"
+
+
 def test_reference_subcommand(config_file, capsys):
     cfg, out = config_file
     rc = main(["reference", "--config", str(cfg), "--tol", "1e-8"])

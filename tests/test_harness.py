@@ -30,7 +30,7 @@ from sadmm.harness import (
 )
 from sadmm.linalg import min_eig_aat
 from sadmm.metrics import CSV_HEADER, GAP_FLOOR, TraceRecord, compute_reference, kkt_residuals
-from sadmm.solvers import ConstantTheta, FixedOne, SolverConfig
+from sadmm.solvers import ConstantTheta, DecayingTheta, FixedOne, SolverConfig, init_vr_state
 
 from helpers import dataset_from_rows
 
@@ -382,6 +382,17 @@ def test_resolve_constant_momentum_auto():
     assert config.schedule.theta == pytest.approx(theta)
     assert config.eta == pytest.approx(eta)
     assert config.beta == pytest.approx(beta_star(params, problem.spectra))
+
+
+def test_resolve_constant_momentum_general_convex_is_theta_bound():
+    # mu = 0: the auto constant theta is the batch-size bound, the same
+    # number init_vr_state takes as the DecayingTheta() default theta_0
+    cfg = small_cfg(problem="fused_lasso", solver="asvrg_sc")
+    problem, *_ = assemble_problem(cfg)
+    assert problem.f.strong_convexity == 0.0
+    config = resolve_solver_config(problem, cfg, seed=0)
+    decaying = dataclasses.replace(config, schedule=DecayingTheta())
+    assert config.schedule.theta == init_vr_state(problem, decaying).theta
 
 
 def test_median_summary_rejects_mismatched():

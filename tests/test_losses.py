@@ -298,4 +298,3 @@ def test_objective_adapter():
     assert np.allclose(f.subset_grad(x, [1, 3]), subset_mean_grad(kind, data, x, [1, 3]))
     assert f.strong_convexity == 0.05
     assert f.smoothness_avg == f.smoothness
-    assert LossObjective(kind, data, L_f=0.7).smoothness_avg == 0.7

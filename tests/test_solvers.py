@@ -26,7 +26,6 @@ from sadmm.solvers import (
     optimal_theta_sc,
     rho_rate,
     stoc_admm_chunk,
-    stoc_admm_step,
     theta_next,
     vr_admm_epoch,
 )
@@ -274,7 +273,7 @@ class TestStocAdmm:
         config = SolverConfig(m=1, eta=0.5, beta=0.01, seed=0)
         state = init_stoc_state(problem, config)
         state.lam = np.array([1.0, -1.0])  # puts a pure penalty pull on x
-        stoc_admm_step(state, problem, config, k=1)
+        stoc_admm_chunk(state, problem, config, 1)
         # y-update absorbs lam exactly, so x stays at the origin
         assert np.allclose(state.x, 0.0, atol=1e-12)
 
@@ -286,7 +285,7 @@ class TestStocAdmm:
         config = SolverConfig(m=1, eta=0.5, beta=0.01, seed=0)
         state = init_stoc_state(problem, config)
         state.lam = np.array([1.0, -1.0])
-        stoc_admm_step(state, problem, config, k=1)
+        stoc_admm_chunk(state, problem, config, 1)
         assert np.linalg.norm(state.x) > 0.0
         assert np.linalg.norm(state.x) <= config.eta * config.beta * np.linalg.norm([1.0, -1.0])
 
@@ -310,13 +309,6 @@ class TestStocAdmm:
         stoc_admm_chunk(state, problem, config, 10_000)
         assert abs(state.x[0] - x_star) <= 0.1
         assert abs(state.x_bar[0] - x_star) <= 0.1
-
-    def test_step_index_validation(self):
-        problem = logistic_problem()
-        config = SolverConfig(m=1, eta=0.5, beta=0.5)
-        state = init_stoc_state(problem, config)
-        with pytest.raises(ConfigError):
-            stoc_admm_step(state, problem, config, k=0)
 
 
 class TestStocReplay:
@@ -816,7 +808,7 @@ class TestFiniteIterates:
             "stoc": FixedOne(),
         }[solver]
         cfg = SolverConfig(m=6, eta=1.0 / (8 * L), beta=0.5, b=2, schedule=sched,
-                           epochs=4, seed=0, check_finite=True)
+                           epochs=4, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             recs = run_solver(problem, solver, cfg)
