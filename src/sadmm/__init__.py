@@ -28,7 +28,6 @@ from .linalg import (
     SparseMatrixCSR,
     SpectralConstants,
     compute_spectral_constants,
-    min_eig_aat,
     solve_aat,
     spectral_norm_ata,
     spmv,
@@ -38,9 +37,6 @@ from .losses import (
     Dataset,
     LossKind,
     LossObjective,
-    full_grad,
-    loss_value,
-    smoothness_constant,
 )
 from .metrics import (
     ReferenceSolution,

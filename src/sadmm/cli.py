@@ -17,6 +17,7 @@ from .harness import (
     problem_and_reference,
     run_experiment,
 )
+from .linalg import compute_spectral_constants
 
 
 def _add_run(sub):
@@ -99,8 +100,6 @@ def main(argv=None) -> int:
         data = parse_libsvm(args.data)
         spec = build_graph_spec(data, args.threshold)
         A = graph_matrix(spec.edges, data.dim)
-        from .linalg import compute_spectral_constants
-
         sc = compute_spectral_constants(A)
         print(f"edges = {len(spec.edges)}")
         print(f"d1 = {A.cols}")

@@ -301,6 +301,8 @@ def resolve_solver_config(problem: ProblemSpec, cfg: ExperimentConfig, seed: int
     else 1; the constant momentum weight from the optimal-weight formula
     when the whole (eta, beta, theta) trio is automatic and the problem is
     strongly convex, else the largest weight the batch-size bound allows.
+    When m is too small for the optimal-weight formula, the fallback is
+    logged as a warning.
     """
     n = problem.f.n
     L = problem.f.smoothness
@@ -321,13 +323,19 @@ def resolve_solver_config(problem: ProblemSpec, cfg: ExperimentConfig, seed: int
     theta = None if cfg.theta == "auto" else float(cfg.theta)
     schedule = FixedOne()
     if cfg.solver == "asvrg_sc":
+        missed = None
         if theta is None and cfg.eta == "auto" and mu > 0:
             try:
                 theta, _alpha, eta = optimal_theta_sc(m, b, n, RateParams.from_problem(problem))
-            except ConfigError:
-                pass
+            except ConfigError as exc:
+                missed = exc
         if theta is None:
             theta = theta_bound(problem, eta, b)
+            if missed is not None:
+                logger.warning(
+                    "asvrg_sc: no rate-optimal momentum weight (%s); falling back to "
+                    "theta = theta_bound = %r and eta = 1/(8L) = %r", missed, theta, eta,
+                )
         schedule = ConstantTheta(theta)
     elif cfg.solver == "asvrg_gc":
         schedule = DecayingTheta(theta)
@@ -373,52 +381,29 @@ def _save_reference(path: Path, ref: ReferenceSolution) -> None:
     os.close(fd)
     try:
         with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                x_star=ref.x_star,
-                y_star=ref.y_star,
-                lambda_star=ref.lambda_star,
-                grad_f_star=ref.grad_f_star,
-                h_subgrad_star=ref.h_subgrad_star,
-                scalars=np.array(
-                    [ref.objective_star, ref.kkt_residual, ref.f_star, ref.h_star, ref.beta, ref.tol]
-                ),
-            )
+            np.savez(fh, **{f.name: getattr(ref, f.name) for f in fields(ReferenceSolution)})
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _load_reference(path: Path) -> ReferenceSolution:
-    with np.load(path) as z:
-        s = z["scalars"]
-        return ReferenceSolution(
-            x_star=z["x_star"],
-            y_star=z["y_star"],
-            lambda_star=z["lambda_star"],
-            grad_f_star=z["grad_f_star"],
-            h_subgrad_star=z["h_subgrad_star"],
-            objective_star=float(s[0]),
-            kkt_residual=float(s[1]),
-            f_star=float(s[2]),
-            h_star=float(s[3]),
-            beta=float(s[4]),
-            tol=float(s[5]),
-        )
-
-
 def _load_certified(path: Path, problem: ProblemSpec, tol: float) -> ReferenceSolution | None:
-    """The cached reference if it reads back with the problem's shapes and
-    its recomputed KKT residual is within tol; None otherwise."""
-    try:
-        ref = _load_reference(path)
-    except (OSError, EOFError, KeyError, IndexError, ValueError, zipfile.BadZipFile):
-        return None
+    """The cached reference if every ReferenceSolution field reads back, the
+    vectors with the problem's shapes and the scalars 0-d, and its
+    recomputed KKT residual is within tol; None otherwise."""
     d1, d2 = problem.d1, problem.d2
-    shapes = (ref.x_star.shape, ref.grad_f_star.shape, ref.y_star.shape,
-              ref.lambda_star.shape, ref.h_subgrad_star.shape)
-    if shapes != ((d1,), (d1,), (d2,), (d2,), (d2,)):
+    vector_shapes = {"x_star": (d1,), "grad_f_star": (d1,), "y_star": (d2,),
+                     "lambda_star": (d2,), "h_subgrad_star": (d2,)}
+    try:
+        with np.load(path) as z:
+            vals = {f.name: z[f.name] for f in fields(ReferenceSolution)}
+        if any(v.shape != vector_shapes.get(name, ()) for name, v in vals.items()):
+            return None
+        ref = ReferenceSolution(
+            **{name: v if name in vector_shapes else float(v) for name, v in vals.items()}
+        )
+    except (OSError, EOFError, KeyError, IndexError, ValueError, zipfile.BadZipFile):
         return None
     kkt = max(kkt_residuals(problem, ref.x_star, ref.y_star, ref.lambda_star, ref.beta))
     return ref if kkt <= tol else None

@@ -189,9 +189,34 @@ def spectral_norm_ata(A: SparseMatrixCSR, tol: float = 1e-9, max_iter: int = 100
     return lam
 
 
-def _min_gram_eig(A: SparseMatrixCSR, sigma_max: float, tol: float, max_iter: int):
-    """(sigma_min, iterations) as documented in min_eig_aat. The caller
-    supplies sigma_max, since each caller computes it to its own tolerance."""
+@dataclass(frozen=True)
+class SpectralConstants:
+    """Spectral quantities of the penalty matrix used by the rate formulas."""
+
+    ata_norm: float
+    aat_min_eig: float
+    tol: float
+    iters_used: int
+
+
+def compute_spectral_constants(
+    A: SparseMatrixCSR, tol: float = 1e-9, max_iter: int = 10000
+) -> SpectralConstants:
+    """||A^T A||_2 and the smallest Gram eigenvalue of A.
+
+    The smallest Gram eigenvalue is computed on the smaller side. For wide
+    or square A (rows <= cols) it is the smallest eigenvalue of A A^T; for
+    tall A it is the smallest eigenvalue of A^T A, which equals the
+    smallest nonzero eigenvalue of A A^T whenever A has full rank (the
+    stacked edge/identity penalty matrices are tall, and their A A^T is
+    singular by construction while the quantity the rate formulas need is
+    the spectrum over the range of A).
+
+    Computed by power iteration on the shifted operator sigma_max*I - Gram;
+    iters_used counts that iteration. Raises RankDeficiencyError when the
+    estimate falls below RANK_TOL * sigma_max.
+    """
+    sigma_max = spectral_norm_ata(A, tol=tol, max_iter=max_iter)
     sp, spt = A.csr, A.csr_t
     if A.rows <= A.cols:
         dim = A.rows
@@ -209,44 +234,6 @@ def _min_gram_eig(A: SparseMatrixCSR, sigma_max: float, tol: float, max_iter: in
             f"A not full row rank: smallest Gram eigenvalue {sigma_min:.3e} "
             f"below {RANK_TOL:.0e} * sigma_max ({sigma_max:.3e})"
         )
-    return sigma_min, iters
-
-
-def min_eig_aat(A: SparseMatrixCSR, tol: float = 1e-9, max_iter: int = 10000) -> float:
-    """Smallest Gram eigenvalue of A, computed on the smaller side.
-
-    For wide or square A (rows <= cols) this is the smallest eigenvalue of
-    A A^T; for tall A it is the smallest eigenvalue of A^T A, which equals
-    the smallest nonzero eigenvalue of A A^T whenever A has full rank (the
-    stacked edge/identity penalty matrices are tall, and their A A^T is
-    singular by construction while the quantity the rate formulas need is
-    the spectrum over the range of A).
-
-    Computed by power iteration on the shifted operator sigma_max*I - Gram.
-    Raises RankDeficiencyError when the estimate falls below
-    RANK_TOL * sigma_max.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    sigma_max = spectral_norm_ata(A, tol=min(tol, 1e-9) * 0.1, max_iter=max_iter)
-    return _min_gram_eig(A, sigma_max, tol, max_iter)[0]
-
-
-@dataclass(frozen=True)
-class SpectralConstants:
-    """Spectral quantities of the penalty matrix used by the rate formulas."""
-
-    ata_norm: float
-    aat_min_eig: float
-    tol: float
-    iters_used: int
-
-
-def compute_spectral_constants(
-    A: SparseMatrixCSR, tol: float = 1e-9, max_iter: int = 10000
-) -> SpectralConstants:
-    sigma_max = spectral_norm_ata(A, tol=tol, max_iter=max_iter)
-    sigma_min, iters = _min_gram_eig(A, sigma_max, tol, max_iter)
     return SpectralConstants(ata_norm=sigma_max, aat_min_eig=sigma_min, tol=tol, iters_used=iters)
 
 

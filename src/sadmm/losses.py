@@ -1,10 +1,15 @@
-"""Smooth empirical losses: value, per-sample gradients, smoothness constants.
+"""Smooth empirical losses: the LossObjective oracle and the loss kinds.
 
 The smooth part of every benchmark problem is an average f(x) = (1/n) sum_i
 f_i(x) over labeled samples. Three variants are supported: plain logistic,
 l2-regularized logistic, and the huberized hinge (a C^1 piecewise-quadratic
 smoothing of the hinge). The optional ridge term lambda2/2 ||x||^2 is folded
 into every f_i, which is what makes f strongly convex with mu = lambda2.
+
+A LossKind names the loss and its parameters, a Dataset holds the samples,
+and LossObjective(kind, data) is the one entry point to the loss math: the
+value, the full, mini-batch and mini-batch-difference gradients, the
+Hessian-vector product, the dense Hessian, and the smoothness constant L.
 
 Full-data quantities go through scipy's CSR products. A mini-batch gradient,
 whatever the batch size, is one vectorised pass over the batch's nonzeros
@@ -126,16 +131,6 @@ def _d2loss_of_margin(kind: LossKind, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def loss_value(kind: LossKind, data: Dataset, x) -> float:
-    """f(x) = (1/n) sum_i loss(b_i a_i^T x) + lambda2/2 ||x||^2."""
-    x = as_vector(x, data.dim, "x")
-    t = _margins(data, x)
-    val = float(np.mean(_loss_of_margin(kind, t)))
-    if kind.lambda2 > 0:
-        val += 0.5 * kind.lambda2 * float(x @ x)
-    return val
-
-
 def _gather_rows(data: Dataset, idx):
     """The nonzeros of the rows ``idx``, read once from the CSR arrays.
 
@@ -158,93 +153,6 @@ def _gather_rows(data: Dataset, idx):
     return row, data.features.col_indices[pos], data.features.values[pos], data.labels[idx]
 
 
-def subset_mean_grad(kind: LossKind, data: Dataset, x, idx) -> np.ndarray:
-    """Mean of per-sample gradients over the index subset ``idx``."""
-    x = as_vector(x, data.dim, "x")
-    row, cols, vals, labels = _gather_rows(data, idx)
-    b = len(labels)
-    t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
-    coef = _dloss_of_margin(kind, t) * labels / b
-    g = np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
-    if kind.lambda2 > 0:
-        g = g + kind.lambda2 * x
-    return g
-
-
-def subset_mean_grad_diff(kind: LossKind, data: Dataset, x, x_ref, idx) -> np.ndarray:
-    """Mean over ``idx`` of grad f_i(x) - grad f_i(x_ref).
-
-    Every f_i is a loss of the margin b_i a_i^T x, so the difference of the
-    two gradients is a_i times the difference of the two loss derivatives:
-    the batch is gathered once and scattered once.
-    """
-    x = as_vector(x, data.dim, "x")
-    x_ref = as_vector(x_ref, data.dim, "x_ref")
-    row, cols, vals, labels = _gather_rows(data, idx)
-    b = len(labels)
-    t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
-    t_ref = labels * np.bincount(row, weights=vals * x_ref[cols], minlength=b)
-    coef = (_dloss_of_margin(kind, t) - _dloss_of_margin(kind, t_ref)) * labels / b
-    g = np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
-    if kind.lambda2 > 0:
-        g = g + kind.lambda2 * (x - x_ref)
-    return g
-
-
-def full_grad(kind: LossKind, data: Dataset, x) -> np.ndarray:
-    """Gradient of f at x; equals the mean of all per-sample gradients."""
-    x = as_vector(x, data.dim, "x")
-    t = _margins(data, x)
-    coef = _dloss_of_margin(kind, t) * data.labels / data.n
-    g = data.features.csr_t @ coef
-    if kind.lambda2 > 0:
-        g = g + kind.lambda2 * x
-    return g
-
-
-def hess_vec(kind: LossKind, data: Dataset, x, v) -> np.ndarray:
-    """(Generalized) Hessian-vector product of f at x."""
-    x = as_vector(x, data.dim, "x")
-    v = as_vector(v, data.dim, "v")
-    t = _margins(data, x)
-    coef = _d2loss_of_margin(kind, t) / data.n
-    hv = data.features.csr_t @ (coef * (data.features.csr @ v))
-    if kind.lambda2 > 0:
-        hv = hv + kind.lambda2 * v
-    return hv
-
-
-def hessian(kind: LossKind, data: Dataset, x) -> np.ndarray:
-    """Dense (generalized) Hessian of f at x, symmetrised.
-
-    One product X^T (diag(c) X) with the curvature c computed once; the
-    sparse-times-dense product accumulates every entry in the same order
-    as hess_vec does for a unit vector, so H[:, j] equals hess_vec(x, e_j)
-    bit for bit before the symmetrisation.
-    """
-    x = as_vector(x, data.dim, "x")
-    t = _margins(data, x)
-    coef = _d2loss_of_margin(kind, t) / data.n
-    H = data.features.csr_t @ (coef[:, None] * data.features.csr.toarray())
-    if kind.lambda2 > 0:
-        H[np.diag_indices_from(H)] += kind.lambda2
-    return 0.5 * (H + H.T)
-
-
-def smoothness_constant(kind: LossKind, data: Dataset) -> float:
-    """L = max_i L_i with L_i the gradient Lipschitz constant of f_i.
-
-    Logistic curvature is at most 1/4, the huberized hinge's at most
-    1/(2*huber_width), both along the sample direction, so
-    L_i = ||a_i||^2 * curvature + lambda2.
-    """
-    if data.n == 0:
-        raise ValueError("empty dataset")
-    max_sq = float(data.norms_sq.max())
-    if kind.kind == LOGISTIC:
-        return max_sq / 4.0 + kind.lambda2
-    return max_sq / (2.0 * kind.huber_width) + kind.lambda2
-
 
 class LossObjective:
     """Binds a LossKind and Dataset into the smooth-objective oracle.
@@ -257,9 +165,18 @@ class LossObjective:
     """
 
     def __init__(self, kind: LossKind, data: Dataset):
+        if data.n == 0:
+            raise ValueError("empty dataset")
         self.kind = kind
         self.data = data
-        self._L = smoothness_constant(kind, data)
+        # L_i = ||a_i||^2 * curvature + lambda2: logistic curvature is at
+        # most 1/4, the huberized hinge's at most 1/(2*huber_width), both
+        # along the sample direction
+        max_sq = float(data.norms_sq.max())
+        if kind.kind == LOGISTIC:
+            self._L = max_sq / 4.0 + kind.lambda2
+        else:
+            self._L = max_sq / (2.0 * kind.huber_width) + kind.lambda2
 
     @property
     def n(self) -> int:
@@ -271,12 +188,7 @@ class LossObjective:
 
     @property
     def smoothness(self) -> float:
-        return self._L
-
-    @property
-    def smoothness_avg(self) -> float:
-        # grad f is at most as steep as the steepest grad f_i; L is the
-        # conservative bound
+        """L = max_i L_i with L_i the gradient Lipschitz constant of f_i."""
         return self._L
 
     @property
@@ -284,19 +196,84 @@ class LossObjective:
         return self.kind.lambda2
 
     def value(self, x) -> float:
-        return loss_value(self.kind, self.data, x)
+        """f(x) = (1/n) sum_i loss(b_i a_i^T x) + lambda2/2 ||x||^2."""
+        kind, data = self.kind, self.data
+        x = as_vector(x, data.dim, "x")
+        t = _margins(data, x)
+        val = float(np.mean(_loss_of_margin(kind, t)))
+        if kind.lambda2 > 0:
+            val += 0.5 * kind.lambda2 * float(x @ x)
+        return val
 
     def full_grad(self, x) -> np.ndarray:
-        return full_grad(self.kind, self.data, x)
+        """Gradient of f at x; equals the mean of all per-sample gradients."""
+        kind, data = self.kind, self.data
+        x = as_vector(x, data.dim, "x")
+        t = _margins(data, x)
+        coef = _dloss_of_margin(kind, t) * data.labels / data.n
+        g = data.features.csr_t @ coef
+        if kind.lambda2 > 0:
+            g = g + kind.lambda2 * x
+        return g
 
     def subset_grad(self, x, idx) -> np.ndarray:
-        return subset_mean_grad(self.kind, self.data, x, idx)
+        """Mean of per-sample gradients over the index subset ``idx``."""
+        kind, data = self.kind, self.data
+        x = as_vector(x, data.dim, "x")
+        row, cols, vals, labels = _gather_rows(data, idx)
+        b = len(labels)
+        t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
+        coef = _dloss_of_margin(kind, t) * labels / b
+        g = np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
+        if kind.lambda2 > 0:
+            g = g + kind.lambda2 * x
+        return g
 
     def subset_grad_diff(self, x, x_ref, idx) -> np.ndarray:
-        return subset_mean_grad_diff(self.kind, self.data, x, x_ref, idx)
+        """Mean over ``idx`` of grad f_i(x) - grad f_i(x_ref).
+
+        Every f_i is a loss of the margin b_i a_i^T x, so the difference of
+        the two gradients is a_i times the difference of the two loss
+        derivatives: the batch is gathered once and scattered once.
+        """
+        kind, data = self.kind, self.data
+        x = as_vector(x, data.dim, "x")
+        x_ref = as_vector(x_ref, data.dim, "x_ref")
+        row, cols, vals, labels = _gather_rows(data, idx)
+        b = len(labels)
+        t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
+        t_ref = labels * np.bincount(row, weights=vals * x_ref[cols], minlength=b)
+        coef = (_dloss_of_margin(kind, t) - _dloss_of_margin(kind, t_ref)) * labels / b
+        g = np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
+        if kind.lambda2 > 0:
+            g = g + kind.lambda2 * (x - x_ref)
+        return g
 
     def hess_vec(self, x, v) -> np.ndarray:
-        return hess_vec(self.kind, self.data, x, v)
+        """(Generalized) Hessian-vector product of f at x."""
+        kind, data = self.kind, self.data
+        x = as_vector(x, data.dim, "x")
+        v = as_vector(v, data.dim, "v")
+        t = _margins(data, x)
+        coef = _d2loss_of_margin(kind, t) / data.n
+        hv = data.features.csr_t @ (coef * (data.features.csr @ v))
+        if kind.lambda2 > 0:
+            hv = hv + kind.lambda2 * v
+        return hv
 
     def hessian(self, x) -> np.ndarray:
-        return hessian(self.kind, self.data, x)
+        """Dense (generalized) Hessian of f at x, symmetrised.
+
+        One product X^T (diag(c) X) with the curvature c computed once; the
+        sparse-times-dense product accumulates every entry in the same
+        order as hess_vec does for a unit vector, so H[:, j] equals
+        hess_vec(x, e_j) bit for bit before the symmetrisation.
+        """
+        kind, data = self.kind, self.data
+        x = as_vector(x, data.dim, "x")
+        t = _margins(data, x)
+        coef = _d2loss_of_margin(kind, t) / data.n
+        H = data.features.csr_t @ (coef[:, None] * data.features.csr.toarray())
+        if kind.lambda2 > 0:
+            H[np.diag_indices_from(H)] += kind.lambda2
+        return 0.5 * (H + H.T)

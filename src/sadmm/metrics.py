@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .linalg import as_vector, spmv, spmv_t
-from .losses import Dataset, LossKind, loss_value
+from .losses import Dataset, LossKind, LossObjective
 from .problem import ProblemSpec
 from .prox import h_value
 from .solvers import SolverConfig, batch_admm_epoch, init_batch_state
@@ -226,7 +226,7 @@ def evaluate(x, test: Dataset, kind: LossKind) -> tuple[float, float]:
     if test.n == 0:
         raise ValueError("empty test set")
     x = as_vector(x, test.dim, "x")
-    loss = loss_value(kind, test, x)
+    loss = LossObjective(kind, test).value(x)
     margins = test.labels * (test.features.csr @ x)
     accuracy = float(np.mean(margins > 0.0))
     return loss, accuracy

@@ -31,11 +31,6 @@ class SmoothObjective(Protocol):
         ...
 
     @property
-    def smoothness_avg(self) -> float:
-        """Lipschitz constant of grad f itself (at most L)."""
-        ...
-
-    @property
     def strong_convexity(self) -> float: ...
 
     def value(self, x) -> float: ...

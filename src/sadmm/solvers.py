@@ -178,36 +178,31 @@ def gamma_min(eta: float, beta: float, theta: float, ata_norm: float) -> float:
 @dataclass(frozen=True)
 class RateParams:
     """Condition numbers entering the geometric-rate and optimal-weight
-    formulas: mu strong convexity, L = max_i L_i, L_f smoothness of the
-    averaged f, and omega the Gram condition ratio of A."""
+    formulas: mu strong convexity, L = max_i L_i, kappa = L/mu, and omega
+    the Gram condition ratio of A. The paper's formulas also use the
+    smoothness L_f of the averaged f; L_f <= L, and L stands in for it."""
 
     mu: float
-    L_f: float
     L: float
-    kappa: float
-    kappa_f: float
     omega: float
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ConfigError("mu must be > 0 for the geometric-rate formulas")
-        if self.kappa < 1 or self.kappa_f < 1 or self.omega < 1:
-            raise ConfigError("kappa, kappa_f and omega must all be >= 1")
+        if self.kappa < 1 or self.omega < 1:
+            raise ConfigError("kappa and omega must both be >= 1")
+
+    @property
+    def kappa(self) -> float:
+        return self.L / self.mu
 
     @classmethod
     def from_problem(cls, problem: ProblemSpec) -> "RateParams":
         mu = problem.f.strong_convexity
         if mu <= 0:
             raise ConfigError("problem is not strongly convex (mu = 0)")
-        L, L_f, spectra = problem.f.smoothness, problem.f.smoothness_avg, problem.spectra
-        return cls(
-            mu=mu,
-            L_f=L_f,
-            L=L,
-            kappa=L / mu,
-            kappa_f=L_f / mu,
-            omega=spectra.ata_norm / spectra.aat_min_eig,
-        )
+        spectra = problem.spectra
+        return cls(mu=mu, L=problem.f.smoothness, omega=spectra.ata_norm / spectra.aat_min_eig)
 
 
 def rho_rate(
@@ -216,7 +211,7 @@ def rho_rate(
     """Per-epoch contraction factor of the constant-theta solver:
 
         rho = theta ||theta G + eta beta A^T A||_2 / (eta m mu)
-              + (1 - theta) + L_f theta / (beta m sigma_min)
+              + (1 - theta) + L theta / (beta m sigma_min)
 
     By the definition of G, theta G + eta beta A^T A = theta gamma I, so the
     norm evaluates to theta*gamma exactly. rho < 1 certifies geometric decay
@@ -228,21 +223,21 @@ def rho_rate(
         return 1.0
     gamma = _resolve_gamma(config, theta, spectra.ata_norm)
     first = theta * (theta * gamma) / (config.eta * config.m * params.mu)
-    third = params.L_f * theta / (config.beta * config.m * spectra.aat_min_eig)
+    third = params.L * theta / (config.beta * config.m * spectra.aat_min_eig)
     return first + (1.0 - theta) + third
 
 
 def optimal_theta_sc(m: int, b: int, n: int, params: RateParams) -> tuple[float, float, float]:
     """Optimal constant momentum weight for the strongly convex regime.
 
-    Returns (theta_star, alpha, eta) with alpha = (m - 2 sqrt(kappa_f omega))
+    Returns (theta_star, alpha, eta) with alpha = (m - 2 sqrt(kappa omega))
     / (2 kappa) + delta(b) + 1 and eta = 1/(L alpha). Requires
-    m > 2 kappa + 2 sqrt(kappa_f omega).
+    m > 2 kappa + 2 sqrt(kappa omega).
     """
-    s = 2.0 * math.sqrt(params.kappa_f * params.omega)
+    s = 2.0 * math.sqrt(params.kappa * params.omega)
     if m <= 2.0 * params.kappa + s:
         raise ConfigError(
-            f"m = {m} too small: need m > 2*kappa + 2*sqrt(kappa_f*omega) "
+            f"m = {m} too small: need m > 2*kappa + 2*sqrt(kappa*omega) "
             f"= {2.0 * params.kappa + s:.3f}"
         )
     delta = delta_b(n, b)
@@ -254,10 +249,10 @@ def optimal_theta_sc(m: int, b: int, n: int, params: RateParams) -> tuple[float,
 
 def beta_star(params: RateParams, spectra: SpectralConstants) -> float:
     """Penalty weight minimizing the contraction factor:
-    sqrt(L_f mu / (sigma_min ||A^T A||_2))."""
+    sqrt(L mu / (sigma_min ||A^T A||_2))."""
     if spectra.aat_min_eig <= 0:
         raise ValueError("sigma_min must be > 0")
-    return math.sqrt(params.L_f * params.mu / (spectra.aat_min_eig * spectra.ata_norm))
+    return math.sqrt(params.L * params.mu / (spectra.aat_min_eig * spectra.ata_norm))
 
 
 # ---------------------------------------------------------------------------

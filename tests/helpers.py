@@ -36,10 +36,6 @@ class QuadraticObjective:
         return self.q
 
     @property
-    def smoothness_avg(self) -> float:
-        return self.q
-
-    @property
     def strong_convexity(self) -> float:
         return self.q
 

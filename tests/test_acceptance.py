@@ -17,7 +17,7 @@ from sadmm.harness import (
     run_solver,
 )
 from sadmm.linalg import SparseMatrixCSR, compute_spectral_constants
-from sadmm.losses import LossKind, LossObjective, full_grad, loss_value
+from sadmm.losses import LossKind, LossObjective
 from sadmm.metrics import compute_reference
 from sadmm.problem import ProblemSpec
 from sadmm.prox import Regularizer, y_update
@@ -169,7 +169,7 @@ def test_criterion_05_geometric_rate():
     params = RateParams.from_problem(problem)
     n = problem.f.n
     b = 10
-    floor = 2.0 * params.kappa + 2.0 * math.sqrt(params.kappa_f * params.omega)
+    floor = 2.0 * params.kappa + 2.0 * math.sqrt(params.kappa * params.omega)
     m = max((2 * n) // b, int(1.6 * floor) + 1)
     theta, _alpha, eta = optimal_theta_sc(m, b, n, params)
     bstar = beta_star(params, problem.spectra)
@@ -319,14 +319,15 @@ def test_criterion_08_gradient_correctness():
     rng = np.random.default_rng(78)
     worst = 0.0
     for kind in kinds:
+        f = LossObjective(kind, data)
         for _ in range(100):
             x = rng.standard_normal(8)
-            g = full_grad(kind, data, x)
+            g = f.full_grad(x)
             fd = np.zeros(8)
             for j in range(8):
                 e = np.zeros(8)
                 e[j] = 1e-6
-                fd[j] = (loss_value(kind, data, x + e) - loss_value(kind, data, x - e)) / 2e-6
+                fd[j] = (f.value(x + e) - f.value(x - e)) / 2e-6
             rel = np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0)
             worst = max(worst, rel)
     report(8, "gradient correctness", worst <= 1e-5, f"worst relative error {worst:.2e}")
@@ -389,12 +390,8 @@ def test_criterion_10_rate_parameter_formulas():
         min_dense = float(eigs.min())
         mu = rng.uniform(0.005, 0.2)
         L = rng.uniform(0.5, 2.0)
-        params = RateParams(
-            mu=mu, L_f=L, L=L, kappa=L / mu, kappa_f=L / mu, omega=sc.ata_norm / sc.aat_min_eig
-        )
-        dense_params = RateParams(
-            mu=mu, L_f=L, L=L, kappa=L / mu, kappa_f=L / mu, omega=ata_dense / min_dense
-        )
+        params = RateParams(mu=mu, L=L, omega=sc.ata_norm / sc.aat_min_eig)
+        dense_params = RateParams(mu=mu, L=L, omega=ata_dense / min_dense)
         from sadmm.linalg import SpectralConstants
 
         dense_sc = SpectralConstants(ata_norm=ata_dense, aat_min_eig=min_dense, tol=0, iters_used=0)
@@ -424,7 +421,7 @@ def test_criterion_10_rate_parameter_formulas():
         # theta*: formula agreement plus local minimality of rho(theta)
         n_samples = 400
         bsz = int(rng.integers(1, 40))
-        floor = 2 * params.kappa + 2 * math.sqrt(params.kappa_f * params.omega)
+        floor = 2 * params.kappa + 2 * math.sqrt(params.kappa * params.omega)
         m_big = int(floor * rng.uniform(1.3, 3.0)) + 1
         t1, _a1, _e1 = optimal_theta_sc(m_big, bsz, n_samples, params)
         t2, _a2, e2 = optimal_theta_sc(m_big, bsz, n_samples, dense_params)

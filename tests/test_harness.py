@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 import warnings
 
 import numpy as np
@@ -28,9 +29,24 @@ from sadmm.harness import (
     save_graph,
     write_trace_csv,
 )
-from sadmm.linalg import min_eig_aat
-from sadmm.metrics import CSV_HEADER, GAP_FLOOR, TraceRecord, compute_reference, kkt_residuals
-from sadmm.solvers import ConstantTheta, DecayingTheta, FixedOne, SolverConfig, init_vr_state
+from sadmm.linalg import compute_spectral_constants
+from sadmm.metrics import (
+    CSV_HEADER,
+    GAP_FLOOR,
+    ReferenceSolution,
+    TraceRecord,
+    compute_reference,
+    kkt_residuals,
+)
+from sadmm.solvers import (
+    ConstantTheta,
+    DecayingTheta,
+    FixedOne,
+    RateParams,
+    SolverConfig,
+    init_vr_state,
+    theta_bound,
+)
 
 from helpers import dataset_from_rows
 
@@ -129,7 +145,7 @@ class TestGraph:
         A = build_graph_matrix(data, 0.8)
         assert A.rows > 10  # found at least one edge
         # passes the rank check (smallest Gram eigenvalue >= 1 via identity block)
-        assert min_eig_aat(A) >= 1.0 - 1e-6
+        assert compute_spectral_constants(A).aat_min_eig >= 1.0 - 1e-6
 
     def test_graph_spec_validation(self):
         with pytest.raises(DataFormatError):
@@ -292,8 +308,12 @@ class TestRunExperiment:
         files = list(cache.glob("*.npz"))
         assert len(files) == 1
         r2 = get_reference(problem, kind, train, tol=1e-10, beta=0.1, cache_dir=cache)
-        assert r1.objective_star == r2.objective_star
-        assert np.array_equal(r1.x_star, r2.x_star)
+        for field in dataclasses.fields(ReferenceSolution):
+            v1, v2 = getattr(r1, field.name), getattr(r2, field.name)
+            if isinstance(v1, np.ndarray):
+                assert v1.tobytes() == v2.tobytes(), field.name
+            else:
+                assert type(v2) is float and v1 == v2, field.name
         # different tolerance gets its own entry
         get_reference(problem, kind, train, tol=1e-8, beta=0.1, cache_dir=cache)
         assert len(list(cache.glob("*.npz"))) == 2
@@ -316,6 +336,17 @@ class TestRunExperiment:
         assert_recomputed()
         path.write_bytes(path.read_bytes()[:200])
         assert_recomputed()
+        # an entry in the earlier layout, with the six scalars in one array
+        with np.load(path) as z:
+            entry = {k: z[k] for k in ("x_star", "y_star", "lambda_star", "grad_f_star",
+                                       "h_subgrad_star")}
+        entry["scalars"] = np.array([r1.objective_star, r1.kkt_residual, r1.f_star, r1.h_star,
+                                     r1.beta, r1.tol])
+        with open(path, "wb") as fh:
+            np.savez(fh, **entry)
+        assert_recomputed()
+        with np.load(path) as z:
+            assert sorted(z.files) == sorted(f.name for f in dataclasses.fields(ReferenceSolution))
 
 
 class TestNegativeGaps:
@@ -371,7 +402,7 @@ def test_resolve_solver_config_defaults():
 
 def test_resolve_constant_momentum_auto():
     # strongly convex + fully automatic: the rate-optimal trio is used
-    from sadmm.solvers import RateParams, beta_star, optimal_theta_sc
+    from sadmm.solvers import beta_star, optimal_theta_sc
 
     cfg = small_cfg(solver="asvrg_sc", m=500, b=5)
     problem, *_ = assemble_problem(cfg)
@@ -382,6 +413,29 @@ def test_resolve_constant_momentum_auto():
     assert config.schedule.theta == pytest.approx(theta)
     assert config.eta == pytest.approx(eta)
     assert config.beta == pytest.approx(beta_star(params, problem.spectra))
+
+
+def test_resolve_constant_momentum_fallback_is_logged(caplog):
+    # strongly convex + fully automatic: an auto m below the optimal-weight
+    # formula's bound falls back to theta_bound at eta = 1/(8L), with one
+    # warning; an m above the bound takes the formula silently
+    cfg = small_cfg(solver="asvrg_sc")
+    problem, *_ = assemble_problem(cfg)
+    params = RateParams.from_problem(problem)
+    bound = 2.0 * params.kappa + 2.0 * math.sqrt(params.kappa * params.omega)
+    eta = 1.0 / (8.0 * problem.f.smoothness)
+    with caplog.at_level(logging.WARNING, logger="sadmm.harness"):
+        config = resolve_solver_config(problem, cfg, seed=0)
+    assert config.m < bound
+    assert len(caplog.records) == 1
+    assert f"m = {config.m} too small" in caplog.text and "theta_bound" in caplog.text
+    assert config.schedule.theta == theta_bound(problem, eta, cfg.b)
+    assert config.eta == eta
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="sadmm.harness"):
+        config = resolve_solver_config(problem, small_cfg(solver="asvrg_sc", m=500), seed=0)
+    assert config.m > bound
+    assert caplog.records == []
 
 
 def test_resolve_constant_momentum_general_convex_is_theta_bound():

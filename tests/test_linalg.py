@@ -13,7 +13,6 @@ from sadmm.errors import (
 from sadmm.linalg import (
     SparseMatrixCSR,
     compute_spectral_constants,
-    min_eig_aat,
     solve_aat,
     spectral_norm_ata,
     spmv,
@@ -120,20 +119,20 @@ class TestSpectral:
         assert spectral_norm_ata(A) == pytest.approx(4.0, rel=1e-8)
 
     def test_min_eig_identity(self):
-        assert min_eig_aat(SparseMatrixCSR.identity(4)) == pytest.approx(1.0, rel=1e-6)
+        assert compute_spectral_constants(SparseMatrixCSR.identity(4)).aat_min_eig == pytest.approx(1.0, rel=1e-6)
 
     def test_min_eig_diag(self):
         A = SparseMatrixCSR.from_dense(np.diag([3.0, 1.0]))
-        assert min_eig_aat(A) == pytest.approx(1.0, rel=1e-6)
+        assert compute_spectral_constants(A).aat_min_eig == pytest.approx(1.0, rel=1e-6)
 
     def test_min_eig_wide(self):
         A = SparseMatrixCSR.from_dense([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-        assert min_eig_aat(A) == pytest.approx(1.0, rel=1e-6)
+        assert compute_spectral_constants(A).aat_min_eig == pytest.approx(1.0, rel=1e-6)
 
     def test_rank_deficiency_detected(self):
         A = SparseMatrixCSR.from_dense([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(RankDeficiencyError):
-            min_eig_aat(A)
+            compute_spectral_constants(A)
 
     def test_nonconvergence_carries_best_estimate(self):
         A = random_sparse(6, 6, seed=3, density=0.9)
@@ -166,9 +165,8 @@ class TestSpectral:
             assert spectral_norm_ata(A, tol=1e-9, max_iter=200000) == pytest.approx(
                 eigs.max(), rel=1e-6
             )
-            assert min_eig_aat(A, tol=1e-9, max_iter=200000) == pytest.approx(
-                eigs.min(), rel=1e-6
-            )
+            sc = compute_spectral_constants(A, tol=1e-9, max_iter=200000)
+            assert sc.aat_min_eig == pytest.approx(eigs.min(), rel=1e-6)
 
     def test_spectral_constants_ordering(self):
         A = random_sparse(6, 9, seed=42, density=0.9)

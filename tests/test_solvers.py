@@ -102,9 +102,8 @@ class TestGammaMin:
 
 
 class TestRateFormulas:
-    def _params(self, mu=0.01, L=1.0, L_f=None, omega=3.0):
-        L_f = L if L_f is None else L_f
-        return RateParams(mu=mu, L_f=L_f, L=L, kappa=L / mu, kappa_f=L_f / mu, omega=omega)
+    def _params(self, mu=0.01, L=1.0, omega=3.0):
+        return RateParams(mu=mu, L=L, omega=omega)
 
     def _spectra(self, ata=3.0, aat=1.0):
         from sadmm.linalg import SpectralConstants
@@ -131,8 +130,7 @@ class TestRateFormulas:
             sc = compute_spectral_constants(A)
             mu = rng.uniform(0.001, 0.1)
             L = rng.uniform(0.5, 2.0)
-            params = RateParams(mu=mu, L_f=L, L=L, kappa=L / mu, kappa_f=L / mu,
-                                omega=sc.ata_norm / sc.aat_min_eig)
+            params = RateParams(mu=mu, L=L, omega=sc.ata_norm / sc.aat_min_eig)
             theta = rng.uniform(0.05, 1.0)
             eta = rng.uniform(0.01, 0.4) / L
             beta = rng.uniform(0.1, 2.0)
@@ -142,7 +140,7 @@ class TestRateFormulas:
             G = gamma * np.eye(d) - (eta * beta / theta) * ata
             dense_norm = float(np.abs(np.linalg.eigvalsh(theta * G + eta * beta * ata)).max())
             first_dense = theta * dense_norm / (eta * cfg.m * mu)
-            third = params.L_f * theta / (beta * cfg.m * sc.aat_min_eig)
+            third = params.L * theta / (beta * cfg.m * sc.aat_min_eig)
             expected = first_dense + (1 - theta) + third
             assert rho_rate(theta, params, cfg, sc) == pytest.approx(expected, abs=1e-10)
 
@@ -156,7 +154,7 @@ class TestRateFormulas:
         m = 200
         n = 50
         theta, alpha, eta = optimal_theta_sc(m, n, n, p)  # b = n, delta = 0
-        s = 2 * math.sqrt(p.kappa_f * p.omega)
+        s = 2 * math.sqrt(p.kappa * p.omega)
         assert theta == pytest.approx((m - s) / (m - s + 2 * p.kappa))
         assert eta == pytest.approx(1.0 / (p.L * alpha))
 
@@ -168,10 +166,10 @@ class TestRateFormulas:
             mu = rng.uniform(0.001, 0.2)
             L = rng.uniform(0.5, 3.0)
             omega = rng.uniform(1.0, 10.0)
-            p = RateParams(mu=mu, L_f=L, L=L, kappa=L / mu, kappa_f=L / mu, omega=omega)
+            p = RateParams(mu=mu, L=L, omega=omega)
             n = int(rng.integers(20, 2000))
             b = int(rng.integers(1, n + 1))
-            m = int((2 * p.kappa + 2 * math.sqrt(p.kappa_f * p.omega)) * rng.uniform(1.2, 5.0)) + 1
+            m = int((2 * p.kappa + 2 * math.sqrt(p.kappa * p.omega)) * rng.uniform(1.2, 5.0)) + 1
             try:
                 theta, alpha, eta = optimal_theta_sc(m, b, n, p)
             except ConfigError:
@@ -192,9 +190,9 @@ class TestRateFormulas:
             mu = rng.uniform(0.005, 0.1)
             L = 1.0
             omega = rng.uniform(1.0, 5.0)
-            p = RateParams(mu=mu, L_f=L, L=L, kappa=L / mu, kappa_f=L / mu, omega=omega)
+            p = RateParams(mu=mu, L=L, omega=omega)
             n, b = 500, int(rng.integers(1, 50))
-            m = int((2 * p.kappa + 2 * math.sqrt(p.kappa_f * p.omega)) * 2) + 1
+            m = int((2 * p.kappa + 2 * math.sqrt(p.kappa * p.omega)) * 2) + 1
             theta, alpha, eta = optimal_theta_sc(m, b, n, p)
             sp = SpectralConstants(ata_norm=omega, aat_min_eig=1.0, tol=1e-9, iters_used=1)
             cfg = SolverConfig(m=m, eta=eta, beta=beta_star(p, sp), gamma="auto")
@@ -207,10 +205,10 @@ class TestRateFormulas:
     def test_beta_star_values(self):
         from sadmm.linalg import SpectralConstants
 
-        p = self._params(mu=1.0, L=1.0, L_f=1.0, omega=1.0)
+        p = self._params(mu=1.0, L=1.0, omega=1.0)
         sp = SpectralConstants(ata_norm=1.0, aat_min_eig=1.0, tol=1e-9, iters_used=1)
         assert beta_star(p, sp) == pytest.approx(1.0)
-        p4 = self._params(mu=1.0, L=4.0, L_f=4.0, omega=1.0)
+        p4 = self._params(mu=1.0, L=4.0, omega=1.0)
         assert beta_star(p4, sp) == pytest.approx(2.0)
 
     def test_beta_star_scaling(self):
@@ -415,6 +413,37 @@ class TestLayerBoundaries:
         epochs = self._count(monkeypatch, sadmm.metrics, "batch_admm_epoch")
         compute_reference(problem, tol=1e-8)
         assert len(epochs) > 0
+
+    def test_loss_math_reached_through_loss_objective(self, monkeypatch):
+        # the solvers and the test-set metric reach the loss math through
+        # the LossObjective class attributes a tracer wraps
+        import sadmm.losses
+        from sadmm.metrics import evaluate
+
+        oracle = sadmm.losses.LossObjective
+        problem = vr_problem(seed=3)
+        cfg = vr_config(problem, b=4, m=9)
+        state = init_vr_state(problem, cfg)
+        diffs = self._count(monkeypatch, oracle, "subset_grad_diff")
+        vr_admm_epoch(state, problem, cfg)
+        assert len(diffs) == cfg.m
+
+        stoc_problem = logistic_problem(n=25, dim=4, seed=8)
+        stoc_cfg = SolverConfig(m=11, eta=0.5, beta=0.5, seed=2)
+        state = init_stoc_state(stoc_problem, stoc_cfg)
+        grads = self._count(monkeypatch, oracle, "subset_grad")
+        stoc_admm_chunk(state, stoc_problem, stoc_cfg, 11)
+        assert len(grads) == 11
+
+        batch_cfg = SolverConfig(m=1, eta=0.1, beta=0.5)
+        state = init_batch_state(problem, batch_cfg)
+        hvps = self._count(monkeypatch, oracle, "hess_vec")
+        batch_admm_epoch(state, problem, batch_cfg)
+        assert len(hvps) > 0
+
+        values = self._count(monkeypatch, oracle, "value")
+        evaluate(state.x, problem.f.data, problem.f.kind)
+        assert len(values) == 1
 
 
 # ---------------------------------------------------------------------------
