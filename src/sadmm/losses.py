@@ -177,6 +177,7 @@ class LossObjective:
             self._L = max_sq / 4.0 + kind.lambda2
         else:
             self._L = max_sq / (2.0 * kind.huber_width) + kind.lambda2
+        self._curvature_at = (None, None)  # (x.tobytes(), curvature / n) of hess_vec
 
     @property
     def n(self) -> int:
@@ -250,13 +251,20 @@ class LossObjective:
         return g
 
     def hess_vec(self, x, v) -> np.ndarray:
-        """(Generalized) Hessian-vector product of f at x."""
+        """(Generalized) Hessian-vector product of f at x.
+
+        Newton-CG asks for many products at one x, so the n curvatures at
+        the last x are kept, keyed on the bytes of x: a caller that writes
+        new values into the same array still gets the curvature of its
+        new contents.
+        """
         kind, data = self.kind, self.data
         x = as_vector(x, data.dim, "x")
         v = as_vector(v, data.dim, "v")
-        t = _margins(data, x)
-        coef = _d2loss_of_margin(kind, t) / data.n
-        hv = data.features.csr_t @ (coef * (data.features.csr @ v))
+        key = x.tobytes()
+        if self._curvature_at[0] != key:
+            self._curvature_at = (key, _d2loss_of_margin(kind, _margins(data, x)) / data.n)
+        hv = data.features.csr_t @ (self._curvature_at[1] * (data.features.csr @ v))
         if kind.lambda2 > 0:
             hv = hv + kind.lambda2 * v
         return hv

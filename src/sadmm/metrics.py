@@ -108,8 +108,14 @@ def _polish(problem: ProblemSpec, x0, y0, lam0, beta: float, max_rounds: int = 3
     machine precision. The pattern itself is refined primal-dually: support
     components whose polished sign flips are demoted to the zero set, zero
     components whose multiplier escapes [-lambda1, lambda1] are released
-    with the multiplier's sign. The caller accepts a candidate only after
-    the full KKT check, so a bad pattern merely wastes the attempt.
+    with the multiplier's sign. The attempt ends with the current candidate
+    when the refinement returns a pattern it has already solved: the same
+    pattern means it settled; an earlier one means it cycles, and since
+    each Newton solve lands on the minimiser of its pattern's subspace,
+    the next pattern depends only on the current one, so the remaining
+    rounds would only replay that cycle. max_rounds bounds a sequence
+    that never repeats. The caller accepts a candidate only after the full
+    KKT check, so a bad pattern merely wastes the attempt.
     """
     lam1 = problem.reg.lambda1
     d2 = problem.d2
@@ -120,7 +126,9 @@ def _polish(problem: ProblemSpec, x0, y0, lam0, beta: float, max_rounds: int = 3
     pattern = np.sign(y0)
     x = np.asarray(x0, dtype=np.float64).copy()
     nu = beta * lam0[pattern == 0.0]
+    solved = set()
     for _ in range(max_rounds):
+        solved.add(pattern.tobytes())
         x, nu, y, beta_lam = _constrained_newton(problem, pattern, x, nu)
         zero_set = np.where(pattern == 0.0)[0]
         support = np.where(pattern != 0.0)[0]
@@ -129,8 +137,8 @@ def _polish(problem: ProblemSpec, x0, y0, lam0, beta: float, max_rounds: int = 3
         new_pattern[flipped] = 0.0
         released = zero_set[np.abs(beta_lam[zero_set]) > lam1]
         new_pattern[released] = np.sign(beta_lam[released])
-        if np.array_equal(new_pattern, pattern):
-            return x, y, beta_lam / beta
+        if new_pattern.tobytes() in solved:
+            break
         pattern = new_pattern
         nu = beta_lam[pattern == 0.0]
     return x, y, beta_lam / beta

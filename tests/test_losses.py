@@ -300,6 +300,22 @@ def test_hessian_matches_hess_vec_columns(kind):
         assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")
+def test_hess_vec_curvature_follows_the_values_of_x(kind):
+    # hess_vec keeps the curvature of the last x; x1 is written in place
+    # before the third and the fourth call, which must see its new values
+    data = tiny_dataset(n=30, dim=6, seed=41)
+    f = LossObjective(kind, data)
+    rng = np.random.default_rng(42)
+    x1, x2, v = rng.standard_normal(6), rng.standard_normal(6), rng.standard_normal(6)
+    calls = [(x1.copy(), f.hess_vec(x1, v)), (x2.copy(), f.hess_vec(x2, v))]
+    for _ in range(2):
+        x1[:] = 2.0 * rng.standard_normal(6)
+        calls.append((x1.copy(), f.hess_vec(x1, v)))
+    for x, got in calls:
+        assert got.tobytes() == LossObjective(kind, data).hess_vec(x, v).tobytes()
+
+
 def test_objective_adapter():
     f = LossObjective(LossKind.l2_logistic(0.05), tiny_dataset(n=5, dim=3, seed=30))
     assert f.n == 5 and f.dim == 3

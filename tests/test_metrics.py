@@ -1,11 +1,17 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+import sadmm.metrics
+from sadmm.datasets import make_classification
+from sadmm.harness import build_graph_matrix
 from sadmm.linalg import SparseMatrixCSR, spmv
 from sadmm.losses import LossKind, LossObjective
 from sadmm.metrics import (
     GAP_FLOOR,
     TraceRecord,
+    _polish,
     compute_reference,
     evaluate,
     kkt_residuals,
@@ -58,6 +64,118 @@ class TestComputeReference:
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
             compute_reference(logistic_problem(), tol=0.0)
+
+
+def _thirty_round_polish(problem, x0, y0, lam0, beta, max_rounds=30):
+    # the polish loop before it stopped at a revisited sign pattern: the
+    # oracle the faster polish must reproduce through compute_reference
+    lam1 = problem.reg.lambda1
+    d2 = problem.d2
+    newton = sadmm.metrics._constrained_newton
+    if lam1 == 0.0:
+        x, _nu, y, _bl = newton(problem, np.ones(d2), x0, np.zeros(0))
+        return x, y, np.zeros(d2)
+    pattern = np.sign(y0)
+    x = np.asarray(x0, dtype=np.float64).copy()
+    nu = beta * lam0[pattern == 0.0]
+    for _ in range(max_rounds):
+        x, nu, y, beta_lam = newton(problem, pattern, x, nu)
+        zero_set = np.where(pattern == 0.0)[0]
+        support = np.where(pattern != 0.0)[0]
+        new_pattern = pattern.copy()
+        flipped = support[np.sign(y[support]) != pattern[support]]
+        new_pattern[flipped] = 0.0
+        released = zero_set[np.abs(beta_lam[zero_set]) > lam1]
+        new_pattern[released] = np.sign(beta_lam[released])
+        if np.array_equal(new_pattern, pattern):
+            return x, y, beta_lam / beta
+        pattern = new_pattern
+        nu = beta_lam[pattern == 0.0]
+    return x, y, beta_lam / beta
+
+
+def _criterion_07_problem():
+    data = make_classification(2000, 60, seed=23, label_noise=0.3)
+    A = build_graph_matrix(data, 0.9)
+    return ProblemSpec(LossObjective(LossKind.logistic(), data), Regularizer(1e-5), A)
+
+
+_E = np.eye(8)  # sign patterns of logistic_problem(), whose A has 8 rows
+
+
+class TestPolish:
+    @pytest.mark.parametrize(
+        "build, tol, max_solves",
+        [(_criterion_07_problem, 1e-10, 40), (lambda: logistic_problem(seed=0), 1e-10, None),
+         (lambda: logistic_problem(seed=9, lambda2=0.0), 1e-8, None)],
+        ids=["criterion-07", "logistic-seed0", "logistic-seed9"],
+    )
+    def test_reference_equals_thirty_round_polish(self, monkeypatch, build, tol, max_solves):
+        problem = build()
+        attempts = []
+        polish, newton = sadmm.metrics._polish, sadmm.metrics._constrained_newton
+
+        def counted_polish(*args, **kwargs):
+            attempts.append([])
+            return polish(*args, **kwargs)
+
+        def counted_newton(problem, sign_pattern, *args, **kwargs):
+            attempts[-1].append(sign_pattern.tobytes())
+            return newton(problem, sign_pattern, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(sadmm.metrics, "_polish", counted_polish)
+            m.setattr(sadmm.metrics, "_constrained_newton", counted_newton)
+            fast = compute_reference(problem, tol=tol)
+        with monkeypatch.context() as m:
+            m.setattr(sadmm.metrics, "_polish", _thirty_round_polish)
+            slow = compute_reference(problem, tol=tol)
+        for f in fields(slow):
+            a, b = getattr(fast, f.name), getattr(slow, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
+        assert attempts
+        for solved in attempts:
+            assert len(solved) == len(set(solved))
+        if max_solves is not None:
+            assert sum(map(len, attempts)) <= max_solves
+
+    @pytest.mark.parametrize(
+        "script, calls",
+        [
+            ([_E[0]] + [_E[1], _E[1] - _E[2]] * 16, 3),  # P0 -> P1 -> P2 -> P1
+            ([_E[0]] + [-_E[1]] * 31, 2),  # P0 -> P1 -> P1 settles
+            # the binary digits of 1, 2, ...: each step only demotes or releases
+            ([(k >> np.arange(8) & 1).astype(np.float64) for k in range(1, 33)], 30),
+        ],
+        ids=["cycle", "settled", "distinct"],
+    )
+    def test_attempt_ends_at_a_solved_pattern(self, monkeypatch, script, calls):
+        # a fake Newton solve whose candidate refines to the next pattern of
+        # the script: a support sign survives only where y keeps it, and a
+        # zero component is released with its multiplier's sign past lambda1
+        problem = logistic_problem()  # d2 = 8
+        lam1 = problem.reg.lambda1
+        outputs = []
+
+        def fake_newton(_problem, pattern, x0, _nu0):
+            step = len(outputs)
+            assert np.array_equal(pattern, script[step])
+            nxt = script[step + 1]
+            on = pattern != 0.0
+            y = np.where(on, np.where(nxt == pattern, pattern, -pattern), 0.0)
+            beta_lam = np.where(on, lam1 * pattern, 2.0 * lam1 * nxt)
+            outputs.append((np.asarray(x0) + step, beta_lam[~on], y, beta_lam))
+            return outputs[-1]
+
+        monkeypatch.setattr(sadmm.metrics, "_constrained_newton", fake_newton)
+        x0, y0 = np.zeros(problem.d1), script[0].copy()
+        x, y, lam = _polish(problem, x0, y0, np.zeros(problem.d2), beta=0.5)
+        assert len(outputs) == calls
+        x_last, _nu, y_last, beta_lam = outputs[-1]
+        assert x is x_last and y is y_last and np.array_equal(lam, beta_lam / 0.5)
 
 
 class TestPCriterion:
