@@ -11,18 +11,25 @@ and LossObjective(kind, data) is the one entry point to the loss math: the
 value, the full, mini-batch and mini-batch-difference gradients, the
 Hessian-vector product, the dense Hessian, and the smoothness constant L.
 
-Full-data quantities go through scipy's CSR products. A mini-batch gradient,
-whatever the batch size, is one vectorised pass over the batch's nonzeros
-in the raw CSR arrays: a gather, a bincount for the margins, and a bincount
-that scatters the gradient. A mini-batch gradient difference between two
-points, the core of the variance-reduced estimator, is also one gather and
-one scatter: both margins come from the same gathered nonzeros, and only
-the difference of the two loss derivatives is scattered.
+Full-data quantities go through scipy's CSR products. Each of them is a
+function of the n margins b_i a_i^T x, so LossObjective forms the margins
+once per point: it keeps one memo of the last x it saw, which holds the
+margins and fills in the value, the loss derivatives, the curvatures and
+the full gradient the first time a caller asks for each.
+
+A mini-batch gradient, whatever the batch size, is one vectorised pass over
+the batch's nonzeros in the raw CSR arrays: a gather, a bincount for the
+margins, and a bincount that scatters the gradient. A mini-batch gradient
+difference between two points, the core of the variance-reduced estimator,
+is also one gather and one scatter: the margins at x come from the gathered
+nonzeros, the loss derivatives at the reference point from the memo, and
+only the difference of the two derivatives is scattered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -153,6 +160,37 @@ def _gather_rows(data: Dataset, idx):
     return row, data.features.col_indices[pos], data.features.values[pos], data.labels[idx]
 
 
+class _PointMemo:
+    """The full-data loss quantities at one point x, without the ridge.
+
+    The margins t = b * (X x) are formed once, when the memo is made; the
+    mean loss, the loss derivatives, the curvatures / n and the loss part
+    of the full gradient are derived from them the first time a caller
+    reads each.
+    """
+
+    def __init__(self, kind: LossKind, data: Dataset, x: np.ndarray, key: bytes):
+        self.kind, self.data, self.key = kind, data, key
+        self.margins = _margins(data, x)
+        self.margins.setflags(write=False)
+
+    @cached_property
+    def mean_loss(self) -> float:
+        return float(np.mean(_loss_of_margin(self.kind, self.margins)))
+
+    @cached_property
+    def dloss(self) -> np.ndarray:
+        return _dloss_of_margin(self.kind, self.margins)
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        return _d2loss_of_margin(self.kind, self.margins) / self.data.n
+
+    @cached_property
+    def loss_grad(self) -> np.ndarray:
+        data = self.data
+        return data.features.csr_t @ (self.dloss * data.labels / data.n)
+
 
 class LossObjective:
     """Binds a LossKind and Dataset into the smooth-objective oracle.
@@ -160,8 +198,18 @@ class LossObjective:
     Exposes the interface the estimators and solvers consume: value,
     full_grad, subset_grad (mean over a batch), subset_grad_diff (mean
     gradient difference between two points over a batch), hess_vec, the
-    dense hessian, plus the smoothness constant L = max_i L_i and strong
-    convexity mu = lambda2.
+    dense hessian, the margins, plus the smoothness constant L = max_i L_i
+    and strong convexity mu = lambda2.
+
+    Every full-data quantity is a function of the n margins b_i a_i^T x,
+    and callers ask for several at one point (Newton-CG for the value, the
+    gradient and many Hessian-vector products; a trace row for the value
+    twice; a variance-reduced epoch for the loss derivatives at its
+    snapshot in every inner step). So the objective keeps one memo of the
+    last point it saw, keyed on the bytes of x: a caller that writes new
+    values into the same array gets the quantities of its new contents.
+    The memo makes an objective stateful: like BatchSampler, it must not
+    be shared between threads.
     """
 
     def __init__(self, kind: LossKind, data: Dataset):
@@ -177,7 +225,7 @@ class LossObjective:
             self._L = max_sq / 4.0 + kind.lambda2
         else:
             self._L = max_sq / (2.0 * kind.huber_width) + kind.lambda2
-        self._curvature_at = (None, None)  # (x.tobytes(), curvature / n) of hess_vec
+        self._memo = None  # _PointMemo of the last x
 
     @property
     def n(self) -> int:
@@ -196,26 +244,39 @@ class LossObjective:
     def strong_convexity(self) -> float:
         return self.kind.lambda2
 
+    def _at(self, x: np.ndarray) -> _PointMemo:
+        key = x.tobytes()
+        if self._memo is None or self._memo.key != key:
+            self._memo = _PointMemo(self.kind, self.data, x, key)
+        return self._memo
+
+    @cached_property
+    def _dense_features(self) -> np.ndarray:
+        # only the polish asks for dense Hessians; the solvers never build this
+        return self.data.features.csr.toarray()
+
+    def margins(self, x) -> np.ndarray:
+        """The n margins b_i a_i^T x, read-only."""
+        return self._at(as_vector(x, self.data.dim, "x")).margins
+
     def value(self, x) -> float:
         """f(x) = (1/n) sum_i loss(b_i a_i^T x) + lambda2/2 ||x||^2."""
         kind, data = self.kind, self.data
         x = as_vector(x, data.dim, "x")
-        t = _margins(data, x)
-        val = float(np.mean(_loss_of_margin(kind, t)))
+        val = self._at(x).mean_loss
         if kind.lambda2 > 0:
             val += 0.5 * kind.lambda2 * float(x @ x)
         return val
 
     def full_grad(self, x) -> np.ndarray:
-        """Gradient of f at x; equals the mean of all per-sample gradients."""
+        """Gradient of f at x; equals the mean of all per-sample gradients.
+        A fresh array: callers may write into it."""
         kind, data = self.kind, self.data
         x = as_vector(x, data.dim, "x")
-        t = _margins(data, x)
-        coef = _dloss_of_margin(kind, t) * data.labels / data.n
-        g = data.features.csr_t @ coef
+        g = self._at(x).loss_grad
         if kind.lambda2 > 0:
-            g = g + kind.lambda2 * x
-        return g
+            return g + kind.lambda2 * x
+        return g.copy()
 
     def subset_grad(self, x, idx) -> np.ndarray:
         """Mean of per-sample gradients over the index subset ``idx``."""
@@ -235,7 +296,11 @@ class LossObjective:
 
         Every f_i is a loss of the margin b_i a_i^T x, so the difference of
         the two gradients is a_i times the difference of the two loss
-        derivatives: the batch is gathered once and scattered once.
+        derivatives: the batch is gathered once and scattered once. The
+        derivatives at x_ref come from the memo, which in a variance-reduced
+        epoch the snapshot's full gradient has filled. They equal the
+        batch's own bit for bit: the CSR product sums a row's products in
+        column order from 0, as the batch bincount does.
         """
         kind, data = self.kind, self.data
         x = as_vector(x, data.dim, "x")
@@ -243,28 +308,19 @@ class LossObjective:
         row, cols, vals, labels = _gather_rows(data, idx)
         b = len(labels)
         t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
-        t_ref = labels * np.bincount(row, weights=vals * x_ref[cols], minlength=b)
-        coef = (_dloss_of_margin(kind, t) - _dloss_of_margin(kind, t_ref)) * labels / b
+        dloss_ref = self._at(x_ref).dloss[np.asarray(idx, dtype=np.int64)]
+        coef = (_dloss_of_margin(kind, t) - dloss_ref) * labels / b
         g = np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
         if kind.lambda2 > 0:
             g = g + kind.lambda2 * (x - x_ref)
         return g
 
     def hess_vec(self, x, v) -> np.ndarray:
-        """(Generalized) Hessian-vector product of f at x.
-
-        Newton-CG asks for many products at one x, so the n curvatures at
-        the last x are kept, keyed on the bytes of x: a caller that writes
-        new values into the same array still gets the curvature of its
-        new contents.
-        """
+        """(Generalized) Hessian-vector product of f at x."""
         kind, data = self.kind, self.data
         x = as_vector(x, data.dim, "x")
         v = as_vector(v, data.dim, "v")
-        key = x.tobytes()
-        if self._curvature_at[0] != key:
-            self._curvature_at = (key, _d2loss_of_margin(kind, _margins(data, x)) / data.n)
-        hv = data.features.csr_t @ (self._curvature_at[1] * (data.features.csr @ v))
+        hv = data.features.csr_t @ (self._at(x).curvature * (data.features.csr @ v))
         if kind.lambda2 > 0:
             hv = hv + kind.lambda2 * v
         return hv
@@ -272,16 +328,16 @@ class LossObjective:
     def hessian(self, x) -> np.ndarray:
         """Dense (generalized) Hessian of f at x, symmetrised.
 
-        One product X^T (diag(c) X) with the curvature c computed once; the
-        sparse-times-dense product accumulates every entry in the same
-        order as hess_vec does for a unit vector, so H[:, j] equals
-        hess_vec(x, e_j) bit for bit before the symmetrisation.
+        One product X^T (diag(c) X) with the curvature c of the memo and
+        the dense features kept from the first call; the sparse-times-dense
+        product accumulates every entry in the same order as hess_vec does
+        for a unit vector, so H[:, j] equals hess_vec(x, e_j) bit for bit
+        before the symmetrisation.
         """
         kind, data = self.kind, self.data
         x = as_vector(x, data.dim, "x")
-        t = _margins(data, x)
-        coef = _d2loss_of_margin(kind, t) / data.n
-        H = data.features.csr_t @ (coef[:, None] * data.features.csr.toarray())
+        coef = self._at(x).curvature
+        H = data.features.csr_t @ (coef[:, None] * self._dense_features)
         if kind.lambda2 > 0:
             H[np.diag_indices_from(H)] += kind.lambda2
         return 0.5 * (H + H.T)

@@ -234,9 +234,9 @@ def evaluate(x, test: Dataset, kind: LossKind) -> tuple[float, float]:
     if test.n == 0:
         raise ValueError("empty test set")
     x = as_vector(x, test.dim, "x")
-    loss = LossObjective(kind, test).value(x)
-    margins = test.labels * (test.features.csr @ x)
-    accuracy = float(np.mean(margins > 0.0))
+    f = LossObjective(kind, test)
+    loss = f.value(x)
+    accuracy = float(np.mean(f.margins(x) > 0.0))
     return loss, accuracy
 
 

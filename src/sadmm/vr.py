@@ -76,9 +76,11 @@ class BatchSampler:
         if self.b == 1:
             # the scalar draw takes the same value as size=1, at lower cost
             return np.array([rng.integers(self.n)])
-        if self.b * 16 < self.n:
+        if self.b * 16 < self.n and self.b * (self.b - 1) < 4 * self.n:
             # rejection sampling beats the O(n) partial shuffle for small b;
-            # retrying the whole tuple keeps subsets exactly uniform
+            # retrying the whole tuple keeps subsets exactly uniform. A tuple
+            # is distinct with probability about exp(-b(b-1)/2n), so the
+            # second bound keeps the expected tries below e^2
             while True:
                 idx = rng.integers(self.n, size=self.b)
                 idx.sort()

@@ -316,6 +316,44 @@ def test_hess_vec_curvature_follows_the_values_of_x(kind):
         assert got.tobytes() == LossObjective(kind, data).hess_vec(x, v).tobytes()
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")
+def test_memo_answers_equal_a_fresh_objective(kind):
+    # one objective answers interleaved calls at x1, at x2, and at x1 after
+    # new values are written into it; each answer must equal, bit for bit,
+    # a fresh objective's answer on copies of the inputs
+    data = tiny_dataset(n=30, dim=6, seed=43)
+    f = LossObjective(kind, data)
+    rng = np.random.default_rng(44)
+    x1, x2, v = rng.standard_normal(6), rng.standard_normal(6), rng.standard_normal(6)
+    idx = np.array([1, 4, 5, 17, 29])
+
+    def ask(method, *args):
+        got = getattr(f, method)(*args)
+        want = getattr(LossObjective(kind, data), method)(*(np.copy(a) for a in args))
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), method
+        return got
+
+    def sequence(x, other, write_into_grad=False):
+        ask("value", x)
+        g = ask("full_grad", x)
+        if write_into_grad:
+            g += 1.0  # callers add to the returned gradient
+        ask("hess_vec", x, v)
+        ask("full_grad", x)
+        ask("margins", x)
+        ask("hessian", x)
+        ask("subset_grad_diff", other, x, idx)
+        ask("value", x)
+        ask("subset_grad_diff", x, other, idx)  # leaves the memo at other
+
+    sequence(x1, x2, write_into_grad=True)
+    sequence(x2, x1)
+    x1[:] = 2.0 * rng.standard_normal(6)
+    sequence(x1, x2)
+    with pytest.raises(ValueError):
+        f.margins(x1)[0] = 0.0
+
+
 def test_objective_adapter():
     f = LossObjective(LossKind.l2_logistic(0.05), tiny_dataset(n=5, dim=3, seed=30))
     assert f.n == 5 and f.dim == 3

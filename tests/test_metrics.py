@@ -178,6 +178,25 @@ class TestPolish:
         assert x is x_last and y is y_last and np.array_equal(lam, beta_lam / 0.5)
 
 
+def test_reference_forms_margins_once_per_point(monkeypatch):
+    # the criterion-07 reference at tol 1e-10 forms the full-data margins
+    # 358 times; it formed them 1382 times when each value, gradient,
+    # curvature and Hessian formed its own
+    import sadmm.losses
+
+    problem = _criterion_07_problem()
+    calls = []
+    margins = sadmm.losses._margins
+
+    def counted(data, x):
+        calls.append(1)
+        return margins(data, x)
+
+    monkeypatch.setattr(sadmm.losses, "_margins", counted)
+    compute_reference(problem, tol=1e-10)
+    assert len(calls) <= 0.3 * 1382
+
+
 class TestPCriterion:
     def test_zero_at_reference(self):
         problem = logistic_problem(seed=5)

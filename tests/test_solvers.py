@@ -372,6 +372,33 @@ class TestLayerBoundaries:
             assert len(grads) == cfg.m
             assert len(draws) == cfg.m
 
+    def test_vr_epoch_takes_snapshot_derivatives_from_the_memo(self, monkeypatch):
+        # the loss derivatives at the snapshot come from the memo its full
+        # gradient filled: each epoch evaluates them on m batches, not 2m,
+        # and once on all n samples at the next snapshot
+        import sadmm.losses
+
+        problem = vr_problem(seed=3)
+        dloss = sadmm.losses._dloss_of_margin
+        for cfg in (
+            vr_config(problem, b=4, m=9),
+            vr_config(problem, theta=0.5, b=1, m=7),
+        ):
+            state = init_vr_state(problem, cfg)
+            sizes = []
+
+            def counted(kind, t):
+                sizes.append(len(t))
+                return dloss(kind, t)
+
+            monkeypatch.setattr(sadmm.losses, "_dloss_of_margin", counted)
+            for _ in range(2):
+                vr_admm_epoch(state, problem, cfg)
+            monkeypatch.undo()
+            assert sizes.count(cfg.b) == 2 * cfg.m
+            assert sizes.count(problem.f.n) == 2
+            assert len(sizes) == 2 * cfg.m + 2
+
     def test_stoc_chunk_draws_once_per_step(self, monkeypatch):
         import sadmm.vr
 

@@ -87,7 +87,7 @@ def fresh_philox_draw(n, b, seed, epoch, k):
         return np.arange(n)
     if b == 1:
         return rng.integers(n, size=1)
-    if b * 16 < n:
+    if b * 16 < n and b * (b - 1) < 4 * n:
         while True:
             idx = rng.integers(n, size=b)
             idx.sort()
@@ -98,8 +98,11 @@ def fresh_philox_draw(n, b, seed, epoch, k):
     return idx
 
 
-# one (n, b) per branch of draw: single sample, rejection (b*16 < n), choice, b = n
-SAMPLER_BRANCHES = [(2000, 1), (2000, 2), (2000, 20), (100, 50), (300, 256), (12, 12)]
+# one (n, b) per branch of draw: single sample, rejection (b*16 < n and
+# b(b-1) < 4n), choice (the last two also at b*16 < n), b = n
+SAMPLER_BRANCHES = [
+    (2000, 1), (2000, 2), (2000, 20), (100, 50), (300, 256), (2000, 100), (32561, 1000), (12, 12)
+]
 
 
 class TestSamplerStream:
