@@ -17,11 +17,11 @@ once per point: it keeps one memo of the last x it saw, which holds the
 margins and fills in the value, the loss derivatives, the curvatures and
 the full gradient the first time a caller asks for each.
 
-A mini-batch gradient, whatever the batch size, is one vectorised pass over
-the batch's nonzeros in the raw CSR arrays: a gather, a bincount for the
-margins, and a bincount that scatters the gradient. A mini-batch gradient
-difference between two points, the core of the variance-reduced estimator,
-is also one gather and one scatter: the margins at x come from the gathered
+A mini-batch gradient is one pass over the batch's nonzeros in the raw CSR
+arrays: a gather, a bincount for the margins, and a bincount that scatters
+the gradient (one row reads its slice instead, with the same bits). Its
+difference between two points, the variance-reduced estimator's core, is
+also one gather and one scatter: the margins at x come from the gathered
 nonzeros, the loss derivatives at the reference point from the memo, and
 only the difference of the two derivatives is scattered.
 """
@@ -279,14 +279,31 @@ class LossObjective:
         return g.copy()
 
     def subset_grad(self, x, idx) -> np.ndarray:
-        """Mean of per-sample gradients over the index subset ``idx``."""
+        """Mean of per-sample gradients over the index subset ``idx``.
+
+        One row (a stoc step) reads its CSR slice instead of the gather and
+        keeps the kernel's bits: its margin sums from the first product and
+        its gradient adds into zeros, as bincount does (a -0.0 margin has
+        the derivative of +0.0; an empty row scatters nothing).
+        """
         kind, data = self.kind, self.data
         x = as_vector(x, data.dim, "x")
-        row, cols, vals, labels = _gather_rows(data, idx)
-        b = len(labels)
-        t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
-        coef = _dloss_of_margin(kind, t) * labels / b
-        g = np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
+        if len(idx) == 1:
+            i = int(idx[0])
+            if not 0 <= i < data.n:
+                raise IndexError("sample index out of range")
+            lo, hi = data.features.row_offsets[i : i + 2].tolist()
+            cols, vals = data.features.col_indices[lo:hi], data.features.values[lo:hi]
+            label = data.labels[i : i + 1]
+            coef = _dloss_of_margin(kind, label * np.cumsum(vals * x[cols])[-1:]) * label  # b = 1
+            g = np.zeros(data.dim)
+            g[cols] += coef * vals
+        else:
+            row, cols, vals, labels = _gather_rows(data, idx)
+            b = len(labels)
+            t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
+            coef = _dloss_of_margin(kind, t) * labels / b
+            g = np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
         if kind.lambda2 > 0:
             g = g + kind.lambda2 * x
         return g

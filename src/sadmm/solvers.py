@@ -383,23 +383,24 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
     sampler = BatchSampler(f.n, config.b, config.seed)
     epoch = state.epoch + 1
     scale = config.eta / (gamma * theta)
+    snap_share = (1.0 - theta) * x_snap
     sum_x = np.zeros_like(x)
     sum_y = np.zeros_like(y)
     Az = spmv(A, z)
-    sup_z = _sup(z)
-    sup_lam = _sup(lam)
+    # running elementwise maxima of |z| and |lambda|: one sup per trace row
+    abs_z, abs_lam = np.abs(z), np.abs(lam)
     for k in range(1, m + 1):
         batch = sampler.draw(epoch, k)
         y = y_update(reg, Az, lam, beta)
         g = vr_gradient(state.snapshot, f, x, batch)
         z = z - scale * (g + beta * spmv_t(A, Az - y + lam))
-        x = (1.0 - theta) * x_snap + theta * z
+        x = snap_share + theta * z
         Az = spmv(A, z)
         lam = lam + (Az - y)
         sum_x += x
         sum_y += y
-        sup_z = max(sup_z, _sup(z))
-        sup_lam = max(sup_lam, _sup(lam))
+        np.maximum(abs_z, np.abs(z), out=abs_z)
+        np.maximum(abs_lam, np.abs(lam), out=abs_lam)
     state.grad_evals += m * 2 * config.b
 
     x_tilde = sum_x / m
@@ -417,7 +418,7 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
         state.lambda_tilde, state.aat_warm = _constant_theta_dual(problem, beta, g_new, state.aat_warm)
         state.z_tilde = x_tilde.copy()
     state.epoch += 1
-    state.sup_z, state.sup_lambda = sup_z, sup_lam
+    state.sup_z, state.sup_lambda = _sup(abs_z), _sup(abs_lam)
     _require_finite(x_tilde, y_tilde, state.lambda_tilde)
     return state
 
@@ -541,24 +542,25 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
     draw = state.sampler.draw
     x, y, lam, Ax = state.x, state.y, state.lam, state.Ax
     x_bar, y_bar = state.x_bar, state.y_bar
-    sup_z, sup_lam = _sup(x), _sup(lam)
+    beta_w = beta * w
+    abs_x, abs_lam = np.abs(x), np.abs(lam)
     for k in range(state.steps + 1, state.steps + steps + 1):
         eta_k = eta / math.sqrt(k)
         i = draw(0, k)
         y = y_update(reg, Ax, lam, beta)
         g = f.subset_grad(x, i)
         rhs = x / eta_k - g - beta * spmv_t(A, lam - y)
-        x = Q @ ((Q.T @ rhs) / (1.0 / eta_k + beta * w))
+        x = Q @ ((Q.T @ rhs) / (1.0 / eta_k + beta_w))
         Ax = spmv(A, x)
         lam = lam + (Ax - y)
         x_bar += (x - x_bar) / k
         y_bar += (y - y_bar) / k
-        sup_z = max(sup_z, _sup(x))
-        sup_lam = max(sup_lam, _sup(lam))
+        np.maximum(abs_x, np.abs(x), out=abs_x)
+        np.maximum(abs_lam, np.abs(lam), out=abs_lam)
     state.x, state.y, state.lam, state.Ax = x, y, lam, Ax
     state.steps += steps
     state.grad_evals += steps
-    state.sup_z, state.sup_lambda = sup_z, sup_lam
+    state.sup_z, state.sup_lambda = _sup(abs_x), _sup(abs_lam)
     state.epoch += 1
     _require_finite(x, y, lam)
     return state

@@ -5,7 +5,14 @@ import pytest
 
 from sadmm.errors import DimensionError
 from sadmm.linalg import SparseMatrixCSR
-from sadmm.losses import LOGISTIC, Dataset, LossKind, LossObjective, _dloss_of_margin
+from sadmm.losses import (
+    LOGISTIC,
+    Dataset,
+    LossKind,
+    LossObjective,
+    _dloss_of_margin,
+    _gather_rows,
+)
 from sadmm.problem import ProblemSpec
 from sadmm.prox import Regularizer
 from sadmm.solvers import RateParams
@@ -109,6 +116,9 @@ class TestGradients:
         data = tiny_dataset(n=3, dim=2)
         with pytest.raises(IndexError):
             LossObjective(LossKind.logistic(), data).subset_grad(np.zeros(2), [3])
+        with pytest.raises(IndexError):
+            # a single negative index must not wrap to the last row
+            LossObjective(LossKind.logistic(), data).subset_grad(np.zeros(2), [-1])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")
@@ -136,6 +146,39 @@ def test_subset_grad_matches_dense_transcription(kind):
     for bad in (-1, n):
         with pytest.raises(IndexError):
             f.subset_grad(x, [0, bad])
+
+
+def batch_kernel_grad(f, x, idx):
+    # the gather / bincount batch body of subset_grad, kept here as the
+    # oracle its one-row branch must equal bit for bit
+    kind, data = f.kind, f.data
+    row, cols, vals, labels = _gather_rows(data, idx)
+    b = len(labels)
+    t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
+    coef = _dloss_of_margin(kind, t) * labels / b
+    g = np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
+    if kind.lambda2 > 0:
+        g = g + kind.lambda2 * x
+    return g
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")
+def test_one_row_gradient_equals_batch_kernel_bitwise(kind):
+    # every row, empty rows 0 and 57 included; at the largest scale hinge
+    # margins pass 1, so the flat region's -0.0 products occur
+    rng = np.random.default_rng(31)
+    n, dim = 120, 40
+    X = rng.standard_normal((n, dim)) * (rng.random((n, dim)) < 0.5)
+    X[[0, 57]] = 0.0
+    data = Dataset(SparseMatrixCSR.from_dense(X), rng.choice([-1.0, 1.0], size=n))
+    f = LossObjective(kind, data)
+    for scale in (0.01, 1.0, 10.0):
+        x = scale * rng.standard_normal(dim)
+        for i in range(n):
+            got = f.subset_grad(x, np.array([i]))
+            assert got.tobytes() == batch_kernel_grad(f, x, [i]).tobytes(), (scale, i)
+    if kind.kind != LOGISTIC:
+        assert np.any(f.margins(x) > 1.0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")

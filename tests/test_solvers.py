@@ -323,13 +323,20 @@ class TestStocReplay:
         f, A, reg, beta = problem.f, problem.A, problem.reg, config.beta
         w, Q = np.linalg.eigh((A.csr.T @ A.csr).toarray())
         x, lam = np.zeros(problem.d1), np.zeros(problem.d2)
+        x_bar, y_bar = np.zeros(problem.d1), np.zeros(problem.d2)
         for k in range(1, 31):
+            if k in (1, 16):  # a trace row's sups start from its entry iterates
+                sup_x, sup_lam = float(np.max(np.abs(x))), float(np.max(np.abs(lam)))
             eta_k = config.eta / math.sqrt(k)
             i = BatchSampler(f.n, 1, config.seed).draw(0, k)
             y = y_update(reg, spmv(A, x), lam, beta)
             rhs = x / eta_k - f.subset_grad(x, i) - beta * spmv_t(A, lam - y)
             x = Q @ ((Q.T @ rhs) / (1.0 / eta_k + beta * w))
             lam = lam + (spmv(A, x) - y)
+            x_bar += (x - x_bar) / k
+            y_bar += (y - y_bar) / k
+            sup_x = max(sup_x, float(np.max(np.abs(x))))
+            sup_lam = max(sup_lam, float(np.max(np.abs(lam))))
         state = init_stoc_state(problem, config)
         stoc_admm_chunk(state, problem, config, 15)
         stoc_admm_chunk(state, problem, config, 15)
@@ -337,6 +344,10 @@ class TestStocReplay:
         assert np.array_equal(state.x, x)
         assert np.array_equal(state.y, y)
         assert np.array_equal(state.lam, lam)
+        assert np.array_equal(state.x_bar, x_bar)
+        assert np.array_equal(state.y_bar, y_bar)
+        assert state.sup_z == sup_x
+        assert state.sup_lambda == sup_lam
 
 
 class TestLayerBoundaries:
@@ -691,6 +702,7 @@ class TestEpochReplayOracle:
         sum_x = np.zeros_like(x)
         sum_y = np.zeros_like(y)
         Az = spmv(problem.A, z)
+        sup_z, sup_lam = float(np.max(np.abs(z))), float(np.max(np.abs(lam)))
         for k in range(1, cfg.m + 1):
             batch = sampler.draw(epoch, k)
             y = y_update(problem.reg, Az, lam, cfg.beta)
@@ -701,7 +713,9 @@ class TestEpochReplayOracle:
             lam = lam + (Az - y)
             sum_x += x
             sum_y += y
-        return z, x, y, lam, sum_x, sum_y
+            sup_z = max(sup_z, float(np.max(np.abs(z))))
+            sup_lam = max(sup_lam, float(np.max(np.abs(lam))))
+        return z, x, y, lam, sum_x, sum_y, sup_z, sup_lam
 
     def test_constant_weight_epoch_matches_replay(self):
         problem = vr_problem(seed=50)
@@ -712,7 +726,7 @@ class TestEpochReplayOracle:
         x_snap = state.snapshot.x_tilde.copy()
         snap = state.snapshot
         y_t0 = state.y_tilde.copy()
-        z, x, y, lam, sum_x, sum_y = self._replay_inner(
+        z, x, y, lam, sum_x, sum_y, sup_z, sup_lam = self._replay_inner(
             problem, cfg, theta, gamma,
             x_snap.copy(), x_snap.copy(), state.y_tilde.copy(), state.lambda_tilde.copy(),
             x_snap, snap, epoch=1,
@@ -722,6 +736,8 @@ class TestEpochReplayOracle:
         assert np.array_equal(state.x, x)
         assert np.array_equal(state.y, y)
         assert np.array_equal(state.lam, lam)
+        assert state.sup_z == sup_z
+        assert state.sup_lambda == sup_lam
         assert np.array_equal(state.snapshot.x_tilde, sum_x / cfg.m)
         assert np.array_equal(state.y_tilde, (1 - theta) * y_t0 + (theta / cfg.m) * sum_y)
 
@@ -738,7 +754,7 @@ class TestEpochReplayOracle:
         snap = state.snapshot
         y_t_prev = state.y_tilde.copy()
         assert np.any(y_t_prev != 0.0)
-        z, x, y, lam, sum_x, sum_y = self._replay_inner(
+        z, x, y, lam, sum_x, sum_y, sup_z, sup_lam = self._replay_inner(
             problem, cfg, theta, gamma,
             x_snap.copy(), x_snap.copy(), state.y_tilde.copy(), state.lambda_tilde.copy(),
             x_snap, snap, epoch=2,
@@ -748,6 +764,8 @@ class TestEpochReplayOracle:
         assert np.array_equal(state.x, x)
         assert np.array_equal(state.y, y)
         assert np.array_equal(state.lam, lam)
+        assert state.sup_z == sup_z
+        assert state.sup_lambda == sup_lam
         assert np.array_equal(state.snapshot.x_tilde, sum_x / cfg.m)
         assert np.array_equal(state.y_tilde, (1 - theta) * y_t_prev + (theta / cfg.m) * sum_y)
 
@@ -765,7 +783,7 @@ class TestEpochReplayOracle:
         z0 = state.z_tilde.copy()
         x0 = (1.0 - theta) * x_snap + theta * z0
         y_t_prev = state.y_tilde.copy()
-        z, x, y, lam, sum_x, sum_y = self._replay_inner(
+        z, x, y, lam, sum_x, sum_y, sup_z, sup_lam = self._replay_inner(
             problem, cfg, theta, 2.5,
             z0, x0, state.y_tilde.copy(), state.lambda_tilde.copy(),
             x_snap, snap, epoch=warm_epochs + 1,
@@ -773,6 +791,8 @@ class TestEpochReplayOracle:
         vr_admm_epoch(state, problem, cfg)
         assert np.array_equal(state.z_tilde, z)
         assert np.array_equal(state.lambda_tilde, lam)
+        assert state.sup_z == sup_z
+        assert state.sup_lambda == sup_lam
         assert np.array_equal(state.snapshot.x_tilde, sum_x / cfg.m)
         assert np.array_equal(state.y_tilde, (1 - theta) * y_t_prev + (theta / cfg.m) * sum_y)
         assert state.theta == theta_next(theta)
