@@ -11,6 +11,7 @@ import logging
 import os
 import tempfile
 import time
+import typing
 import zipfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -195,29 +196,20 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
 
 
-_INT_KEYS = {"split_seed", "synth_n", "synth_d", "synth_seed", "m", "b", "epochs"}
-_FLOAT_KEYS = {
-    "test_fraction",
-    "lambda1",
-    "lambda2",
-    "huber_width",
-    "graph_threshold",
-    "ref_tol",
-    "ref_beta",
-}
-_AUTO_FLOAT_KEYS = {"eta", "beta", "gamma", "theta"}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _coerce(key: str, raw: str):
+    """Parse one config value by the type annotation of its field."""
     raw = raw.strip()
-    if key == "seeds":
+    hint = _FIELD_TYPES.get(key)
+    types = set(typing.get_args(hint)) or {hint}
+    if tuple in types:
         return tuple(int(tok) for tok in raw.replace(",", " ").split())
-    if key in _INT_KEYS:
+    if int in types:
         return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _AUTO_FLOAT_KEYS:
-        return raw if raw == "auto" else float(raw)
+    if float in types:
+        return raw if raw == "auto" and str in types else float(raw)
     if raw.lower() in ("none", ""):
         return None
     return raw
@@ -470,11 +462,17 @@ def run_solver(
         point = lambda st: (st.x, st.y)
     elif solver == "stoc":
         state = init_stoc_state(problem, config)
-        epoch_fn = lambda st, p, c: stoc_admm_chunk(st, p, c, c.m)
+        epoch_fn = stoc_admm_chunk
         point = lambda st: (st.x_bar, st.y_bar)
     else:
         raise ConfigError(f"unknown solver {solver!r}")
 
+    if test is None or kind is None:
+        test_f = None
+    elif isinstance(problem.f, LossObjective) and test is problem.f.data and kind == problem.f.kind:
+        test_f = problem.f  # the training objective: its memo holds the traced point's margins
+    else:
+        test_f = LossObjective(kind, test)
     wall = 0.0  # time spent inside epoch_fn only
     below_ref = []  # raw gaps below -ref.tol: the reference is not optimal
 
@@ -490,8 +488,8 @@ def run_solver(
         else:
             gap = float("nan")
             p_val = float("nan")
-        if test is not None and kind is not None:
-            t_loss, t_acc = evaluate(x_pt, test, kind)
+        if test_f is not None:
+            t_loss, t_acc = evaluate(x_pt, test_f)
         else:
             t_loss = t_acc = float("nan")
         cv = float(np.linalg.norm(spmv(problem.A, x_pt) - y_pt))

@@ -242,7 +242,6 @@ def solve_aat(
     v,
     tol: float = 1e-12,
     x0: np.ndarray | None = None,
-    max_iter: int | None = None,
 ) -> np.ndarray:
     """Solve A A^T u = v by conjugate gradients.
 
@@ -260,8 +259,7 @@ def solve_aat(
     op = scipy.sparse.linalg.LinearOperator(
         (A.rows, A.rows), matvec=lambda w: sp @ (spt @ w), dtype=np.float64
     )
-    if max_iter is None:
-        max_iter = max(20 * A.rows, 1000)
+    max_iter = max(20 * A.rows, 1000)
     u, info = scipy.sparse.linalg.cg(op, v, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter)
     resid = np.linalg.norm(sp @ (spt @ u) - v)
     if resid > tol * nv:

@@ -9,10 +9,14 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .linalg import as_vector, spmv, spmv_t
-from .losses import Dataset, LossKind, LossObjective
+from .losses import LossObjective
 from .problem import ProblemSpec
 from .prox import h_value
 from .solvers import SolverConfig, batch_admm_epoch, init_batch_state
+
+REFERENCE_MAX_ITER = 100000  # batch iterations of a reference solve
+POLISH_MAX_ROUNDS = 30  # sign-pattern refinements of one polish attempt
+POLISH_NEWTON_STEPS = 30  # Newton steps on one sign pattern
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +63,7 @@ def kkt_residuals(problem: ProblemSpec, x, y, lam, beta: float) -> tuple[float, 
     return r_x, r_y, r_feas
 
 
-def _constrained_newton(problem: ProblemSpec, sign_pattern, x0, nu0, max_newton: int = 30):
+def _constrained_newton(problem: ProblemSpec, sign_pattern, x0, nu0):
     """Newton on  min f(x) + lambda1 * s^T (Ax)_S  s.t. (Ax)_Z = 0,
     where Z is the zero set of sign_pattern. Returns (x, nu, y, beta*lam)."""
     A_sp = problem.A.csr
@@ -69,22 +73,21 @@ def _constrained_newton(problem: ProblemSpec, sign_pattern, x0, nu0, max_newton:
     support = np.where(sign_pattern != 0.0)[0]
     signs = sign_pattern[support]
     nz = len(zero_set)
-    AZ = A_sp[zero_set].toarray() if nz else np.zeros((0, d1))
-    g_pen = lam1 * (A_sp[support].T @ signs) if len(support) else np.zeros(d1)
+    AZ = A_sp[zero_set].toarray()
+    g_pen = lam1 * (A_sp[support].T @ signs)
     x = np.asarray(x0, dtype=np.float64).copy()
-    nu = np.asarray(nu0, dtype=np.float64).copy() if nz else np.zeros(0)
-    for _ in range(max_newton):
+    nu = np.asarray(nu0, dtype=np.float64).copy()
+    for _ in range(POLISH_NEWTON_STEPS):
         grad = problem.f.full_grad(x) + g_pen
-        grad_stat = grad + (AZ.T @ nu if nz else 0.0)
-        feas = AZ @ x if nz else np.zeros(0)
-        if max(np.abs(grad_stat).max(), np.abs(feas).max() if nz else 0.0) <= 1e-14:
+        grad_stat = grad + AZ.T @ nu
+        feas = AZ @ x
+        if max(np.abs(grad_stat).max(), np.abs(feas).max(initial=0.0)) <= 1e-14:
             break
         H = problem.f.hessian(x)
         M = np.zeros((d1 + nz, d1 + nz))
         M[:d1, :d1] = H
-        if nz:
-            M[:d1, d1:] = AZ.T
-            M[d1:, :d1] = AZ
+        M[:d1, d1:] = AZ.T
+        M[d1:, :d1] = AZ
         rhs = np.concatenate([-grad, -feas])
         try:
             sol = np.linalg.solve(M, rhs)
@@ -100,7 +103,7 @@ def _constrained_newton(problem: ProblemSpec, sign_pattern, x0, nu0, max_newton:
     return x, nu, y, beta_lam
 
 
-def _polish(problem: ProblemSpec, x0, y0, lam0, beta: float, max_rounds: int = 30):
+def _polish(problem: ProblemSpec, x0, y0, lam0, beta: float):
     """Active-set Newton refinement of a nearly converged triple.
 
     Near the optimum the problem reduces to a smooth equality-constrained
@@ -113,9 +116,9 @@ def _polish(problem: ProblemSpec, x0, y0, lam0, beta: float, max_rounds: int = 3
     pattern means it settled; an earlier one means it cycles, and since
     each Newton solve lands on the minimiser of its pattern's subspace,
     the next pattern depends only on the current one, so the remaining
-    rounds would only replay that cycle. max_rounds bounds a sequence
-    that never repeats. The caller accepts a candidate only after the full
-    KKT check, so a bad pattern merely wastes the attempt.
+    rounds would only replay that cycle. POLISH_MAX_ROUNDS bounds a
+    sequence that never repeats. The caller accepts a candidate only after
+    the full KKT check, so a bad pattern merely wastes the attempt.
     """
     lam1 = problem.reg.lambda1
     d2 = problem.d2
@@ -127,7 +130,7 @@ def _polish(problem: ProblemSpec, x0, y0, lam0, beta: float, max_rounds: int = 3
     x = np.asarray(x0, dtype=np.float64).copy()
     nu = beta * lam0[pattern == 0.0]
     solved = set()
-    for _ in range(max_rounds):
+    for _ in range(POLISH_MAX_ROUNDS):
         solved.add(pattern.tobytes())
         x, nu, y, beta_lam = _constrained_newton(problem, pattern, x, nu)
         zero_set = np.where(pattern == 0.0)[0]
@@ -148,7 +151,6 @@ def compute_reference(
     problem: ProblemSpec,
     tol: float = 1e-10,
     beta: float = 0.1,
-    max_iter: int = 100000,
 ) -> ReferenceSolution:
     """Solve the instance to KKT residual <= tol with the batch solver.
 
@@ -164,16 +166,13 @@ def compute_reference(
     config = SolverConfig(m=1, eta=1.0, beta=beta, inner_tol=inner_floor, epochs=0)
     state = init_batch_state(problem, config)
     kkt = np.inf
-    x, y, lam = state.x, state.y, state.lam
-    done = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, REFERENCE_MAX_ITER + 1):
         inner = float(np.clip(1e-3 * kkt, inner_floor, 1e-6)) if np.isfinite(kkt) else 1e-6
         config = SolverConfig(m=1, eta=1.0, beta=beta, inner_tol=inner, epochs=0)
         batch_admm_epoch(state, problem, config)
         x, y, lam = state.x, state.y, state.lam
         kkt = max(kkt_residuals(problem, x, y, lam, beta))
         if kkt <= tol:
-            done = True
             break
         if kkt <= 1e-2 and it % 25 == 0:
             try:
@@ -183,13 +182,13 @@ def compute_reference(
             kkt_p = max(kkt_residuals(problem, xp, yp, lp, beta))
             if kkt_p <= tol:
                 x, y, lam, kkt = xp, yp, lp, kkt_p
-                done = True
                 break
-    if not done:
+    else:
         raise ConvergenceError(
-            f"reference solve stalled at KKT residual {kkt:.3e} after {max_iter} iterations",
+            f"reference solve stalled at KKT residual {kkt:.3e} "
+            f"after {REFERENCE_MAX_ITER} iterations",
             best_estimate=state.x,
-            iterations=max_iter,
+            iterations=REFERENCE_MAX_ITER,
         )
     f_star = problem.f.value(x)
     h_star = h_value(problem.reg, y)
@@ -226,15 +225,11 @@ def p_criterion(x, y, ref: ReferenceSolution, problem: ProblemSpec) -> float:
     return p_f + p_h
 
 
-def evaluate(x, test: Dataset, kind: LossKind) -> tuple[float, float]:
-    """Mean loss and sign accuracy on a held-out set.
+def evaluate(x, f: LossObjective) -> tuple[float, float]:
+    """Mean loss f(x) and sign accuracy of x on the samples of f.
 
     A zero margin counts as an error, which keeps accuracy deterministic.
     """
-    if test.n == 0:
-        raise ValueError("empty test set")
-    x = as_vector(x, test.dim, "x")
-    f = LossObjective(kind, test)
     loss = f.value(x)
     accuracy = float(np.mean(f.margins(x) > 0.0))
     return loss, accuracy

@@ -43,6 +43,7 @@ from .vr import BatchSampler, Snapshot, delta_b, vr_gradient
 # configuration
 
 DUAL_SOLVE_TOL = 1e-10  # CG tolerance of the A A^T solve behind the constant-theta dual
+NEWTON_MAX_ITER = 100  # Newton steps of the batch x-subproblem
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,6 @@ def rho_rate(
     norm evaluates to theta*gamma exactly. rho < 1 certifies geometric decay
     of the optimality gap; values >= 1 just mean the guarantee is silent.
     """
-    if params.mu <= 0:
-        raise ConfigError("mu must be > 0")
     if theta == 0.0:
         return 1.0
     gamma = _resolve_gamma(config, theta, spectra.ata_norm)
@@ -275,31 +274,25 @@ def _initial_theta(problem: ProblemSpec, config: SolverConfig) -> float:
         )
     bound = theta_bound(problem, config.eta, config.b)
     sched = config.schedule
-    if isinstance(sched, DecayingTheta):
-        theta0 = bound if sched.theta0 is None else float(sched.theta0)
-        if not 0.0 < theta0 <= 1.0:
-            raise ConfigError(f"theta0 = {theta0} outside (0, 1]")
-        if theta0 > bound + 1e-12:
-            raise ConfigError(
-                f"theta0 = {theta0:.6f} exceeds the batch-size bound 1 - delta/(alpha-1) = {bound:.6f}"
-            )
-        return theta0
     if isinstance(sched, FixedOne):
         return 1.0
-    if isinstance(sched, ConstantTheta):
+    if isinstance(sched, DecayingTheta):
+        theta = bound if sched.theta0 is None else float(sched.theta0)
+    elif isinstance(sched, ConstantTheta):
         theta = float(sched.theta)
         if theta == 1.0:
             # degenerate momentum-free mode; the geometric-rate guarantee
             # does not apply unless b = n, but the iteration is well defined
             return 1.0
-        if not 0.0 < theta < 1.0:
-            raise ConfigError(f"theta = {theta} outside (0, 1]")
-        if theta > bound + 1e-12:
-            raise ConfigError(
-                f"theta = {theta:.6f} exceeds the bound 1 - delta/(alpha-1) = {bound:.6f}"
-            )
-        return theta
-    raise ConfigError(f"unknown momentum schedule {sched!r}")
+    else:
+        raise ConfigError(f"unknown momentum schedule {sched!r}")
+    if not 0.0 < theta <= 1.0:
+        raise ConfigError(f"theta = {theta} outside (0, 1]")
+    if theta > bound + 1e-12:
+        raise ConfigError(
+            f"theta = {theta:.6f} exceeds the batch-size bound 1 - delta/(alpha-1) = {bound:.6f}"
+        )
+    return theta
 
 
 def _resolve_gamma(config: SolverConfig, theta: float, ata_norm: float) -> float:
@@ -427,7 +420,7 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
 # batch solver
 
 
-def _minimize_x_subproblem(f, A, beta, y, lam, x0, gtol, max_newton=100):
+def _minimize_x_subproblem(f, A, beta, y, lam, x0, gtol):
     """Newton-CG on phi(x) = f(x) + beta/2 ||Ax - y + lam||^2.
 
     The penalty Hessian beta A^T A makes phi strongly convex for every
@@ -449,7 +442,7 @@ def _minimize_x_subproblem(f, A, beta, y, lam, x0, gtol, max_newton=100):
     x = x0.copy()
     fx, g = value_grad(x)
     gn0 = float(np.linalg.norm(g))
-    for _ in range(max_newton):
+    for _ in range(NEWTON_MAX_ITER):
         gn = float(np.linalg.norm(g))
         if gn <= gtol:
             return x, n_grads
@@ -480,7 +473,7 @@ def _minimize_x_subproblem(f, A, beta, y, lam, x0, gtol, max_newton=100):
         raise ConvergenceError(
             f"x-subproblem Newton stalled at gradient norm {gn:.3e}",
             best_estimate=x,
-            iterations=max_newton,
+            iterations=NEWTON_MAX_ITER,
         )
     return x, n_grads
 
@@ -527,8 +520,8 @@ def init_stoc_state(problem: ProblemSpec, config: SolverConfig) -> StocState:
     )
 
 
-def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig, steps: int) -> StocState:
-    """Run ``steps`` consecutive single-sample steps (one trace row) with
+def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig) -> StocState:
+    """Run config.m consecutive single-sample steps (one trace row) with
     the decaying step size eta_k = eta / sqrt(k), k the global 1-based
     step index.
 
@@ -544,7 +537,7 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
     x_bar, y_bar = state.x_bar, state.y_bar
     beta_w = beta * w
     abs_x, abs_lam = np.abs(x), np.abs(lam)
-    for k in range(state.steps + 1, state.steps + steps + 1):
+    for k in range(state.steps + 1, state.steps + config.m + 1):
         eta_k = eta / math.sqrt(k)
         i = draw(0, k)
         y = y_update(reg, Ax, lam, beta)
@@ -558,8 +551,8 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
         np.maximum(abs_x, np.abs(x), out=abs_x)
         np.maximum(abs_lam, np.abs(lam), out=abs_lam)
     state.x, state.y, state.lam, state.Ax = x, y, lam, Ax
-    state.steps += steps
-    state.grad_evals += steps
+    state.steps += config.m
+    state.grad_evals += config.m
     state.sup_z, state.sup_lambda = _sup(abs_x), _sup(abs_lam)
     state.epoch += 1
     _require_finite(x, y, lam)

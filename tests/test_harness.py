@@ -171,7 +171,66 @@ class TestGraph:
             build_graph_spec(data, 1.5)
 
 
+# one config line per ExperimentConfig field: the raw value and what it parses to
+CONFIG_LINES = {
+    "problem": ("gg_svm", "gg_svm"),
+    "dataset": ("train.libsvm", "train.libsvm"),
+    "test_dataset": ("none", None),
+    "test_fraction": ("0.25", 0.25),
+    "split_seed": ("3", 3),
+    "synth_n": ("200", 200),
+    "synth_d": ("12", 12),
+    "synth_seed": ("5", 5),
+    "lambda1": ("1e-4", 1e-4),
+    "lambda2": ("0.02", 0.02),
+    "huber_width": ("0.3", 0.3),
+    "solver": ("stoc", "stoc"),
+    "m": ("40", 40),
+    "eta": ("auto", "auto"),
+    "beta": ("auto", "auto"),
+    "gamma": ("auto", "auto"),
+    "theta": ("auto", "auto"),
+    "b": ("4", 4),
+    "epochs": ("7", 7),
+    "seeds": ("0, 1 2", (0, 1, 2)),
+    "graph_threshold": ("0.8", 0.8),
+    "graph_path": ("None", None),
+    "output_dir": ("out", "out"),
+    "ref_tol": ("1e-9", 1e-9),
+    "ref_beta": ("0.2", 0.2),
+}
+
+
 class TestConfigFile:
+    def test_every_field_parses_by_its_type(self, tmp_path):
+        assert set(CONFIG_LINES) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        path = tmp_path / "cfg.txt"
+        path.write_text("".join(f"{key} = {raw}\n" for key, (raw, _) in CONFIG_LINES.items()))
+        values = parse_config_file(path)
+        for key, (_, expected) in CONFIG_LINES.items():
+            assert values[key] == expected, key
+            assert type(values[key]) is type(expected), key
+        ExperimentConfig(**values)
+
+    @pytest.mark.parametrize("key", ["eta", "beta", "gamma", "theta"])
+    def test_auto_or_number(self, tmp_path, key):
+        path = tmp_path / "cfg.txt"
+        for raw, expected in (("auto", "auto"), ("0.5", 0.5), ("2", 2.0)):
+            path.write_text(f"{key} = {raw}\n")
+            value = parse_config_file(path)[key]
+            assert value == expected and type(value) is type(expected)
+
+    @pytest.mark.parametrize(
+        "key, raw",
+        [(key, "1.5") for key in ("split_seed", "synth_n", "synth_d", "synth_seed", "m", "b", "epochs")]
+        + [("m", "none"), ("seeds", "0, 1.5"), ("lambda1", "auto"), ("ref_tol", "none")],
+    )
+    def test_rejected_values(self, tmp_path, key, raw):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{key} = {raw}\n")
+        with pytest.raises(DataFormatError, match=":1:"):
+            parse_config_file(path)
+
     def test_parse_and_overrides(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text(

@@ -247,13 +247,13 @@ class TestPCriterion:
 class TestEvaluate:
     def test_zero_vector_logistic(self):
         data = tiny_dataset(n=9, dim=4, seed=11)
-        loss, acc = evaluate(np.zeros(4), data, LossKind.logistic())
+        loss, acc = evaluate(np.zeros(4), LossObjective(LossKind.logistic(), data))
         assert loss == pytest.approx(np.log(2))
         assert acc == 0.0  # zero margins count as errors
 
     def test_separable_perfect_accuracy(self):
         data = dataset_from_rows([{0: 1.0}, {0: -2.0}], [1, -1], dim=1)
-        _loss, acc = evaluate(np.array([1.0]), data, LossKind.logistic())
+        _loss, acc = evaluate(np.array([1.0]), LossObjective(LossKind.logistic(), data))
         assert acc == 1.0
 
     def test_hand_loss(self):
@@ -261,13 +261,15 @@ class TestEvaluate:
         x = np.array([0.5])
         margins = np.array([0.5, -0.5, 1.0])
         expected = float(np.mean(np.log1p(np.exp(-margins))))
-        loss, acc = evaluate(x, data, LossKind.logistic())
+        loss, acc = evaluate(x, LossObjective(LossKind.logistic(), data))
         assert loss == pytest.approx(expected, rel=1e-12)
         assert acc == pytest.approx(2.0 / 3.0)
 
     def test_empty_test_set_rejected(self):
-        with pytest.raises(Exception):
-            evaluate(np.zeros(1), None, LossKind.logistic())
+        # the test-set objective refuses an empty set before any row is traced
+        empty = dataset_from_rows([], [], dim=1)
+        with pytest.raises(ValueError, match="empty"):
+            evaluate(np.zeros(1), LossObjective(LossKind.logistic(), empty))
 
 
 class TestTraceRecord:

@@ -271,9 +271,11 @@ class TestStocAdmm:
         config = SolverConfig(m=1, eta=0.5, beta=0.01, seed=0)
         state = init_stoc_state(problem, config)
         state.lam = np.array([1.0, -1.0])  # puts a pure penalty pull on x
-        stoc_admm_chunk(state, problem, config, 1)
+        stoc_admm_chunk(state, problem, config)
         # y-update absorbs lam exactly, so x stays at the origin
         assert np.allclose(state.x, 0.0, atol=1e-12)
+        # the running maximum of |lambda| starts from the entry iterate
+        assert state.sup_lambda == 1.0
 
     def test_zero_gradient_penalty_pull_bounded(self):
         # with an active l1 term the dual is not fully absorbed by the
@@ -283,7 +285,7 @@ class TestStocAdmm:
         config = SolverConfig(m=1, eta=0.5, beta=0.01, seed=0)
         state = init_stoc_state(problem, config)
         state.lam = np.array([1.0, -1.0])
-        stoc_admm_chunk(state, problem, config, 1)
+        stoc_admm_chunk(state, problem, config)
         assert np.linalg.norm(state.x) > 0.0
         assert np.linalg.norm(state.x) <= config.eta * config.beta * np.linalg.norm([1.0, -1.0])
 
@@ -293,7 +295,7 @@ class TestStocAdmm:
         for _ in range(2):
             config = SolverConfig(m=40, eta=0.5, beta=0.5, seed=5)
             state = init_stoc_state(problem, config)
-            stoc_admm_chunk(state, problem, config, 40)
+            stoc_admm_chunk(state, problem, config)
             out.append(state.x.copy())
         assert np.array_equal(out[0], out[1])
 
@@ -304,7 +306,7 @@ class TestStocAdmm:
         x_star = float(np.mean(centers))
         config = SolverConfig(m=10_000, eta=1.0, beta=0.1, seed=3)
         state = init_stoc_state(problem, config)
-        stoc_admm_chunk(state, problem, config, 10_000)
+        stoc_admm_chunk(state, problem, config)
         assert abs(state.x[0] - x_star) <= 0.1
         assert abs(state.x_bar[0] - x_star) <= 0.1
 
@@ -338,8 +340,8 @@ class TestStocReplay:
             sup_x = max(sup_x, float(np.max(np.abs(x))))
             sup_lam = max(sup_lam, float(np.max(np.abs(lam))))
         state = init_stoc_state(problem, config)
-        stoc_admm_chunk(state, problem, config, 15)
-        stoc_admm_chunk(state, problem, config, 15)
+        stoc_admm_chunk(state, problem, config)
+        stoc_admm_chunk(state, problem, config)
         assert state.steps == 30
         assert np.array_equal(state.x, x)
         assert np.array_equal(state.y, y)
@@ -417,7 +419,7 @@ class TestLayerBoundaries:
         config = SolverConfig(m=11, eta=0.5, beta=0.5, seed=2)
         state = init_stoc_state(problem, config)
         draws = self._count(monkeypatch, sadmm.vr.BatchSampler, "draw")
-        stoc_admm_chunk(state, problem, config, 11)
+        stoc_admm_chunk(state, problem, config)
         assert len(draws) == 11
 
     @pytest.mark.parametrize(
@@ -470,7 +472,7 @@ class TestLayerBoundaries:
         stoc_cfg = SolverConfig(m=11, eta=0.5, beta=0.5, seed=2)
         state = init_stoc_state(stoc_problem, stoc_cfg)
         grads = self._count(monkeypatch, oracle, "subset_grad")
-        stoc_admm_chunk(state, stoc_problem, stoc_cfg, 11)
+        stoc_admm_chunk(state, stoc_problem, stoc_cfg)
         assert len(grads) == 11
 
         batch_cfg = SolverConfig(m=1, eta=0.1, beta=0.5)
@@ -480,7 +482,7 @@ class TestLayerBoundaries:
         assert len(hvps) > 0
 
         values = self._count(monkeypatch, oracle, "value")
-        evaluate(state.x, problem.f.data, problem.f.kind)
+        evaluate(state.x, problem.f)
         assert len(values) == 1
 
 
@@ -604,6 +606,16 @@ class TestVREpochIdentities:
         vr_admm_epoch(state, problem, cfg)
         assert np.array_equal(state.z_tilde, state.z)
         assert np.array_equal(state.lambda_tilde, state.lam)
+
+    def test_sup_lambda_counts_the_entry_dual(self):
+        # the y-update absorbs most of a large entry dual in the first step,
+        # so only a running maximum seeded from the entry iterate keeps it
+        problem = vr_problem(seed=7)
+        cfg = vr_config(problem, b=2, m=3)
+        state = init_vr_state(problem, cfg)
+        state.lambda_tilde = state.lambda_tilde + 50.0
+        vr_admm_epoch(state, problem, cfg)
+        assert state.sup_lambda >= 50.0
 
     def test_gc_epoch_start_with_theta_one(self):
         # theta0 = 1 collapses the warm start onto the carried z

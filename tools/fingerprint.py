@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Bitwise fingerprint of the solver traces and the single-row gradients.
+"""Bitwise fingerprint of the solver traces, the single-row gradients, the
+reference solutions and the resolved solver configurations.
 
     python3 tools/fingerprint.py
 
@@ -13,12 +14,22 @@ It prints SHA-256 digests of
   seeds 0-2 on the smallbatch-2k and largebatch-a9a instances of
   perfbench/workloads.py, with their batch sizes and trace lengths;
 - LossObjective.subset_grad(x, [i]) on every row of a 300-row instance
-  with two empty rows, for four loss kinds and three scales of x.
+  with two empty rows, for four loss kinds and three scales of x;
+- every ReferenceSolution field of compute_reference on
+  make_classification(200, 12, seed=s, label_noise=0.1) for s = 0-5, three
+  loss kinds and three l1 weights, and on the criterion-07 instance at
+  tol 1e-10, with the number of polish Newton solves whose zero set or
+  support was empty;
+- metrics._constrained_newton called directly with an all-zero and an
+  all-nonzero sign pattern;
+- resolve_solver_config over 5 solvers x b in {1, 20} x 'auto' or a number
+  for each of eta, beta and theta x m in {None, 50}, on a logistic and an
+  l2-logistic instance.
 
 It imports sadmm from this checkout's src/ and the instances from
 perfbench/, which it only reads; the reference cache lives in a temporary
-directory. It takes about ten seconds on a 2-core Xeon and is not part of
-the test suite.
+directory. It takes about fifteen seconds on a 2-core Xeon and is not part
+of the test suite.
 """
 
 import os
@@ -28,6 +39,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hashlib
+import itertools
 import logging
 import sys
 import tempfile
@@ -42,9 +54,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np
 
 import sadmm.harness
+import sadmm.metrics
 import workloads as wl
+from sadmm.datasets import make_classification
+from sadmm.errors import ConfigError, ConvergenceError
 from sadmm.linalg import SparseMatrixCSR
 from sadmm.losses import Dataset, LossKind, LossObjective
+from sadmm.problem import ProblemSpec
+from sadmm.prox import Regularizer
 
 SOLVERS = ("svrg", "asvrg_sc", "asvrg_gc", "stoc", "batch")
 SEEDS = (0, 1, 2)
@@ -119,6 +136,112 @@ def row_table_digest() -> str:
     return h.hexdigest()
 
 
+REF_KINDS = {
+    "logistic": LossKind.logistic(),
+    "l2-logistic": LossKind.l2_logistic(1e-2),
+    "huberized-hinge": LossKind.huberized_hinge(),
+}
+REF_LAMBDA1 = (0.0, 1e-4, 1e-2)
+
+
+def small_problem(seed, kind, lambda1) -> ProblemSpec:
+    data = make_classification(200, 12, seed=seed, label_noise=0.1)
+    A = sadmm.harness.build_graph_matrix(data, 0.9)
+    return ProblemSpec(LossObjective(kind, data), Regularizer(lambda1), A)
+
+
+def criterion_07_problem() -> ProblemSpec:
+    data = make_classification(2000, 60, seed=23, label_noise=0.3)
+    A = sadmm.harness.build_graph_matrix(data, 0.9)
+    return ProblemSpec(LossObjective(LossKind.logistic(), data), Regularizer(1e-5), A)
+
+
+def reference_digest(problem, tol=1e-10) -> str:
+    """Every ReferenceSolution field, or the error a failed solve raised."""
+    h = hashlib.sha256()
+    try:
+        ref = sadmm.metrics.compute_reference(problem, tol=tol)
+    except ConvergenceError as exc:
+        h.update(repr(exc).encode())
+        return h.hexdigest()
+    for f in fields(ref):
+        h.update(f.name.encode())
+        h.update(np.asarray(getattr(ref, f.name), dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def reference_digests():
+    """compute_reference on the small table and the criterion-07 instance,
+    counting the polish solves that reach an empty zero set or support."""
+    newton = sadmm.metrics._constrained_newton
+    empty = {"calls": 0, "zero set": 0, "support": 0}
+
+    def counted(problem, sign_pattern, *args, **kwargs):
+        empty["calls"] += 1
+        empty["zero set"] += int(np.all(sign_pattern != 0.0))
+        empty["support"] += int(np.all(sign_pattern == 0.0))
+        return newton(problem, sign_pattern, *args, **kwargs)
+
+    sadmm.metrics._constrained_newton = counted
+    try:
+        total = hashlib.sha256()
+        for name, kind in REF_KINDS.items():
+            for lambda1 in REF_LAMBDA1:
+                h = hashlib.sha256()
+                for seed in range(6):
+                    h.update(reference_digest(small_problem(seed, kind, lambda1)).encode())
+                total.update(h.digest())
+                print(f"reference {name} lambda1={lambda1:g} seeds=0-5 {h.hexdigest()}", flush=True)
+        digest = reference_digest(criterion_07_problem())
+        total.update(digest.encode())
+        print(f"reference criterion-07 tol=1e-10 {digest}", flush=True)
+    finally:
+        sadmm.metrics._constrained_newton = newton
+    print(f"references {total.hexdigest()}")
+    print(f"polish newton solves {empty['calls']}, empty zero set {empty['zero set']}, "
+          f"empty support {empty['support']}")
+
+
+def newton_digest() -> str:
+    """_constrained_newton on all-zero and all-nonzero sign patterns."""
+    h = hashlib.sha256()
+    for name, kind in REF_KINDS.items():
+        for lambda1 in REF_LAMBDA1[1:]:
+            problem = small_problem(0, kind, lambda1)
+            rng = np.random.default_rng(7)
+            x0 = 0.1 * rng.standard_normal(problem.d1)
+            signs = rng.choice([-1.0, 1.0], size=problem.d2)
+            patterns = (
+                (np.zeros(problem.d2), 0.01 * rng.standard_normal(problem.d2)),
+                (signs, np.zeros(0)),
+            )
+            for pattern, nu0 in patterns:
+                for out in sadmm.metrics._constrained_newton(problem, pattern, x0, nu0):
+                    h.update(np.asarray(out, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def config_grid_digest() -> str:
+    """repr of every resolved SolverConfig, or of the ConfigError raised."""
+    h = hashlib.sha256()
+    for kind in (REF_KINDS["logistic"], REF_KINDS["l2-logistic"]):
+        problem = small_problem(0, kind, 1e-4)
+        grid = itertools.product(
+            sadmm.harness.SOLVERS, (1, 20), ("auto", 0.1 / problem.f.smoothness),
+            ("auto", 0.5), ("auto", 0.5), (None, 50),
+        )
+        for solver, b, eta, beta, theta, m in grid:
+            cfg = sadmm.harness.ExperimentConfig(
+                solver=solver, b=b, eta=eta, beta=beta, theta=theta, m=m
+            )
+            try:
+                out = repr(sadmm.harness.resolve_solver_config(problem, cfg, 3))
+            except ConfigError as exc:
+                out = repr(exc)
+            h.update(out.encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     if not Path(sadmm.harness.__file__).resolve().is_relative_to(ROOT / "src"):
         print(f"fingerprint: sadmm imported from {sadmm.harness.__file__}, not from {ROOT / 'src'}",
@@ -127,6 +250,9 @@ def main() -> int:
     logging.disable(logging.WARNING)
     warnings.simplefilter("ignore")
     print(f"subset_grad rows {row_table_digest()}", flush=True)
+    print(f"constrained_newton patterns {newton_digest()}", flush=True)
+    print(f"solver configs {config_grid_digest()}", flush=True)
+    reference_digests()
     with tempfile.TemporaryDirectory() as cache_dir:
         trace_digests(Path(cache_dir))
     return 0
