@@ -10,9 +10,8 @@ import warnings
 
 from .datasets import parse_libsvm
 from .harness import (
-    build_graph_spec,
+    build_graph_matrix,
     config_from_file,
-    graph_matrix,
     grid_search_eta_beta,
     problem_and_reference,
     run_experiment,
@@ -98,10 +97,9 @@ def main(argv=None) -> int:
 
     if args.command == "spectra":
         data = parse_libsvm(args.data)
-        spec = build_graph_spec(data, args.threshold)
-        A = graph_matrix(spec.edges, data.dim)
+        A = build_graph_matrix(data, args.threshold)
         sc = compute_spectral_constants(A)
-        print(f"edges = {len(spec.edges)}")
+        print(f"edges = {A.rows - A.cols}")
         print(f"d1 = {A.cols}")
         print(f"d2 = {A.rows}")
         print(f"ata_norm = {sc.ata_norm!r}")

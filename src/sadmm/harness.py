@@ -21,7 +21,7 @@ import scipy.sparse
 
 from .datasets import make_classification, parse_libsvm, train_test_split
 from .errors import ConfigError, ConvergenceError, DataFormatError
-from .linalg import SparseMatrixCSR, spmv, vstack
+from .linalg import SparseMatrixCSR, spmv
 from .losses import Dataset, LossKind, LossObjective
 from .metrics import (
     CSV_HEADER,
@@ -68,15 +68,18 @@ VR_SCHEDULES = {"svrg": FixedOne, "asvrg_sc": ConstantTheta, "asvrg_gc": Decayin
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Feature-graph edges (i, j, weight) with i < j, no duplicates."""
+    """Feature-graph edges (i, j, weight) with 0 <= i < j, no duplicates and
+    a nonzero finite weight."""
 
     edges: tuple
 
     def __post_init__(self):
         seen = set()
-        for i, j, _w in self.edges:
-            if not i < j:
-                raise DataFormatError(f"edge ({i}, {j}) must have i < j")
+        for i, j, w in self.edges:
+            if not 0 <= i < j:
+                raise DataFormatError(f"edge ({i}, {j}) must have 0 <= i < j")
+            if w == 0.0 or not np.isfinite(w):
+                raise DataFormatError(f"edge ({i}, {j}) needs a nonzero finite weight, got {w!r}")
             if (i, j) in seen:
                 raise DataFormatError(f"duplicate edge ({i}, {j})")
             seen.add((i, j))
@@ -115,16 +118,17 @@ def graph_matrix(edges, dim: int) -> SparseMatrixCSR:
     so the penalty fuses positively correlated features and ties negatively
     correlated ones. The identity block keeps A full column rank.
     """
-    eye = scipy.sparse.identity(dim, format="csr")
-    if not edges:
-        return SparseMatrixCSR.from_scipy(eye)
-    rows, cols, vals = [], [], []
-    for r, (i, j, w) in enumerate(edges):
-        rows += [r, r]
-        cols += [i, j]
-        vals += [1.0, -float(np.sign(w))]
-    G = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(len(edges), dim))
-    return vstack([SparseMatrixCSR.from_scipy(G), SparseMatrixCSR.from_scipy(eye)])
+    e = np.array(edges, dtype=np.float64).reshape(-1, 3)
+    i, j = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64)
+    outside = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= dim)
+    if outside.any():
+        raise DataFormatError(f"edge {tuple(edges[outside.argmax()])} has an index outside [0, {dim})")
+    k = len(e)
+    rows = np.concatenate([np.arange(k), np.arange(k), np.arange(k, k + dim)])
+    cols = np.concatenate([i, j, np.arange(dim)])
+    vals = np.concatenate([np.ones(k), -np.sign(e[:, 2]), np.ones(dim)])
+    A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(k + dim, dim))
+    return SparseMatrixCSR.from_scipy(A)
 
 
 def build_graph_matrix(data: Dataset, threshold: float) -> SparseMatrixCSR:
@@ -173,7 +177,7 @@ class ExperimentConfig:
     lambda2: float = 1e-2
     huber_width: float = 0.5
     solver: str = "asvrg_gc"
-    m: int | None = None  # default: 2n/b for variance-reduced solvers
+    m: int | None = None  # None: 2n/b for variance-reduced solvers, n for stoc
     eta: float | str = "auto"
     beta: float | str = "auto"
     b: int = 10
@@ -204,14 +208,14 @@ def _coerce(key: str, raw: str):
     raw = raw.strip()
     hint = _FIELD_TYPES.get(key)
     types = set(typing.get_args(hint)) or {hint}
+    if type(None) in types and raw.lower() in ("none", ""):
+        return None
     if tuple in types:
         return tuple(int(tok) for tok in raw.replace(",", " ").split())
     if int in types:
         return int(raw)
     if float in types:
         return raw if raw == "auto" and str in types else float(raw)
-    if raw.lower() in ("none", ""):
-        return None
     return raw
 
 
@@ -301,9 +305,9 @@ def resolve_solver_config(problem: ProblemSpec, cfg: ExperimentConfig, seed: int
     mu = problem.f.strong_convexity
     b = cfg.b
     if cfg.solver in VR_SCHEDULES:
-        m = cfg.m if cfg.m else max(1, (2 * n) // b)
+        m = cfg.m if cfg.m is not None else max(1, (2 * n) // b)
     elif cfg.solver == "stoc":
-        m = cfg.m if cfg.m else n
+        m = cfg.m if cfg.m is not None else n
     else:
         m = 1
     beta = cfg.beta
@@ -406,15 +410,13 @@ def get_reference(
     kind: LossKind,
     data: Dataset,
     tol: float,
-    beta: float = 1.0,
-    cache_dir=None,
+    beta: float,
+    cache_dir,
 ) -> ReferenceSolution:
-    """Compute (or load from the content-addressed cache) the certified
-    optimum of the instance. A cached entry is certified again on load; one
-    that cannot be read, has the wrong shapes or fails the KKT check at tol
-    is recomputed and overwritten."""
-    if cache_dir is None:
-        return compute_reference(problem, tol=tol, beta=beta)
+    """Load the certified optimum of the instance from the content-addressed
+    cache under cache_dir, or compute and store it. A cached entry is
+    certified again on load; one that cannot be read, has the wrong shapes
+    or fails the KKT check at tol is recomputed and overwritten."""
     key = reference_key(kind, data, problem.reg, problem.A, tol, beta)
     path = Path(cache_dir) / f"{key}.npz"
     if path.exists():

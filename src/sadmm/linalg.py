@@ -111,11 +111,6 @@ class SparseMatrixCSR:
         return self.csr.toarray()
 
 
-def vstack(blocks) -> SparseMatrixCSR:
-    """Stack matrices vertically (shared column count)."""
-    return SparseMatrixCSR.from_scipy(scipy.sparse.vstack([b.csr for b in blocks]))
-
-
 def as_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:

@@ -28,7 +28,7 @@ only the difference of the two derivatives is scattered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,7 +75,6 @@ class Dataset:
 
     features: SparseMatrixCSR  # n x dim
     labels: np.ndarray  # +-1, length n
-    norms_sq: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.float64)
@@ -84,9 +83,11 @@ class Dataset:
         if not np.all(np.abs(labels) == 1.0):
             raise DataFormatError("labels must be +1 or -1")
         object.__setattr__(self, "labels", labels)
-        if self.norms_sq is None:
-            sq = self.features.csr.multiply(self.features.csr)
-            object.__setattr__(self, "norms_sq", np.asarray(sq.sum(axis=1)).ravel())
+
+    @cached_property
+    def norms_sq(self) -> np.ndarray:
+        sq = self.features.csr.multiply(self.features.csr)
+        return np.asarray(sq.sum(axis=1)).ravel()
 
     @property
     def n(self) -> int:

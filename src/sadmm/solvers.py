@@ -199,11 +199,9 @@ class RateParams:
 
     @classmethod
     def from_problem(cls, problem: ProblemSpec) -> "RateParams":
-        mu = problem.f.strong_convexity
-        if mu <= 0:
-            raise ConfigError("problem is not strongly convex (mu = 0)")
         spectra = problem.spectra
-        return cls(mu=mu, L=problem.f.smoothness, omega=spectra.ata_norm / spectra.aat_min_eig)
+        omega = spectra.ata_norm / spectra.aat_min_eig
+        return cls(mu=problem.f.strong_convexity, L=problem.f.smoothness, omega=omega)
 
 
 def rho_rate(

@@ -4,7 +4,7 @@ import pytest
 
 from sadmm.cli import main
 from sadmm.datasets import make_classification, parse_libsvm, write_libsvm
-from sadmm.harness import read_trace_csv
+from sadmm.harness import build_graph_spec, read_trace_csv
 
 
 @pytest.fixture()
@@ -100,6 +100,7 @@ def test_spectra_subcommand(tmp_path, capsys):
     vals = dict(line.split(" = ") for line in text.strip().splitlines())
     assert int(vals["d1"]) == 8
     assert int(vals["d2"]) == 8 + int(vals["edges"])
+    assert int(vals["edges"]) == len(build_graph_spec(data, 0.9).edges)
     assert float(vals["ata_norm"]) >= float(vals["aat_min_eig"]) > 0
     assert float(vals["omega"]) >= 1.0
 

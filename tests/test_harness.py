@@ -153,6 +153,35 @@ class TestGraph:
         with pytest.raises(DataFormatError):
             GraphSpec(((0, 1, 0.5), (0, 1, 0.2)))
 
+    @pytest.mark.parametrize(
+        "edge",
+        [(-1, 2, 0.5), (0, 1, 0.0), (0, 1, float("nan")), (0, 1, float("inf"))],
+        ids=["negative-index", "zero-weight", "nan-weight", "inf-weight"],
+    )
+    def test_graph_spec_names_the_bad_edge(self, edge):
+        with pytest.raises(DataFormatError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
+            GraphSpec(((0, 3, 0.9), edge))
+
+    @pytest.mark.parametrize(
+        "edge", [(0, 7, 0.5), (-1, 2, 0.5)], ids=["index-past-dim", "negative-index"]
+    )
+    def test_graph_matrix_names_an_index_outside_the_features(self, edge):
+        with pytest.raises(DataFormatError, match=rf"edge \({edge[0]}, {edge[1]}, 0.5\)"):
+            graph_matrix(((0, 1, 0.9), edge), 5)
+
+    def test_graph_matrix_matches_loop_transcription(self):
+        assert np.array_equal(graph_matrix((), 3).to_dense(), np.eye(3))
+        rng = np.random.default_rng(9)
+        pairs = [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.3]
+        edges = tuple((i, j, float(rng.choice([-1, 1]) * rng.uniform(0.5, 1.0))) for i, j in pairs)
+        expected = np.vstack([np.zeros((len(edges), 12)), np.eye(12)])
+        for r, (i, j, w) in enumerate(edges):
+            expected[r, i], expected[r, j] = 1.0, -np.sign(w)
+        A = graph_matrix(edges, 12)
+        assert {np.sign(w) for *_, w in edges} == {-1.0, 1.0}
+        assert A.nnz == 2 * len(edges) + 12
+        assert np.array_equal(A.to_dense(), expected)
+
     def test_graph_file_round_trip(self, tmp_path):
         spec = GraphSpec(((0, 3, 0.91), (1, 2, -0.95)))
         path = tmp_path / "edges.txt"
@@ -223,13 +252,25 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "key, raw",
         [(key, "1.5") for key in ("split_seed", "synth_n", "synth_d", "synth_seed", "m", "b", "epochs")]
-        + [("m", "none"), ("seeds", "0, 1.5"), ("lambda1", "auto"), ("ref_tol", "none")],
+        + [("seeds", "0, 1.5"), ("lambda1", "auto"), ("ref_tol", "none")],
     )
     def test_rejected_values(self, tmp_path, key, raw):
         path = tmp_path / "cfg.txt"
         path.write_text(f"{key} = {raw}\n")
         with pytest.raises(DataFormatError, match=":1:"):
             parse_config_file(path)
+
+    @pytest.mark.parametrize("key", ["m", "test_dataset", "graph_path"])
+    def test_none_for_optional_fields(self, tmp_path, key):
+        path = tmp_path / "cfg.txt"
+        for raw in ("none", "None", ""):
+            path.write_text(f"{key} = {raw}\n")
+            assert parse_config_file(path)[key] is None
+
+    def test_none_is_text_for_other_string_fields(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("dataset = none\noutput_dir = None\n")
+        assert parse_config_file(path) == {"dataset": "none", "output_dir": "None"}
 
     def test_parse_and_overrides(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -457,6 +498,20 @@ def test_resolve_solver_config_defaults():
     assert config.eta < 1.0 / (2.0 * problem.f.smoothness)
     stoc_cfg = resolve_solver_config(problem, small_cfg(solver="stoc", m=None), seed=0)
     assert stoc_cfg.m == n
+
+
+def test_resolve_m_none_from_file_and_m_zero(tmp_path):
+    # m = none in a config file is the automatic m; m = 0 is refused, not
+    # taken as automatic
+    path = tmp_path / "cfg.txt"
+    path.write_text("problem = gg_logistic\nsynth_n = 150\nsynth_d = 10\nb = 5\nm = none\n")
+    problem, *_ = assemble_problem(config_from_file(path))
+    n = problem.f.n
+    for solver, m in (("svrg", (2 * n) // 5), ("asvrg_gc", (2 * n) // 5), ("stoc", n)):
+        cfg = config_from_file(path, {"solver": solver})
+        assert resolve_solver_config(problem, cfg, seed=0).m == m
+        with pytest.raises(ConfigError, match="m must be >= 1"):
+            resolve_solver_config(problem, dataclasses.replace(cfg, m=0), seed=0)
 
 
 def test_resolve_constant_momentum_auto():

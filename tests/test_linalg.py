@@ -17,7 +17,6 @@ from sadmm.linalg import (
     spectral_norm_ata,
     spmv,
     spmv_t,
-    vstack,
 )
 
 
@@ -209,11 +208,3 @@ class TestSolveAAT:
         u = solve_aat(A, v, tol=1e-12)
         dense = A.to_dense()
         assert np.linalg.norm(dense @ (dense.T @ u) - v) <= 1e-11 * np.linalg.norm(v)
-
-
-def test_vstack():
-    A = SparseMatrixCSR.from_dense([[1.0, 0.0]])
-    B = SparseMatrixCSR.identity(2)
-    C = vstack([A, B])
-    assert C.shape == (3, 2)
-    assert np.allclose(C.to_dense(), [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

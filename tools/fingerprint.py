@@ -25,6 +25,10 @@ It prints SHA-256 digests of
 - resolve_solver_config over 5 solvers x b in {1, 20} x 'auto' or a number
   for each of eta, beta and theta x m in {None, 50}, on a logistic and an
   l2-logistic instance.
+- the penalty matrix A = [G; I] of build_graph_matrix at thresholds 0.3,
+  0.5, 0.8, 0.9 and 0.99 on the smallbatch-2k and largebatch-a9a instances
+  and on a 64 x 9 instance of correlated dense features, and of
+  graph_matrix on an empty and a mixed-sign edge list.
 
 It imports sadmm from this checkout's src/ and the instances from
 perfbench/, which it only reads; the reference cache lives in a temporary
@@ -221,6 +225,48 @@ def newton_digest() -> str:
     return h.hexdigest()
 
 
+GRAPH_THRESHOLDS = (0.3, 0.5, 0.8, 0.9, 0.99)
+
+
+def matrix_digest(A) -> str:
+    h = hashlib.sha256(np.int64([A.rows, A.cols]).tobytes())
+    for arr in (A.row_offsets, A.col_indices, A.values):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def graph_digests():
+    """build_graph_matrix on the traced instances and a correlated one, and
+    graph_matrix on two fixed edge lists."""
+    datasets = {}
+    for name in TRACED:
+        inst = wl.WORKLOADS[name].instance
+        datasets[name] = make_classification(
+            inst.n, inst.dim, seed=inst.seed, density=inst.density, label_noise=inst.label_noise
+        )
+    rng = np.random.default_rng(8)
+    F = rng.standard_normal((64, 3)) @ rng.standard_normal((3, 9))
+    F += 0.5 * rng.standard_normal((64, 9))
+    datasets["correlated-64x9"] = Dataset(SparseMatrixCSR.from_dense(F), np.tile([1.0, -1.0], 32))
+    total = hashlib.sha256()
+    for name, data in datasets.items():
+        for threshold in GRAPH_THRESHOLDS:
+            A = sadmm.harness.build_graph_matrix(data, threshold)
+            digest = matrix_digest(A)
+            total.update(digest.encode())
+            edges = A.rows - A.cols
+            print(f"graph {name} threshold={threshold} edges={edges} {digest}", flush=True)
+    edge_lists = {
+        "empty": (),
+        "mixed-sign": ((0, 3, 0.9), (1, 2, -0.95), (2, 4, 0.3), (0, 1, -1e-3)),
+    }
+    for name, edges in edge_lists.items():
+        digest = matrix_digest(sadmm.harness.graph_matrix(edges, 5))
+        total.update(digest.encode())
+        print(f"graph edge list {name} {digest}", flush=True)
+    print(f"graphs {total.hexdigest()}")
+
+
 def config_grid_digest() -> str:
     """repr of every resolved SolverConfig, or of the ConfigError raised."""
     h = hashlib.sha256()
@@ -252,6 +298,7 @@ def main() -> int:
     print(f"subset_grad rows {row_table_digest()}", flush=True)
     print(f"constrained_newton patterns {newton_digest()}", flush=True)
     print(f"solver configs {config_grid_digest()}", flush=True)
+    graph_digests()
     reference_digests()
     with tempfile.TemporaryDirectory() as cache_dir:
         trace_digests(Path(cache_dir))
