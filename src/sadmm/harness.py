@@ -123,6 +123,9 @@ def graph_matrix(edges, dim: int) -> SparseMatrixCSR:
     outside = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= dim)
     if outside.any():
         raise DataFormatError(f"edge {tuple(edges[outside.argmax()])} has an index outside [0, {dim})")
+    bad_weight = (e[:, 2] == 0.0) | ~np.isfinite(e[:, 2])
+    if bad_weight.any():
+        raise DataFormatError(f"edge {tuple(edges[bad_weight.argmax()])} needs a nonzero finite weight")
     k = len(e)
     rows = np.concatenate([np.arange(k), np.arange(k), np.arange(k, k + dim)])
     cols = np.concatenate([i, j, np.arange(dim)])

@@ -103,7 +103,7 @@ def _constrained_newton(problem: ProblemSpec, sign_pattern, x0, nu0):
     return x, nu, y, beta_lam
 
 
-def _polish(problem: ProblemSpec, x0, y0, lam0, beta: float):
+def _polish(problem: ProblemSpec, x0, y0, lam0, beta: float, failed):
     """Active-set Newton refinement of a nearly converged triple.
 
     Near the optimum the problem reduces to a smooth equality-constrained
@@ -116,21 +116,27 @@ def _polish(problem: ProblemSpec, x0, y0, lam0, beta: float):
     pattern means it settled; an earlier one means it cycles, and since
     each Newton solve lands on the minimiser of its pattern's subspace,
     the next pattern depends only on the current one, so the remaining
-    rounds would only replay that cycle. POLISH_MAX_ROUNDS bounds a
-    sequence that never repeats. The caller accepts a candidate only after
-    the full KKT check, so a bad pattern merely wastes the attempt.
+    rounds would only replay that cycle. By the same argument the attempt
+    ends with no candidate before it solves a pattern in `failed` (the
+    patterns of earlier attempts whose candidates failed): from there it
+    would replay that failure. POLISH_MAX_ROUNDS bounds a sequence that
+    never repeats. Returns (candidate (x, y, lam) or None, the set of
+    patterns solved). The caller accepts a candidate only after the full
+    KKT check, so a bad pattern merely wastes the attempt.
     """
     lam1 = problem.reg.lambda1
     d2 = problem.d2
     if lam1 == 0.0:
         # no l1 term: unconstrained stationarity, all duals zero
         x, _nu, y, _bl = _constrained_newton(problem, np.ones(d2), x0, np.zeros(0))
-        return x, y, np.zeros(d2)
+        return (x, y, np.zeros(d2)), set()
     pattern = np.sign(y0)
     x = np.asarray(x0, dtype=np.float64).copy()
     nu = beta * lam0[pattern == 0.0]
     solved = set()
     for _ in range(POLISH_MAX_ROUNDS):
+        if pattern.tobytes() in failed:
+            return None, solved
         solved.add(pattern.tobytes())
         x, nu, y, beta_lam = _constrained_newton(problem, pattern, x, nu)
         zero_set = np.where(pattern == 0.0)[0]
@@ -144,7 +150,7 @@ def _polish(problem: ProblemSpec, x0, y0, lam0, beta: float):
             break
         pattern = new_pattern
         nu = beta_lam[pattern == 0.0]
-    return x, y, beta_lam / beta
+    return (x, y, beta_lam / beta), solved
 
 
 def compute_reference(
@@ -158,7 +164,10 @@ def compute_reference(
     progress. Because the plain dual iteration can crawl on weakly
     regularized instances, an active-set Newton polish is attempted once
     the residual is small; every candidate (polished or not) must pass the
-    full KKT check at tol before it is returned.
+    full KKT check at tol before it is returned. The sign patterns solved
+    by an attempt whose candidate failed (or that reached such a pattern)
+    end every later attempt that reaches one of them; an attempt that
+    raised LinAlgError adds none.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -166,6 +175,7 @@ def compute_reference(
     config = SolverConfig(m=1, eta=1.0, beta=beta, inner_tol=inner_floor, epochs=0)
     state = init_batch_state(problem, config)
     kkt = np.inf
+    failed = set()
     for it in range(1, REFERENCE_MAX_ITER + 1):
         inner = float(np.clip(1e-3 * kkt, inner_floor, 1e-6)) if np.isfinite(kkt) else 1e-6
         config = SolverConfig(m=1, eta=1.0, beta=beta, inner_tol=inner, epochs=0)
@@ -176,13 +186,16 @@ def compute_reference(
             break
         if kkt <= 1e-2 and it % 25 == 0:
             try:
-                xp, yp, lp = _polish(problem, state.x, state.y, state.lam, beta)
+                candidate, solved = _polish(problem, state.x, state.y, state.lam, beta, failed)
             except np.linalg.LinAlgError:
                 continue
-            kkt_p = max(kkt_residuals(problem, xp, yp, lp, beta))
-            if kkt_p <= tol:
-                x, y, lam, kkt = xp, yp, lp, kkt_p
-                break
+            if candidate is not None:
+                xp, yp, lp = candidate
+                kkt_p = max(kkt_residuals(problem, xp, yp, lp, beta))
+                if kkt_p <= tol:
+                    x, y, lam, kkt = xp, yp, lp, kkt_p
+                    break
+            failed |= solved
     else:
         raise ConvergenceError(
             f"reference solve stalled at KKT residual {kkt:.3e} "

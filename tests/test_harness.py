@@ -169,6 +169,11 @@ class TestGraph:
         with pytest.raises(DataFormatError, match=rf"edge \({edge[0]}, {edge[1]}, 0.5\)"):
             graph_matrix(((0, 1, 0.9), edge), 5)
 
+    @pytest.mark.parametrize("weight", [0.0, float("nan")], ids=["zero", "nan"])
+    def test_graph_matrix_names_a_zero_or_non_finite_weight(self, weight):
+        with pytest.raises(DataFormatError, match=rf"edge \(1, 2, {weight}\) needs a nonzero finite"):
+            graph_matrix(((0, 3, 0.9), (1, 2, weight)), 5)
+
     def test_graph_matrix_matches_loop_transcription(self):
         assert np.array_equal(graph_matrix((), 3).to_dense(), np.eye(3))
         rng = np.random.default_rng(9)

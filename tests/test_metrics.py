@@ -66,15 +66,16 @@ class TestComputeReference:
             compute_reference(logistic_problem(), tol=0.0)
 
 
-def _thirty_round_polish(problem, x0, y0, lam0, beta, max_rounds=30):
-    # the polish loop before it stopped at a revisited sign pattern: the
-    # oracle the faster polish must reproduce through compute_reference
+def _thirty_round_polish(problem, x0, y0, lam0, beta, _failed, max_rounds=30):
+    # the polish loop before it stopped at a revisited sign pattern or at a
+    # pattern of a failed attempt: the oracle the faster polish must
+    # reproduce through compute_reference; it keeps no patterns
     lam1 = problem.reg.lambda1
     d2 = problem.d2
     newton = sadmm.metrics._constrained_newton
     if lam1 == 0.0:
         x, _nu, y, _bl = newton(problem, np.ones(d2), x0, np.zeros(0))
-        return x, y, np.zeros(d2)
+        return (x, y, np.zeros(d2)), set()
     pattern = np.sign(y0)
     x = np.asarray(x0, dtype=np.float64).copy()
     nu = beta * lam0[pattern == 0.0]
@@ -88,10 +89,10 @@ def _thirty_round_polish(problem, x0, y0, lam0, beta, max_rounds=30):
         released = zero_set[np.abs(beta_lam[zero_set]) > lam1]
         new_pattern[released] = np.sign(beta_lam[released])
         if np.array_equal(new_pattern, pattern):
-            return x, y, beta_lam / beta
+            return (x, y, beta_lam / beta), set()
         pattern = new_pattern
         nu = beta_lam[pattern == 0.0]
-    return x, y, beta_lam / beta
+    return (x, y, beta_lam / beta), set()
 
 
 def _criterion_07_problem():
@@ -103,10 +104,28 @@ def _criterion_07_problem():
 _E = np.eye(8)  # sign patterns of logistic_problem(), whose A has 8 rows
 
 
+def _refining_newton(lam1, successor, attempts, raise_at=None):
+    # a fake Newton solve whose candidate refines to successor(pattern): a
+    # support sign survives only where y keeps it, and a zero component is
+    # released with its multiplier's sign past lambda1; it records each
+    # pattern in the current attempt and raises at call number raise_at
+    def fake(_problem, pattern, x0, _nu0):
+        attempts[-1].append(pattern.tobytes())
+        if sum(map(len, attempts)) == raise_at:
+            raise np.linalg.LinAlgError("scripted")
+        nxt = successor(pattern)
+        on = pattern != 0.0
+        y = np.where(on, np.where(nxt == pattern, pattern, -pattern), 0.0)
+        beta_lam = np.where(on, lam1 * pattern, 2.0 * lam1 * nxt)
+        return np.asarray(x0).copy(), beta_lam[~on], y, beta_lam
+
+    return fake
+
+
 class TestPolish:
     @pytest.mark.parametrize(
         "build, tol, max_solves",
-        [(_criterion_07_problem, 1e-10, 40), (lambda: logistic_problem(seed=0), 1e-10, None),
+        [(_criterion_07_problem, 1e-10, 12), (lambda: logistic_problem(seed=0), 1e-10, None),
          (lambda: logistic_problem(seed=9, lambda2=0.0), 1e-8, None)],
         ids=["criterion-07", "logistic-seed0", "logistic-seed9"],
     )
@@ -172,10 +191,58 @@ class TestPolish:
 
         monkeypatch.setattr(sadmm.metrics, "_constrained_newton", fake_newton)
         x0, y0 = np.zeros(problem.d1), script[0].copy()
-        x, y, lam = _polish(problem, x0, y0, np.zeros(problem.d2), beta=0.5)
+        (x, y, lam), _solved = _polish(problem, x0, y0, np.zeros(problem.d2), 0.5, set())
         assert len(outputs) == calls
         x_last, _nu, y_last, beta_lam = outputs[-1]
         assert x is x_last and y is y_last and np.array_equal(lam, beta_lam / 0.5)
+
+    @pytest.mark.parametrize("k", [0, 2], ids=["starts-on-failed", "reaches-failed"])
+    def test_attempt_ends_before_a_failed_pattern(self, monkeypatch, k):
+        # P0 -> P1 -> P2 -> P3 -> P4 settles; with P_k failed the attempt
+        # stops after k solves and hands back no candidate to KKT-check
+        problem = logistic_problem()  # d2 = 8
+        script = [_E[0], _E[1], _E[1] + _E[2], _E[2], _E[2] + _E[3]]
+        nxt = {a.tobytes(): b for a, b in zip(script, script[1:] + script[-1:])}
+        attempts = [[]]
+        fake = _refining_newton(problem.reg.lambda1, lambda p: nxt[p.tobytes()], attempts)
+        monkeypatch.setattr(sadmm.metrics, "_constrained_newton", fake)
+        x0, lam0 = np.zeros(problem.d1), np.zeros(problem.d2)
+        candidate, solved = _polish(problem, x0, script[0], lam0, 0.5, set())
+        assert candidate is not None and len(attempts[0]) == 5
+        attempts[0].clear()
+        candidate, solved = _polish(problem, x0, script[0], lam0, 0.5, {script[k].tobytes()})
+        assert candidate is None
+        assert attempts[0] == [p.tobytes() for p in script[:k]]
+        assert solved == set(attempts[0])
+
+    @pytest.mark.parametrize(
+        "raise_at, solves", [(None, [3, 0, 0]), (3, [3, 3, 0])], ids=["kkt-failure", "linalg-error"]
+    )
+    def test_failed_attempts_stop_later_ones(self, monkeypatch, raise_at, solves):
+        # every attempt on this instance starts on the batch iterate's sign
+        # pattern S; the scripted refinement runs S -> 0 -> e0 -> 0, a cycle
+        # whose candidate fails the KKT check. The patterns of a failed
+        # attempt stop the later ones at their first pattern; those of an
+        # attempt that raised LinAlgError do not
+        problem = logistic_problem(seed=3)
+        attempts = []
+        polish = sadmm.metrics._polish
+
+        def counted_polish(*args, **kwargs):
+            attempts.append([])
+            return polish(*args, **kwargs)
+
+        def successor(pattern):
+            return _E[0] if not pattern.any() else np.zeros(8)
+
+        fake = _refining_newton(problem.reg.lambda1, successor, attempts, raise_at)
+        monkeypatch.setattr(sadmm.metrics, "_polish", counted_polish)
+        monkeypatch.setattr(sadmm.metrics, "_constrained_newton", fake)
+        ref = compute_reference(problem, tol=1e-10)
+        assert ref.kkt_residual <= 1e-10
+        assert [len(a) for a in attempts] == solves
+        assert attempts[0][1:] == [np.zeros(8).tobytes(), _E[0].tobytes()]
+        assert all(a == attempts[0] for a in attempts if a)
 
 
 def test_reference_forms_margins_once_per_point(monkeypatch):

@@ -18,8 +18,10 @@ It prints SHA-256 digests of
 - every ReferenceSolution field of compute_reference on
   make_classification(200, 12, seed=s, label_noise=0.1) for s = 0-5, three
   loss kinds and three l1 weights, and on the criterion-07 instance at
-  tol 1e-10, with the number of polish Newton solves whose zero set or
-  support was empty;
+  tol 1e-10, followed by a line that counts the polish work: the _polish
+  attempts, those that ended at a pattern of an earlier failed attempt, the
+  Newton solves and those whose zero set or support was empty (this line
+  moves whenever the polish does more or less work; the digests must not);
 - metrics._constrained_newton called directly with an all-zero and an
   all-nonzero sign pattern;
 - resolve_solver_config over 5 solvers x b in {1, 20} x 'auto' or a number
@@ -176,17 +178,24 @@ def reference_digest(problem, tol=1e-10) -> str:
 
 def reference_digests():
     """compute_reference on the small table and the criterion-07 instance,
-    counting the polish solves that reach an empty zero set or support."""
-    newton = sadmm.metrics._constrained_newton
-    empty = {"calls": 0, "zero set": 0, "support": 0}
+    counting the polish attempts, those that ended at a failed pattern, and
+    the polish solves, with those that reach an empty zero set or support."""
+    polish, newton = sadmm.metrics._polish, sadmm.metrics._constrained_newton
+    work = dict.fromkeys(("attempts", "failed pattern", "calls", "zero set", "support"), 0)
+
+    def counted_polish(*args, **kwargs):
+        work["attempts"] += 1
+        out = polish(*args, **kwargs)
+        work["failed pattern"] += int(out[0] is None)
+        return out
 
     def counted(problem, sign_pattern, *args, **kwargs):
-        empty["calls"] += 1
-        empty["zero set"] += int(np.all(sign_pattern != 0.0))
-        empty["support"] += int(np.all(sign_pattern == 0.0))
+        work["calls"] += 1
+        work["zero set"] += int(np.all(sign_pattern != 0.0))
+        work["support"] += int(np.all(sign_pattern == 0.0))
         return newton(problem, sign_pattern, *args, **kwargs)
 
-    sadmm.metrics._constrained_newton = counted
+    sadmm.metrics._polish, sadmm.metrics._constrained_newton = counted_polish, counted
     try:
         total = hashlib.sha256()
         for name, kind in REF_KINDS.items():
@@ -200,10 +209,11 @@ def reference_digests():
         total.update(digest.encode())
         print(f"reference criterion-07 tol=1e-10 {digest}", flush=True)
     finally:
-        sadmm.metrics._constrained_newton = newton
+        sadmm.metrics._polish, sadmm.metrics._constrained_newton = polish, newton
     print(f"references {total.hexdigest()}")
-    print(f"polish newton solves {empty['calls']}, empty zero set {empty['zero set']}, "
-          f"empty support {empty['support']}")
+    print(f"polish attempts {work['attempts']}, ended at a failed pattern {work['failed pattern']}, "
+          f"newton solves {work['calls']}, empty zero set {work['zero set']}, "
+          f"empty support {work['support']}")
 
 
 def newton_digest() -> str:

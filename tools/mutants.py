@@ -85,6 +85,20 @@ MUTANTS = (
         "tests/test_metrics.py::TestPolish::test_attempt_ends_at_a_solved_pattern",
     ),
     Mutant(
+        "polish-failed-set-never-filled",
+        "metrics.py",
+        "failed |= solved",
+        "pass",
+        "tests/test_metrics.py::TestPolish::test_reference_equals_thirty_round_polish[criterion-07]",
+    ),
+    Mutant(
+        "polish-failed-set-checked-only-at-start",
+        "metrics.py",
+        "if pattern.tobytes() in failed:",
+        "if not solved and pattern.tobytes() in failed:",
+        "tests/test_metrics.py::TestPolish::test_attempt_ends_before_a_failed_pattern[reaches-failed]",
+    ),
+    Mutant(
         "one-row-margin-by-dot",
         "losses.py",
         "np.cumsum(vals * x[cols])[-1:]",
