@@ -111,21 +111,19 @@ def build_graph_spec(data: Dataset, threshold: float) -> GraphSpec:
     return GraphSpec(tuple(zip(i.tolist(), j.tolist(), corr[i, j].tolist())))
 
 
-def graph_matrix(edges, dim: int) -> SparseMatrixCSR:
+def graph_matrix(spec: GraphSpec, dim: int) -> SparseMatrixCSR:
     """Stack edge-difference rows over an identity block: A = [G; I].
 
     Each edge (i, j, w) contributes a row with +1 at i and -sign(w) at j,
     so the penalty fuses positively correlated features and ties negatively
-    correlated ones. The identity block keeps A full column rank.
+    correlated ones. The identity block keeps A full column rank. GraphSpec
+    has checked the edges; only an index at or past dim is left to refuse.
     """
-    e = np.array(edges, dtype=np.float64).reshape(-1, 3)
+    e = np.array(spec.edges, dtype=np.float64).reshape(-1, 3)
     i, j = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64)
-    outside = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= dim)
+    outside = j >= dim
     if outside.any():
-        raise DataFormatError(f"edge {tuple(edges[outside.argmax()])} has an index outside [0, {dim})")
-    bad_weight = (e[:, 2] == 0.0) | ~np.isfinite(e[:, 2])
-    if bad_weight.any():
-        raise DataFormatError(f"edge {tuple(edges[bad_weight.argmax()])} needs a nonzero finite weight")
+        raise DataFormatError(f"edge {spec.edges[outside.argmax()]} has an index outside [0, {dim})")
     k = len(e)
     rows = np.concatenate([np.arange(k), np.arange(k), np.arange(k, k + dim)])
     cols = np.concatenate([i, j, np.arange(dim)])
@@ -136,7 +134,7 @@ def graph_matrix(edges, dim: int) -> SparseMatrixCSR:
 
 def build_graph_matrix(data: Dataset, threshold: float) -> SparseMatrixCSR:
     """Correlation-threshold graph stacked over the identity."""
-    return graph_matrix(build_graph_spec(data, threshold).edges, data.dim)
+    return graph_matrix(build_graph_spec(data, threshold), data.dim)
 
 
 def save_graph(path, spec: GraphSpec) -> None:
@@ -283,7 +281,7 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 def assemble_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, Dataset, Dataset, LossKind]:
     train, test = load_datasets(cfg)
     if cfg.graph_path:
-        A = graph_matrix(load_graph(cfg.graph_path).edges, train.dim)
+        A = graph_matrix(load_graph(cfg.graph_path), train.dim)
     else:
         A = build_graph_matrix(train, cfg.graph_threshold)
     kind = loss_kind_for(cfg)
@@ -297,9 +295,10 @@ def resolve_solver_config(problem: ProblemSpec, cfg: ExperimentConfig, seed: int
     Automatic choices: m = 2n/b for variance-reduced solvers (one trace row
     per n single-sample steps for the decaying-step solver); eta = 1/(8L);
     beta = the rate-optimal penalty when the problem is strongly convex,
-    else 1; the constant momentum weight from the optimal-weight formula
-    when the whole (eta, beta, theta) trio is automatic and the problem is
-    strongly convex, else the largest weight the batch-size bound allows.
+    else 1; the constant momentum weight, with its eta, from the
+    optimal-weight formula when theta and eta are both automatic and the
+    problem is strongly convex (beta may be set: the formula does not read
+    it), else the largest weight the batch-size bound allows.
     When m is too small for the optimal-weight formula, the fallback is
     logged as a warning.
     """
@@ -354,23 +353,14 @@ def resolve_solver_config(problem: ProblemSpec, cfg: ExperimentConfig, seed: int
 # reference cache
 
 
-def _dataset_digest(h, data: Dataset):
-    F = data.features
-    h.update(np.int64([F.rows, F.cols]).tobytes())
-    h.update(F.row_offsets.tobytes())
-    h.update(F.col_indices.tobytes())
-    h.update(F.values.tobytes())
-    h.update(data.labels.tobytes())
-
-
 def reference_key(kind: LossKind, data: Dataset, reg: Regularizer, A: SparseMatrixCSR,
                   tol: float, beta: float) -> str:
     h = hashlib.sha256()
     h.update(repr((kind.kind, kind.lambda2, kind.huber_width, reg.lambda1, tol, beta)).encode())
-    _dataset_digest(h, data)
-    h.update(A.row_offsets.tobytes())
-    h.update(A.col_indices.tobytes())
-    h.update(A.values.tobytes())
+    F = data.features
+    for arr in (np.int64([F.rows, F.cols]), F.row_offsets, F.col_indices, F.values, data.labels,
+                A.row_offsets, A.col_indices, A.values):
+        h.update(arr.tobytes())
     return h.hexdigest()
 
 
@@ -380,32 +370,27 @@ def _save_reference(path: Path, ref: ReferenceSolution) -> None:
     os.close(fd)
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, **{f.name: getattr(ref, f.name) for f in fields(ReferenceSolution)})
+            np.savez(fh, x_star=ref.x_star, y_star=ref.y_star, lambda_star=ref.lambda_star)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _load_certified(path: Path, problem: ProblemSpec, tol: float) -> ReferenceSolution | None:
-    """The cached reference if every ReferenceSolution field reads back, the
-    vectors with the problem's shapes and the scalars 0-d, and its
-    recomputed KKT residual is within tol; None otherwise."""
-    d1, d2 = problem.d1, problem.d2
-    vector_shapes = {"x_star": (d1,), "grad_f_star": (d1,), "y_star": (d2,),
-                     "lambda_star": (d2,), "h_subgrad_star": (d2,)}
+def _load_certified(path: Path, problem: ProblemSpec, tol: float,
+                    beta: float) -> ReferenceSolution | None:
+    """The reference at the cached triple (x*, y*, lambda*) if it reads back
+    with the problem's shapes and its KKT residual at beta is within tol;
+    None otherwise."""
     try:
         with np.load(path) as z:
-            vals = {f.name: z[f.name] for f in fields(ReferenceSolution)}
-        if any(v.shape != vector_shapes.get(name, ()) for name, v in vals.items()):
-            return None
-        ref = ReferenceSolution(
-            **{name: v if name in vector_shapes else float(v) for name, v in vals.items()}
-        )
+            x, y, lam = z["x_star"], z["y_star"], z["lambda_star"]
     except (OSError, EOFError, KeyError, IndexError, ValueError, zipfile.BadZipFile):
         return None
-    kkt = max(kkt_residuals(problem, ref.x_star, ref.y_star, ref.lambda_star, ref.beta))
-    return ref if kkt <= tol else None
+    if (x.shape, y.shape, lam.shape) != ((problem.d1,), (problem.d2,), (problem.d2,)):
+        return None
+    kkt = max(kkt_residuals(problem, x, y, lam, beta))
+    return ReferenceSolution.at(problem, x, y, lam, beta, tol, kkt) if kkt <= tol else None
 
 
 def get_reference(
@@ -417,13 +402,14 @@ def get_reference(
     cache_dir,
 ) -> ReferenceSolution:
     """Load the certified optimum of the instance from the content-addressed
-    cache under cache_dir, or compute and store it. A cached entry is
-    certified again on load; one that cannot be read, has the wrong shapes
-    or fails the KKT check at tol is recomputed and overwritten."""
+    cache under cache_dir, or compute and store it. An entry holds only
+    (x*, y*, lambda*), which is certified again on load and from which every
+    other field is derived; one that cannot be read, has the wrong shapes or
+    fails the KKT check at tol is recomputed and overwritten."""
     key = reference_key(kind, data, problem.reg, problem.A, tol, beta)
     path = Path(cache_dir) / f"{key}.npz"
     if path.exists():
-        ref = _load_certified(path, problem, tol)
+        ref = _load_certified(path, problem, tol, beta)
         if ref is not None:
             return ref
         logger.warning("recomputing the unreadable or uncertified reference %s", path)

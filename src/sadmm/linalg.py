@@ -26,6 +26,7 @@ from .errors import (
 # Smallest-eigenvalue estimates below this fraction of the spectral norm are
 # treated as rank deficiency.
 RANK_TOL = 1e-10
+SPECTRAL_TOL = 1e-10  # relative residual at which the spectral power iterations stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +169,9 @@ def _power_iteration(matvec, v0, tol, max_iter, resid_scale=None):
     )
 
 
-def spectral_norm_ata(A: SparseMatrixCSR, tol: float = 1e-9, max_iter: int = 10000) -> float:
+def spectral_norm_ata(
+    A: SparseMatrixCSR, tol: float = SPECTRAL_TOL, max_iter: int = 10000
+) -> float:
     """||A^T A||_2, the squared largest singular value of A.
 
     Power iteration on x -> A^T(Ax) with a deterministic start vector. The
@@ -195,7 +198,7 @@ class SpectralConstants:
 
 
 def compute_spectral_constants(
-    A: SparseMatrixCSR, tol: float = 1e-9, max_iter: int = 10000
+    A: SparseMatrixCSR, tol: float = SPECTRAL_TOL, max_iter: int = 10000
 ) -> SpectralConstants:
     """||A^T A||_2 and the smallest Gram eigenvalue of A.
 

@@ -40,6 +40,25 @@ class ReferenceSolution:
     beta: float
     tol: float
 
+    @classmethod
+    def at(cls, problem: ProblemSpec, x, y, lam, beta: float, tol: float,
+           kkt: float) -> "ReferenceSolution":
+        """The reference at the triple (x, y, lam), whose KKT residual at beta
+        is kkt; every other field is derived from the triple."""
+        return cls(
+            x_star=x,
+            y_star=y,
+            lambda_star=lam,
+            grad_f_star=problem.f.full_grad(x),
+            h_subgrad_star=beta * lam,
+            objective_star=problem.objective(x),
+            kkt_residual=kkt,
+            f_star=problem.f.value(x),
+            h_star=h_value(problem.reg, y),
+            beta=beta,
+            tol=tol,
+        )
+
 
 def kkt_residuals(problem: ProblemSpec, x, y, lam, beta: float) -> tuple[float, float, float]:
     """(stationarity in x, subgradient violation in y, feasibility).
@@ -203,21 +222,7 @@ def compute_reference(
             best_estimate=state.x,
             iterations=REFERENCE_MAX_ITER,
         )
-    f_star = problem.f.value(x)
-    h_star = h_value(problem.reg, y)
-    return ReferenceSolution(
-        x_star=x,
-        y_star=y,
-        lambda_star=lam,
-        grad_f_star=problem.f.full_grad(x),
-        h_subgrad_star=beta * lam,
-        objective_star=problem.objective(x),
-        kkt_residual=kkt,
-        f_star=f_star,
-        h_star=h_star,
-        beta=beta,
-        tol=tol,
-    )
+    return ReferenceSolution.at(problem, x, y, lam, beta, tol, kkt)
 
 
 def p_criterion(x, y, ref: ReferenceSolution, problem: ProblemSpec) -> float:

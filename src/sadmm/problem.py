@@ -74,7 +74,7 @@ class ProblemSpec:
 
     @cached_property
     def spectra(self) -> SpectralConstants:
-        return compute_spectral_constants(self.A, tol=1e-10)
+        return compute_spectral_constants(self.A)
 
     def objective(self, x) -> float:
         """Composite objective f(x) + h(Ax) as a function of x alone."""

@@ -4,7 +4,10 @@ import pytest
 
 from sadmm.cli import main
 from sadmm.datasets import make_classification, parse_libsvm, write_libsvm
-from sadmm.harness import build_graph_spec, read_trace_csv
+from sadmm.harness import build_graph_matrix, build_graph_spec, read_trace_csv
+from sadmm.losses import LossKind, LossObjective
+from sadmm.problem import ProblemSpec
+from sadmm.prox import Regularizer
 
 
 @pytest.fixture()
@@ -103,6 +106,19 @@ def test_spectra_subcommand(tmp_path, capsys):
     assert int(vals["edges"]) == len(build_graph_spec(data, 0.9).edges)
     assert float(vals["ata_norm"]) >= float(vals["aat_min_eig"]) > 0
     assert float(vals["omega"]) >= 1.0
+
+
+def test_spectra_subcommand_prints_the_constants_a_run_uses(tmp_path, capsys):
+    path = tmp_path / "train.libsvm"
+    write_libsvm(path, make_classification(300, 20, seed=42))
+    assert main(["spectra", "--data", str(path), "--threshold", "0.9"]) == 0
+    vals = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    data = parse_libsvm(path)
+    A = build_graph_matrix(data, 0.9)
+    sc = ProblemSpec(LossObjective(LossKind.logistic(), data), Regularizer(1e-5), A).spectra
+    assert vals["ata_norm"] == repr(sc.ata_norm)
+    assert vals["aat_min_eig"] == repr(sc.aat_min_eig)
+    assert vals["omega"] == repr(sc.ata_norm / sc.aat_min_eig)
 
 
 A9A = os.environ.get("SADMM_A9A_PATH")

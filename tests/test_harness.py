@@ -66,7 +66,7 @@ class TestGraph:
         data = dataset_from_rows(rows, labels, dim=3)
         spec = build_graph_spec(data, 0.95)
         assert (0, 1, pytest.approx(1.0)) in [(i, j, w) for i, j, w in spec.edges]
-        A = graph_matrix(spec.edges, 3)
+        A = graph_matrix(spec, 3)
         assert np.allclose(A.to_dense()[0], [1.0, -1.0, 0.0])
 
     def test_negative_correlation_sign(self):
@@ -75,7 +75,7 @@ class TestGraph:
         rows = [{0: float(v), 1: float(-v)} for v in base]
         data = dataset_from_rows(rows, [1] * 25 + [-1] * 25, dim=2)
         spec = build_graph_spec(data, 0.9)
-        A = graph_matrix(spec.edges, 2)
+        A = graph_matrix(spec, 2)
         assert np.allclose(A.to_dense()[0], [1.0, 1.0])  # -sign(-1) = +1
 
     def test_known_correlations(self):
@@ -162,27 +162,22 @@ class TestGraph:
         with pytest.raises(DataFormatError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
             GraphSpec(((0, 3, 0.9), edge))
 
-    @pytest.mark.parametrize(
-        "edge", [(0, 7, 0.5), (-1, 2, 0.5)], ids=["index-past-dim", "negative-index"]
-    )
+    # GraphSpec refuses negative indices and bad weights
+    # (test_graph_spec_names_the_bad_edge); graph_matrix checks the dimension
+    @pytest.mark.parametrize("edge", [(0, 7, 0.5)], ids=["index-past-dim"])
     def test_graph_matrix_names_an_index_outside_the_features(self, edge):
         with pytest.raises(DataFormatError, match=rf"edge \({edge[0]}, {edge[1]}, 0.5\)"):
-            graph_matrix(((0, 1, 0.9), edge), 5)
-
-    @pytest.mark.parametrize("weight", [0.0, float("nan")], ids=["zero", "nan"])
-    def test_graph_matrix_names_a_zero_or_non_finite_weight(self, weight):
-        with pytest.raises(DataFormatError, match=rf"edge \(1, 2, {weight}\) needs a nonzero finite"):
-            graph_matrix(((0, 3, 0.9), (1, 2, weight)), 5)
+            graph_matrix(GraphSpec(((0, 1, 0.9), edge)), 5)
 
     def test_graph_matrix_matches_loop_transcription(self):
-        assert np.array_equal(graph_matrix((), 3).to_dense(), np.eye(3))
+        assert np.array_equal(graph_matrix(GraphSpec(()), 3).to_dense(), np.eye(3))
         rng = np.random.default_rng(9)
         pairs = [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.3]
         edges = tuple((i, j, float(rng.choice([-1, 1]) * rng.uniform(0.5, 1.0))) for i, j in pairs)
         expected = np.vstack([np.zeros((len(edges), 12)), np.eye(12)])
         for r, (i, j, w) in enumerate(edges):
             expected[r, i], expected[r, j] = 1.0, -np.sign(w)
-        A = graph_matrix(edges, 12)
+        A = graph_matrix(GraphSpec(edges), 12)
         assert {np.sign(w) for *_, w in edges} == {-1.0, 1.0}
         assert A.nnz == 2 * len(edges) + 12
         assert np.array_equal(A.to_dense(), expected)
@@ -409,49 +404,59 @@ class TestRunExperiment:
         cfg = small_cfg(output_dir=str(tmp_path / "out"))
         problem, train, test, kind = assemble_problem(cfg)
         cache = tmp_path / "out" / "refcache"
-        r1 = get_reference(problem, kind, train, tol=1e-10, beta=0.1, cache_dir=cache)
+
+        def load():
+            return get_reference(problem, kind, train, tol=1e-10, beta=0.1, cache_dir=cache)
+
+        def assert_equals_computed(r):
+            for field in dataclasses.fields(ReferenceSolution):
+                v1, v2 = getattr(r1, field.name), getattr(r, field.name)
+                if isinstance(v1, np.ndarray):
+                    assert v1.tobytes() == v2.tobytes(), field.name
+                else:
+                    assert type(v2) is float and v1 == v2, field.name
+
+        r1 = load()
         files = list(cache.glob("*.npz"))
         assert len(files) == 1
-        r2 = get_reference(problem, kind, train, tol=1e-10, beta=0.1, cache_dir=cache)
-        for field in dataclasses.fields(ReferenceSolution):
-            v1, v2 = getattr(r1, field.name), getattr(r2, field.name)
-            if isinstance(v1, np.ndarray):
-                assert v1.tobytes() == v2.tobytes(), field.name
-            else:
-                assert type(v2) is float and v1 == v2, field.name
+        path = files[0]
+        with np.load(path) as z:
+            triple = dict(z)
+        assert sorted(triple) == ["lambda_star", "x_star", "y_star"]
+        assert_equals_computed(load())
         # different tolerance gets its own entry
         get_reference(problem, kind, train, tol=1e-8, beta=0.1, cache_dir=cache)
         assert len(list(cache.glob("*.npz"))) == 2
-        # an entry with a perturbed x_star, then a truncated file: each is
-        # recomputed, certified and overwritten instead of being returned
-        path = files[0]
 
+        def write(entry):
+            with open(path, "wb") as fh:
+                np.savez(fh, **entry)
+
+        # an entry in the earlier eleven-array layout whose derived fields are
+        # shifted: only the triple is read, so every field comes back as computed
+        write({**triple, "beta": np.asarray(r1.beta),
+               **{f.name: np.asarray(getattr(r1, f.name)) + 1e-3
+                  for f in dataclasses.fields(ReferenceSolution)
+                  if f.name not in triple and f.name != "beta"}})
+        assert_equals_computed(load())
+
+        # an entry with a perturbed x_star, a truncated file, an entry
+        # without lambda_star: each is recomputed, certified and overwritten
+        # with the three arrays instead of being returned
         def assert_recomputed():
-            r = get_reference(problem, kind, train, tol=1e-10, beta=0.1, cache_dir=cache)
+            r = load()
             assert max(kkt_residuals(problem, r.x_star, r.y_star, r.lambda_star, r.beta)) <= 1e-10
-            assert np.array_equal(r.x_star, r1.x_star)
+            assert_equals_computed(r)
             with np.load(path) as z:
-                assert np.array_equal(z["x_star"], r1.x_star)
+                assert sorted(z.files) == sorted(triple)
+                assert z["x_star"].tobytes() == r1.x_star.tobytes()
 
-        with np.load(path) as z:
-            entry = dict(z)
-        entry["x_star"] = entry["x_star"] + 1e-3
-        with open(path, "wb") as fh:
-            np.savez(fh, **entry)
+        write({**triple, "x_star": triple["x_star"] + 1e-3})
         assert_recomputed()
         path.write_bytes(path.read_bytes()[:200])
         assert_recomputed()
-        # an entry in the earlier layout, with the six scalars in one array
-        with np.load(path) as z:
-            entry = {k: z[k] for k in ("x_star", "y_star", "lambda_star", "grad_f_star",
-                                       "h_subgrad_star")}
-        entry["scalars"] = np.array([r1.objective_star, r1.kkt_residual, r1.f_star, r1.h_star,
-                                     r1.beta, r1.tol])
-        with open(path, "wb") as fh:
-            np.savez(fh, **entry)
+        write({k: v for k, v in triple.items() if k != "lambda_star"})
         assert_recomputed()
-        with np.load(path) as z:
-            assert sorted(z.files) == sorted(f.name for f in dataclasses.fields(ReferenceSolution))
 
 
 class TestNegativeGaps:
@@ -532,6 +537,20 @@ def test_resolve_constant_momentum_auto():
     assert config.schedule.theta == pytest.approx(theta)
     assert config.eta == pytest.approx(eta)
     assert config.beta == pytest.approx(beta_star(params, problem.spectra))
+
+
+def test_resolve_constant_momentum_with_beta_set():
+    # strongly convex, theta and eta automatic, beta set: the optimal-weight
+    # formula, which does not read beta, still gives theta and eta
+    from sadmm.solvers import optimal_theta_sc
+
+    cfg = small_cfg(solver="asvrg_sc", m=500, b=5, beta=0.5)
+    problem, *_ = assemble_problem(cfg)
+    config = resolve_solver_config(problem, cfg, seed=0)
+    theta, _alpha, eta = optimal_theta_sc(500, 5, problem.f.n, RateParams.from_problem(problem))
+    assert config.schedule == ConstantTheta(theta)
+    assert config.eta == eta
+    assert config.beta == 0.5
 
 
 def test_resolve_constant_momentum_fallback_is_logged(caplog):

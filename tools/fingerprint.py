@@ -22,6 +22,9 @@ It prints SHA-256 digests of
   attempts, those that ended at a pattern of an earlier failed attempt, the
   Newton solves and those whose zero set or support was empty (this line
   moves whenever the polish does more or less work; the digests must not);
+- reference_key, and every field of the reference that get_reference
+  stored in a temporary cache and then reloaded, on the criterion-07
+  instance and two small ones;
 - metrics._constrained_newton called directly with an all-zero and an
   all-nonzero sign pattern;
 - resolve_solver_config over 5 solvers x b in {1, 20} x 'auto' or a number
@@ -34,8 +37,8 @@ It prints SHA-256 digests of
 
 It imports sadmm from this checkout's src/ and the instances from
 perfbench/, which it only reads; the reference cache lives in a temporary
-directory. It takes about fifteen seconds on a 2-core Xeon and is not part
-of the test suite.
+directory. It takes about twenty-five seconds on a 2-core Xeon and is not
+part of the test suite.
 """
 
 import os
@@ -162,6 +165,12 @@ def criterion_07_problem() -> ProblemSpec:
     return ProblemSpec(LossObjective(LossKind.logistic(), data), Regularizer(1e-5), A)
 
 
+def update_with_fields(h, ref) -> None:
+    for f in fields(ref):
+        h.update(f.name.encode())
+        h.update(np.asarray(getattr(ref, f.name), dtype=np.float64).tobytes())
+
+
 def reference_digest(problem, tol=1e-10) -> str:
     """Every ReferenceSolution field, or the error a failed solve raised."""
     h = hashlib.sha256()
@@ -170,9 +179,7 @@ def reference_digest(problem, tol=1e-10) -> str:
     except ConvergenceError as exc:
         h.update(repr(exc).encode())
         return h.hexdigest()
-    for f in fields(ref):
-        h.update(f.name.encode())
-        h.update(np.asarray(getattr(ref, f.name), dtype=np.float64).tobytes())
+    update_with_fields(h, ref)
     return h.hexdigest()
 
 
@@ -214,6 +221,27 @@ def reference_digests():
     print(f"polish attempts {work['attempts']}, ended at a failed pattern {work['failed pattern']}, "
           f"newton solves {work['calls']}, empty zero set {work['zero set']}, "
           f"empty support {work['support']}")
+
+
+def cached_reference_digests(cache_dir) -> None:
+    """reference_key, and every field of the reference that get_reference
+    stores in cache_dir and then reloads, on the criterion-07 instance and
+    two small ones."""
+    problems = {
+        "criterion-07": criterion_07_problem(),
+        "logistic lambda1=0.0001 seed=0": small_problem(0, REF_KINDS["logistic"], 1e-4),
+        "l2-logistic lambda1=0.01 seed=1": small_problem(1, REF_KINDS["l2-logistic"], 1e-2),
+    }
+    for name, problem in problems.items():
+        f = problem.f
+        key = sadmm.harness.reference_key(f.kind, f.data, problem.reg, problem.A, 1e-10, 0.1)
+        for _ in range(2):  # the first call stores, the second reloads
+            ref = sadmm.harness.get_reference(
+                problem, f.kind, f.data, tol=1e-10, beta=0.1, cache_dir=cache_dir
+            )
+        h = hashlib.sha256(key.encode())
+        update_with_fields(h, ref)
+        print(f"cached reference {name} key={key[:16]} {h.hexdigest()}", flush=True)
 
 
 def newton_digest() -> str:
@@ -271,7 +299,7 @@ def graph_digests():
         "mixed-sign": ((0, 3, 0.9), (1, 2, -0.95), (2, 4, 0.3), (0, 1, -1e-3)),
     }
     for name, edges in edge_lists.items():
-        digest = matrix_digest(sadmm.harness.graph_matrix(edges, 5))
+        digest = matrix_digest(sadmm.harness.graph_matrix(sadmm.harness.GraphSpec(edges), 5))
         total.update(digest.encode())
         print(f"graph edge list {name} {digest}", flush=True)
     print(f"graphs {total.hexdigest()}")
@@ -310,6 +338,8 @@ def main() -> int:
     print(f"solver configs {config_grid_digest()}", flush=True)
     graph_digests()
     reference_digests()
+    with tempfile.TemporaryDirectory() as cache_dir:
+        cached_reference_digests(Path(cache_dir))
     with tempfile.TemporaryDirectory() as cache_dir:
         trace_digests(Path(cache_dir))
     return 0

@@ -15,7 +15,7 @@ mutant that does not import, say) counts as an error.
 
 The exit status is 1 when a text is not found exactly once, a named test
 fails unmutated, or a mutant survives or errs; 0 otherwise. The mutants
-take about two seconds each on a 2-core Xeon. The script is not part of the
+take about three seconds each on a 2-core Xeon. The script is not part of the
 test suite.
 """
 
@@ -97,6 +97,13 @@ MUTANTS = (
         "if pattern.tobytes() in failed:",
         "if not solved and pattern.tobytes() in failed:",
         "tests/test_metrics.py::TestPolish::test_attempt_ends_before_a_failed_pattern[reaches-failed]",
+    ),
+    Mutant(
+        "cache-load-skips-kkt-gate",
+        "harness.py",
+        "if kkt <= tol else None",
+        "if True else None",
+        "tests/test_harness.py::TestRunExperiment::test_reference_cached",
     ),
     Mutant(
         "one-row-margin-by-dot",
