@@ -68,14 +68,16 @@ VR_SCHEDULES = {"svrg": FixedOne, "asvrg_sc": ConstantTheta, "asvrg_gc": Decayin
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Feature-graph edges (i, j, weight) with 0 <= i < j, no duplicates and
-    a nonzero finite weight."""
+    """Feature-graph edges (i, j, weight) with integer 0 <= i < j, no
+    duplicates and a nonzero finite weight."""
 
     edges: tuple
 
     def __post_init__(self):
         seen = set()
         for i, j, w in self.edges:
+            if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in (i, j)):
+                raise DataFormatError(f"edge ({i}, {j}) needs integer indices")
             if not 0 <= i < j:
                 raise DataFormatError(f"edge ({i}, {j}) must have 0 <= i < j")
             if w == 0.0 or not np.isfinite(w):

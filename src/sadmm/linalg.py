@@ -5,6 +5,15 @@ matrix-vector products, the spectral norm of A^T A, the smallest Gram
 eigenvalue, and a conjugate-gradient solve against A A^T used for the
 pseudo-inverse dual initialization. All operations are pure functions of
 immutable inputs and safe to call concurrently.
+
+Every product with A or A^T in this module goes through spmv and spmv_t:
+one np.bincount over the stored nonzeros, keyed by their cached rows
+(nz_rows) or their columns. Each output entry is summed from 0.0 in
+increasing storage order, which is the order of scipy's CSR product (a
+column's nonzeros appear in increasing row order in row-major storage), so
+the results equal A.csr @ x and A.csr_t @ y bit for bit. This skips
+scipy's Python dispatch, so it is faster for a small A; scipy's C loop
+wins on a large one (A = [G; I] has 2 * edges + dim nonzeros).
 """
 
 from __future__ import annotations
@@ -88,6 +97,11 @@ class SparseMatrixCSR:
         )
 
     @cached_property
+    def nz_rows(self) -> np.ndarray:
+        """The row of each stored nonzero, in storage order."""
+        return np.repeat(np.arange(self.rows), np.diff(self.row_offsets))
+
+    @cached_property
     def csr_t(self) -> scipy.sparse.csr_matrix:
         """The transpose, stored row-major so A^T y is a CSR product."""
         return self.csr.T.tocsr()
@@ -122,15 +136,18 @@ def as_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 def spmv(A: SparseMatrixCSR, x) -> np.ndarray:
-    """A @ x."""
+    """A @ x, bit for bit A.csr @ x."""
     x = as_vector(x, A.cols, "x")
-    return A.csr @ x
+    # bincount gives integer zeros when A stores no nonzero; astype is a no-op otherwise
+    Ax = np.bincount(A.nz_rows, weights=A.values * x[A.col_indices], minlength=A.rows)
+    return Ax.astype(np.float64, copy=False)
 
 
 def spmv_t(A: SparseMatrixCSR, y) -> np.ndarray:
-    """A^T @ y."""
+    """A^T @ y, bit for bit A.csr_t @ y."""
     y = as_vector(y, A.rows, "y")
-    return A.csr_t @ y
+    Aty = np.bincount(A.col_indices, weights=A.values * y[A.nz_rows], minlength=A.cols)
+    return Aty.astype(np.float64, copy=False)
 
 
 def _start_vector(A: SparseMatrixCSR, dim: int, stream: int = 0) -> np.ndarray:
@@ -182,8 +199,8 @@ def spectral_norm_ata(
         raise ValueError("tol must be positive")
     if A.nnz == 0:
         raise MatrixFormatError("spectral norm of an all-zero matrix is undefined here")
-    sp, spt = A.csr, A.csr_t
-    lam, _ = _power_iteration(lambda v: spt @ (sp @ v), _start_vector(A, A.cols), tol, max_iter)
+    ata = lambda v: spmv_t(A, spmv(A, v))
+    lam, _ = _power_iteration(ata, _start_vector(A, A.cols), tol, max_iter)
     return lam
 
 
@@ -215,13 +232,12 @@ def compute_spectral_constants(
     estimate falls below RANK_TOL * sigma_max.
     """
     sigma_max = spectral_norm_ata(A, tol=tol, max_iter=max_iter)
-    sp, spt = A.csr, A.csr_t
     if A.rows <= A.cols:
         dim = A.rows
-        gram = lambda v: sp @ (spt @ v)
+        gram = lambda v: spmv(A, spmv_t(A, v))
     else:
         dim = A.cols
-        gram = lambda v: spt @ (sp @ v)
+        gram = lambda v: spmv_t(A, spmv(A, v))
     shifted = lambda v: sigma_max * v - gram(v)
     nu, iters = _power_iteration(
         shifted, _start_vector(A, dim, stream=1), tol, max_iter, resid_scale=sigma_max
@@ -253,13 +269,11 @@ def solve_aat(
     nv = np.linalg.norm(v)
     if nv == 0.0:
         return np.zeros(A.rows)
-    sp, spt = A.csr, A.csr_t
-    op = scipy.sparse.linalg.LinearOperator(
-        (A.rows, A.rows), matvec=lambda w: sp @ (spt @ w), dtype=np.float64
-    )
+    aat = lambda w: spmv(A, spmv_t(A, w))
+    op = scipy.sparse.linalg.LinearOperator((A.rows, A.rows), matvec=aat, dtype=np.float64)
     max_iter = max(20 * A.rows, 1000)
     u, info = scipy.sparse.linalg.cg(op, v, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter)
-    resid = np.linalg.norm(sp @ (spt @ u) - v)
+    resid = np.linalg.norm(aat(u) - v)
     if resid > tol * nv:
         raise ConvergenceError(
             f"cg on A A^T stalled at relative residual {resid / nv:.3e} "

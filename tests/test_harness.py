@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -161,6 +162,20 @@ class TestGraph:
     def test_graph_spec_names_the_bad_edge(self, edge):
         with pytest.raises(DataFormatError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
             GraphSpec(((0, 3, 0.9), edge))
+
+    @pytest.mark.parametrize(
+        "edge",
+        [(0, 1.5, 0.3), (True, 2, 0.5), (0.0, 2, 0.5), (0, np.float64(2.0), 0.5), (np.True_, 2, 0.5)],
+        ids=["float", "bool", "integral-float", "numpy-float", "numpy-bool"],
+    )
+    def test_graph_spec_refuses_non_integer_indices(self, edge):
+        with pytest.raises(DataFormatError, match=re.escape(f"edge ({edge[0]}, {edge[1]})")):
+            GraphSpec(((0, 3, 0.9), edge))
+
+    def test_graph_spec_takes_numpy_integer_indices(self):
+        edges = ((np.int64(0), np.int32(2), 0.5), (np.intp(1), 2, -0.7))
+        expected = graph_matrix(GraphSpec(((0, 2, 0.5), (1, 2, -0.7))), 3)
+        assert np.array_equal(graph_matrix(GraphSpec(edges), 3).to_dense(), expected.to_dense())
 
     # GraphSpec refuses negative indices and bad weights
     # (test_graph_spec_names_the_bad_edge); graph_matrix checks the dimension

@@ -10,6 +10,7 @@ from sadmm.errors import (
     MatrixFormatError,
     RankDeficiencyError,
 )
+from sadmm.harness import GraphSpec, graph_matrix
 from sadmm.linalg import (
     SparseMatrixCSR,
     compute_spectral_constants,
@@ -85,6 +86,78 @@ class TestSpmv:
         A = SparseMatrixCSR.identity(3)
         y = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(spmv_t(A, y), y)
+
+
+def assert_equals_scipy(A, x, y):
+    """spmv and spmv_t against scipy's CSR products, bit for bit."""
+    Ax, Aty = spmv(A, x), spmv_t(A, y)
+    assert Ax.dtype == Aty.dtype == np.float64
+    assert Ax.tobytes() == (A.csr @ x).tobytes()
+    assert Aty.tobytes() == (A.csr_t @ y).tobytes()
+
+
+def signed_zero_vector(n, rng):
+    """Normal entries with about a third each replaced by 0.0 and -0.0."""
+    v = rng.standard_normal(n)
+    u = rng.random(n)
+    v[u < 1 / 3] = 0.0
+    v[u > 2 / 3] = -0.0
+    return v
+
+
+class TestSpmvEqualsScipy:
+    def test_empty_rows_and_columns(self):
+        # rows 0, 3 and the last one and columns 2 and the last one are empty
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((7, 6))
+        X[[0, 3, 6], :] = 0.0
+        X[:, [2, 5]] = 0.0
+        A = SparseMatrixCSR.from_dense(X)
+        assert A.shape == (7, 6)
+        for _ in range(20):
+            assert_equals_scipy(A, rng.standard_normal(6), rng.standard_normal(7))
+
+    def test_signed_zeros(self):
+        # rows and columns whose products are all -0.0 must sum to +0.0, as scipy's do
+        A = SparseMatrixCSR.from_dense([[-1.0, 2.0, 0.0], [0.0, -3.0, 1.0], [4.0, 0.0, -5.0]])
+        assert_equals_scipy(A, np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.0, -0.0]))
+        assert_equals_scipy(A, np.array([-0.0, -0.0, -0.0]), np.array([0.0, 0.0, 0.0]))
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            assert_equals_scipy(A, signed_zero_vector(3, rng), signed_zero_vector(3, rng))
+
+    def test_four_clique_graph(self):
+        # A = [G; I] for four 10-cliques over 60 features: 180 edge rows, 240 x 60
+        edges = tuple(
+            (b + i, b + j, 0.95 if (i + j) % 3 else -0.9)
+            for b in range(0, 40, 10)
+            for i in range(10)
+            for j in range(i + 1, 10)
+        )
+        A = graph_matrix(GraphSpec(edges), 60)
+        assert A.shape == (240, 60)
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            assert_equals_scipy(A, signed_zero_vector(60, rng), signed_zero_vector(240, rng))
+            assert_equals_scipy(A, rng.standard_normal(60), rng.standard_normal(240))
+
+    def test_no_stored_nonzero(self):
+        A = SparseMatrixCSR(3, 2, [0, 0, 0, 0], [], [])
+        assert_equals_scipy(A, np.ones(2), np.ones(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 30),
+    cols=st.integers(1, 30),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10_000),
+)
+def test_spmv_equals_scipy_bitwise(rows, cols, density, seed):
+    A = random_sparse(rows, cols, seed, density=density, ensure_nonzero=False)
+    rng = np.random.default_rng(seed + 1)
+    assert_equals_scipy(A, signed_zero_vector(cols, rng), signed_zero_vector(rows, rng))
+    assert_equals_scipy(A, rng.standard_normal(cols), rng.standard_normal(rows))
 
 
 @settings(max_examples=60, deadline=None)

@@ -113,6 +113,27 @@ MUTANTS = (
         "tests/test_losses.py::test_one_row_gradient_equals_batch_kernel_bitwise",
     ),
     Mutant(
+        "spmv-without-minlength",
+        "linalg.py",
+        "minlength=A.rows)",
+        ")",
+        "tests/test_linalg.py::TestSpmvEqualsScipy::test_empty_rows_and_columns",
+    ),
+    Mutant(
+        "spmv-t-gathers-by-column",
+        "linalg.py",
+        "weights=A.values * y[A.nz_rows]",
+        "weights=A.values * y[A.col_indices]",
+        "tests/test_linalg.py::TestSpmvEqualsScipy::test_four_clique_graph",
+    ),
+    Mutant(
+        "spmv-returns-integer-zeros",
+        "linalg.py",
+        "return Ax.astype(np.float64, copy=False)",
+        "return Ax",
+        "tests/test_linalg.py::TestSpmvEqualsScipy::test_no_stored_nonzero",
+    ),
+    Mutant(
         "y-tilde-without-carry",
         "solvers.py",
         "y_tilde = (1.0 - theta) * state.y_tilde + (theta / m) * sum_y",
