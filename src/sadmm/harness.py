@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import re
 import tempfile
 import time
 import typing
@@ -38,7 +39,6 @@ from .prox import Regularizer
 from .solvers import (
     ConstantTheta,
     DecayingTheta,
-    FixedOne,
     RateParams,
     SolverConfig,
     batch_admm_epoch,
@@ -58,8 +58,9 @@ logger = logging.getLogger(__name__)
 PROBLEMS = ("fused_lasso", "gg_logistic", "gg_svm")
 SOLVERS = ("batch", "stoc", "svrg", "asvrg_sc", "asvrg_gc")
 
-# momentum schedule type each variance-reduced solver runs with
-VR_SCHEDULES = {"svrg": FixedOne, "asvrg_sc": ConstantTheta, "asvrg_gc": DecayingTheta}
+# momentum schedule type each variance-reduced solver runs with; svrg also
+# needs theta = 1
+VR_SCHEDULES = {"svrg": ConstantTheta, "asvrg_sc": ConstantTheta, "asvrg_gc": DecayingTheta}
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +224,13 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path) -> dict:
-    """Line-oriented ``key = value`` config; '#' starts a comment."""
+    """Line-oriented ``key = value`` config. A '#' at the start of a line or
+    after whitespace starts a comment; a '#' inside a value is kept."""
     known = {f.name for f in fields(ExperimentConfig)}
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -321,7 +323,7 @@ def resolve_solver_config(problem: ProblemSpec, cfg: ExperimentConfig, seed: int
     if eta == "auto":
         eta = 1.0 / L if cfg.solver == "stoc" else 1.0 / (8.0 * L)
     theta = None if cfg.theta == "auto" else float(cfg.theta)
-    schedule = FixedOne()
+    schedule = ConstantTheta(1.0)
     if cfg.solver == "asvrg_sc":
         missed = None
         if theta is None and cfg.eta == "auto" and mu > 0:
@@ -439,16 +441,13 @@ def run_solver(
     average. Row 0 is the initial point.
     """
     if solver in VR_SCHEDULES:
-        if not isinstance(config.schedule, VR_SCHEDULES[solver]):
-            raise ConfigError(
-                f"solver {solver!r} needs a {VR_SCHEDULES[solver].__name__} schedule, "
-                f"got {config.schedule!r}"
-            )
+        sched = config.schedule
+        if not isinstance(sched, VR_SCHEDULES[solver]) or (solver == "svrg" and sched.theta != 1.0):
+            raise ConfigError(f"solver {solver!r} cannot run the schedule {sched!r}")
         state = init_vr_state(problem, config)
         epoch_fn = vr_admm_epoch
         point = lambda st: (st.snapshot.x_tilde, st.y_tilde)
-        if solver != "asvrg_gc":
-            warn_if_outside_rate_regime(problem, config, state.theta)
+        warn_if_outside_rate_regime(problem, config, state.theta)
     elif solver == "batch":
         state = init_batch_state(problem, config)
         epoch_fn = batch_admm_epoch
@@ -524,11 +523,18 @@ def write_trace_csv(path, records) -> None:
 
 
 def read_trace_csv(path) -> list[TraceRecord]:
+    records = []
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
+        if fh.readline().strip() != CSV_HEADER:
             raise DataFormatError(f"{path}: unexpected trace header")
-        return [TraceRecord.from_row(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                records.append(TraceRecord.from_row(line))
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    return records
 
 
 def median_summary(traces: list[list[TraceRecord]]) -> list[TraceRecord]:
@@ -612,8 +618,8 @@ def grid_search_eta_beta(
     for eta in etas:
         for beta in betas:
             trial = replace(cfg, solver=solver, eta=eta, beta=beta, epochs=epochs)
-            config = resolve_solver_config(problem, trial, seed)
             try:
+                config = resolve_solver_config(problem, trial, seed)
                 recs = run_solver(problem, solver, config, ref=ref)
             except (ConfigError, ConvergenceError, FloatingPointError) as exc:
                 # invalid or diverging settings are skipped; anything else is a bug

@@ -16,10 +16,10 @@ A^T A, the inexact-Uzawa trick that removes the A^T A solve):
 
 One epoch function, vr_admm_epoch, runs all three variance-reduced
 solvers; the momentum schedule in the config selects the regime: a
-constant theta (strongly convex case, geometric rate), a decaying theta
+constant theta (strongly convex case, geometric rate) or a decaying theta
 with (1-theta_s)/theta_s^2 = 1/theta_{s-1}^2 (general convex case,
-accelerated sublinear rate), or theta fixed at 1, the momentum-free
-variance-reduced baseline.
+accelerated sublinear rate). The momentum-free SVRG-ADMM baseline is the
+constant schedule at theta = 1, where x = z.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 import scipy.sparse.linalg
@@ -57,14 +56,6 @@ class DecayingTheta:
 
 
 @dataclass(frozen=True)
-class FixedOne:
-    pass
-
-
-MomentumSchedule = Union[ConstantTheta, DecayingTheta, FixedOne]
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Step sizes, penalty, batch size and schedule for one solver run."""
 
@@ -75,7 +66,7 @@ class SolverConfig:
     gamma: float | str = "auto"  # "auto" resolves to gamma_min each epoch
     epochs: int = 20
     seed: int = 0
-    schedule: MomentumSchedule = FixedOne()
+    schedule: ConstantTheta | DecayingTheta = ConstantTheta(1.0)
     inner_tol: float = 1e-10  # gradient tolerance of the batch x-subproblem
 
     def __post_init__(self):
@@ -258,29 +249,25 @@ def beta_star(params: RateParams, spectra: SpectralConstants) -> float:
 
 def theta_bound(problem: ProblemSpec, eta: float, b: int) -> float:
     """Largest momentum weight the batch size b admits at step size eta:
-    1 - delta(b)/(alpha - 1) with alpha = 1/(L eta)."""
+    1 - delta(b)/(alpha - 1) with alpha = 1/(L eta), for eta < 1/(2L)."""
     L = problem.f.smoothness
+    if eta >= 1.0 / (2.0 * L):
+        raise ConfigError(f"eta = {eta:.3e} must be below 1/(2L) = {1.0 / (2.0 * L):.3e}")
     return 1.0 - delta_b(problem.f.n, b) / (1.0 / (L * eta) - 1.0)
 
 
 def _initial_theta(problem: ProblemSpec, config: SolverConfig) -> float:
     """Validate the schedule against the step size and return theta_0."""
-    L = problem.f.smoothness
-    if config.eta >= 1.0 / (2.0 * L):
-        raise ConfigError(
-            f"eta = {config.eta:.3e} must be below 1/(2L) = {1.0 / (2.0 * L):.3e}"
-        )
     bound = theta_bound(problem, config.eta, config.b)
     sched = config.schedule
-    if isinstance(sched, FixedOne):
-        return 1.0
     if isinstance(sched, DecayingTheta):
         theta = bound if sched.theta0 is None else float(sched.theta0)
     elif isinstance(sched, ConstantTheta):
         theta = float(sched.theta)
         if theta == 1.0:
-            # degenerate momentum-free mode; the geometric-rate guarantee
-            # does not apply unless b = n, but the iteration is well defined
+            # the momentum-free SVRG-ADMM baseline; the geometric-rate
+            # guarantee does not apply unless b = n, but the iteration is
+            # well defined
             return 1.0
     else:
         raise ConfigError(f"unknown momentum schedule {sched!r}")
@@ -352,7 +339,7 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
     warm-starts from the momentum combination of the snapshot and the
     carried z, (z, lambda) roll over to the next epoch, and theta shrinks
     along (1-theta_s)/theta_s^2 = 1/theta_{s-1}^2. With a constant theta
-    (or theta fixed at 1, the momentum-free baseline) the inner iterates
+    (theta = 1 is the momentum-free baseline) the inner iterates
     restart from z = x = x_snap and the dual epoch variable is recomputed
     from the pseudo-inverse relation at the new snapshot.
     """
@@ -558,9 +545,11 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
 
 
 def warn_if_outside_rate_regime(problem: ProblemSpec, config: SolverConfig, theta: float) -> float | None:
-    """Compute rho for a strongly convex run and warn when rho >= 1 or the
-    supplied gamma undercuts gamma_min; the run proceeds either way."""
-    if problem.f.strong_convexity <= 0:
+    """Compute rho for a strongly convex constant-theta run and warn when
+    rho >= 1 or the supplied gamma undercuts gamma_min; the run proceeds
+    either way. None when the problem is not strongly convex or theta
+    decays: the geometric rate does not apply."""
+    if problem.f.strong_convexity <= 0 or isinstance(config.schedule, DecayingTheta):
         return None
     spectra = problem.spectra
     rho = rho_rate(theta, RateParams.from_problem(problem), config, spectra)

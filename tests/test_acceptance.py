@@ -24,7 +24,6 @@ from sadmm.prox import Regularizer, y_update
 from sadmm.solvers import (
     ConstantTheta,
     DecayingTheta,
-    FixedOne,
     RateParams,
     SolverConfig,
     beta_star,
@@ -140,7 +139,7 @@ def test_criterion_04_degeneracy_equivalences(degeneracy_problem):
     base = dict(m=30, eta=1.0 / (8 * L), beta=0.5, b=5, gamma="auto", epochs=5, seed=7)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        r_svrg = run_solver(problem, "svrg", SolverConfig(schedule=FixedOne(), **base))
+        r_svrg = run_solver(problem, "svrg", SolverConfig(schedule=ConstantTheta(1.0), **base))
         r_one = run_solver(problem, "asvrg_sc", SolverConfig(schedule=ConstantTheta(1.0), **base))
     identical = [repr(a.objective) for a in r_svrg] == [repr(b.objective) for b in r_one]
     n = problem.f.n
@@ -234,7 +233,7 @@ def test_criterion_06_sublinear_order(general_convex_instance):
         return float(np.polyfit(np.log(fit), np.log(curve[fit]), 1)[0])
 
     gc = _median_error_curve(problem, ref, "asvrg_gc", DecayingTheta(), eta, 1.0, b, m, T, seeds)
-    sv = _median_error_curve(problem, ref, "svrg", FixedOne(), eta, 1.0, b, m, T, seeds)
+    sv = _median_error_curve(problem, ref, "svrg", ConstantTheta(1.0), eta, 1.0, b, m, T, seeds)
     s_gc, s_sv = slope(gc), slope(sv)
     ok = s_gc <= -1.5 and s_sv >= s_gc + 0.3
     report(
@@ -275,7 +274,7 @@ def test_criterion_07_solver_ordering_at_equal_passes():
     medians = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for solver, sched in (("svrg", FixedOne()), ("asvrg_gc", DecayingTheta())):
+        for solver, sched in (("svrg", ConstantTheta(1.0)), ("asvrg_gc", DecayingTheta())):
             eta, beta = grid_search_eta_beta(
                 problem, solver, base_cfg, ref, epochs=epochs_vr, seed=0
             )
@@ -293,7 +292,7 @@ def test_criterion_07_solver_ordering_at_equal_passes():
             gaps = []
             for seed in range(5):
                 cfg = SolverConfig(m=n, eta=e0 / L, beta=1.0, b=1, gamma=1.0,
-                                   epochs=31, seed=seed, schedule=FixedOne())
+                                   epochs=31, seed=seed, schedule=ConstantTheta(1.0))
                 recs = run_solver(problem, "stoc", cfg, ref=ref)
                 assert recs[-1].passes >= 30.0
                 gaps.append(recs[-1].objective_gap)

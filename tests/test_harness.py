@@ -42,7 +42,6 @@ from sadmm.metrics import (
 from sadmm.solvers import (
     ConstantTheta,
     DecayingTheta,
-    FixedOne,
     RateParams,
     SolverConfig,
     init_vr_state,
@@ -314,6 +313,21 @@ class TestConfigFile:
         assert cfg.beta == 0.5
         assert cfg.gamma == "auto"
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # a comment starts at the start of a line or after whitespace only
+        path = tmp_path / "cfg.txt"
+        path.write_text(
+            "# preset\n"
+            "  # indented comment\n"
+            "dataset = /data/a#1.svm\n"
+            "output_dir = runs#2\t# tab before the comment\n"
+            "b = 20   # README form\n"
+            "solver = svrg#\n"
+        )
+        assert parse_config_file(path) == {
+            "dataset": "/data/a#1.svm", "output_dir": "runs#2", "b": 20, "solver": "svrg#",
+        }
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("nonsense = 1\n")
@@ -372,6 +386,17 @@ class TestTraceCSV:
         path = tmp_path / "t.csv"
         path.write_text("wrong,header\n")
         with pytest.raises(DataFormatError):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1,2,3", "expected 12 columns, got 3"),
+        ("1,0.1,1,a,0,0,0,0,0,1,0,0", "could not convert"),
+    ], ids=["short-row", "non-numeric-cell"])
+    def test_bad_row_names_its_line(self, tmp_path, bad, message):
+        row = TraceRecord(0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0).to_row()
+        path = tmp_path / "t.csv"
+        path.write_text(f"{CSV_HEADER}\n{row}\n\n{bad}\n")
+        with pytest.raises(DataFormatError, match=f"t.csv:4: {message}"):
             read_trace_csv(path)
 
 
@@ -506,10 +531,9 @@ class TestDegeneracyThroughHarness:
         base = dict(m=20, eta=1.0 / (8 * L), beta=0.5, b=5, gamma="auto", epochs=4, seed=9)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            r_svrg = run_solver(problem, "svrg", SolverConfig(schedule=FixedOne(), **base), ref=ref)
-            r_sc = run_solver(
-                problem, "asvrg_sc", SolverConfig(schedule=ConstantTheta(1.0), **base), ref=ref
-            )
+            config = SolverConfig(schedule=ConstantTheta(1.0), **base)
+            r_svrg = run_solver(problem, "svrg", config, ref=ref)
+            r_sc = run_solver(problem, "asvrg_sc", config, ref=ref)
         col = lambda recs: [repr(r.objective) for r in recs]
         assert col(r_svrg) == col(r_sc)
 
@@ -602,6 +626,17 @@ def test_resolve_constant_momentum_general_convex_is_theta_bound():
     assert config.schedule.theta == init_vr_state(problem, decaying).theta
 
 
+def test_resolve_constant_momentum_needs_eta_below_half_over_L():
+    # theta_bound holds for eta < 1/(2L) only; at eta = 1/L its formula
+    # would divide by zero
+    cfg = small_cfg(solver="asvrg_sc")
+    problem, *_ = assemble_problem(cfg)
+    L = problem.f.smoothness
+    for eta in (1.0 / L, 0.75 / L, 0.5 / L):
+        with pytest.raises(ConfigError, match=r"below 1/\(2L\)"):
+            resolve_solver_config(problem, dataclasses.replace(cfg, eta=eta), seed=0)
+
+
 def test_median_summary_rejects_mismatched():
     rec = TraceRecord(0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
@@ -634,3 +669,15 @@ class TestGridSearch:
         monkeypatch.setattr(sadmm.harness, "run_solver", buggy)
         with pytest.raises(TypeError):
             grid_search_eta_beta(problem, "svrg", cfg, ref, etas=etas, betas=[1.0], epochs=1)
+
+    def test_skips_an_eta_the_momentum_bound_refuses(self):
+        cfg = small_cfg(solver="asvrg_sc")
+        problem, *_ = assemble_problem(cfg)
+        ref = compute_reference(problem, tol=1e-8)
+        L = problem.f.smoothness
+        etas = [1.0 / L, 1.0 / (8.0 * L)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eta, _beta = grid_search_eta_beta(problem, "asvrg_sc", cfg, ref, etas=etas,
+                                              betas=[1.0], epochs=1)
+        assert eta == etas[1]

@@ -155,6 +155,21 @@ MUTANTS = (
         "state.lambda_tilde = state.lambda_tilde.copy()",
         "tests/test_solvers.py::TestVREpochIdentities::test_gc_carries_z_and_lambda",
     ),
+    # also killed by tests/test_harness.py::test_resolve_constant_momentum_needs_eta_below_half_over_L
+    Mutant(
+        "theta-bound-without-eta-check",
+        "solvers.py",
+        "if eta >= 1.0 / (2.0 * L):",
+        "if False:",
+        "tests/test_solvers.py::TestVRConfigValidation::test_eta_upper_bound",
+    ),
+    Mutant(
+        "svrg-accepts-any-constant-theta",
+        "harness.py",
+        ' or (solver == "svrg" and sched.theta != 1.0)',
+        "",
+        "tests/test_solvers.py::TestVRConfigValidation::test_svrg_rejects_momentum_schedule",
+    ),
 )
 
 
