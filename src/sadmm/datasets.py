@@ -103,7 +103,6 @@ def make_classification(
     n_correlated_pairs: int | None = None,
     duplicate_pairs: int = 0,
     label_noise: float = 0.05,
-    scale: float = 1.0,
     heavy_row_fraction: float = 0.0,
     heavy_row_factor: float = 10.0,
 ) -> Dataset:
@@ -116,7 +115,7 @@ def make_classification(
     non-strongly-convex instances). A heavy_row_fraction of the rows can be
     blown up by heavy_row_factor, which makes the worst-case per-sample
     smoothness constant much larger than the typical one. Rows are scaled
-    so the largest norm is ~2*scale.
+    so the largest norm is ~2.
     """
     if n_correlated_pairs is None:
         n_correlated_pairs = min(5, dim // 4)
@@ -137,9 +136,9 @@ def make_classification(
     if heavy_row_fraction > 0.0:
         heavy = rng.random(n) < heavy_row_fraction
         X[heavy] *= heavy_row_factor
-    # scale so the largest row norm is about 2*scale
+    # scale so the largest row norm is about 2
     row_norms = np.linalg.norm(X, axis=1)
-    X *= (2.0 * scale) / max(row_norms.max(), 1e-12)
+    X *= 2.0 / max(row_norms.max(), 1e-12)
     w = rng.standard_normal(dim) / np.sqrt(dim)
     margins = X @ w + 0.1 * rng.standard_normal(n)
     labels = np.where(margins >= 0, 1.0, -1.0)

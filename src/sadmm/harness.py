@@ -341,6 +341,8 @@ def resolve_solver_config(problem: ProblemSpec, cfg: ExperimentConfig, seed: int
         schedule = ConstantTheta(theta)
     elif cfg.solver == "asvrg_gc":
         schedule = DecayingTheta(theta)
+    elif cfg.solver == "svrg" and theta is not None:
+        schedule = ConstantTheta(theta)  # run_solver refuses theta != 1
     return SolverConfig(
         m=m,
         eta=float(eta),
@@ -586,7 +588,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     meta_path = out_dir / f"{cfg.problem}_{cfg.solver}_meta.txt"
     with open(meta_path, "w") as fh:
         for f_ in fields(cfg):
-            fh.write(f"{f_.name} = {getattr(cfg, f_.name)}\n")
+            value = getattr(cfg, f_.name)
+            if isinstance(value, tuple):  # the list form _coerce reads
+                value = ", ".join(map(str, value))
+            fh.write(f"{f_.name} = {value}\n")
     return {
         "traces": paths,
         "summary": summary_path,

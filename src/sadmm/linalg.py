@@ -186,24 +186,6 @@ def _power_iteration(matvec, v0, tol, max_iter, resid_scale=None):
     )
 
 
-def spectral_norm_ata(
-    A: SparseMatrixCSR, tol: float = SPECTRAL_TOL, max_iter: int = 10000
-) -> float:
-    """||A^T A||_2, the squared largest singular value of A.
-
-    Power iteration on x -> A^T(Ax) with a deterministic start vector. The
-    returned value is a Rayleigh quotient of A^T A and therefore never
-    exceeds the true norm by more than rounding.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if A.nnz == 0:
-        raise MatrixFormatError("spectral norm of an all-zero matrix is undefined here")
-    ata = lambda v: spmv_t(A, spmv(A, v))
-    lam, _ = _power_iteration(ata, _start_vector(A, A.cols), tol, max_iter)
-    return lam
-
-
 @dataclass(frozen=True)
 class SpectralConstants:
     """Spectral quantities of the penalty matrix used by the rate formulas."""
@@ -219,6 +201,10 @@ def compute_spectral_constants(
 ) -> SpectralConstants:
     """||A^T A||_2 and the smallest Gram eigenvalue of A.
 
+    ||A^T A||_2 is a Rayleigh quotient of power iteration on x -> A^T(Ax)
+    from a deterministic start, so it never exceeds the truth by more than
+    rounding.
+
     The smallest Gram eigenvalue is computed on the smaller side. For wide
     or square A (rows <= cols) it is the smallest eigenvalue of A A^T; for
     tall A it is the smallest eigenvalue of A^T A, which equals the
@@ -231,13 +217,16 @@ def compute_spectral_constants(
     iters_used counts that iteration. Raises RankDeficiencyError when the
     estimate falls below RANK_TOL * sigma_max.
     """
-    sigma_max = spectral_norm_ata(A, tol=tol, max_iter=max_iter)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if A.nnz == 0:
+        raise MatrixFormatError("spectral norm of an all-zero matrix is undefined here")
+    ata = lambda v: spmv_t(A, spmv(A, v))
+    sigma_max, _ = _power_iteration(ata, _start_vector(A, A.cols), tol, max_iter)
     if A.rows <= A.cols:
-        dim = A.rows
-        gram = lambda v: spmv(A, spmv_t(A, v))
+        dim, gram = A.rows, lambda v: spmv(A, spmv_t(A, v))
     else:
-        dim = A.cols
-        gram = lambda v: spmv_t(A, spmv(A, v))
+        dim, gram = A.cols, ata
     shifted = lambda v: sigma_max * v - gram(v)
     nu, iters = _power_iteration(
         shifted, _start_vector(A, dim, stream=1), tol, max_iter, resid_scale=sigma_max

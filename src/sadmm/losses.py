@@ -17,13 +17,12 @@ once per point: it keeps one memo of the last x it saw, which holds the
 margins and fills in the value, the loss derivatives, the curvatures and
 the full gradient the first time a caller asks for each.
 
-A mini-batch gradient is one pass over the batch's nonzeros in the raw CSR
-arrays: a gather, a bincount for the margins, and a bincount that scatters
-the gradient (one row reads its slice instead, with the same bits). Its
-difference between two points, the variance-reduced estimator's core, is
-also one gather and one scatter: the margins at x come from the gathered
-nonzeros, the loss derivatives at the reference point from the memo, and
-only the difference of the two derivatives is scattered.
+A mini-batch gradient and its difference between two points (the
+variance-reduced estimator's core) are one kernel over the batch's nonzeros
+in the raw CSR arrays: a gather, a bincount for the margins at x, and a
+bincount that scatters the loss derivatives less those at a reference
+point (0.0, or the memo's). One row reads its slice instead, with the same
+bits.
 """
 
 from __future__ import annotations
@@ -159,6 +158,17 @@ def _gather_rows(data: Dataset, idx):
     # pos[k]: offset of nonzero k in col_indices/values
     pos = np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
     return row, data.features.col_indices[pos], data.features.values[pos], data.labels[idx]
+
+
+def _batch_grad(kind: LossKind, data: Dataset, x: np.ndarray, idx, dloss_ref) -> np.ndarray:
+    """Mean over the rows ``idx`` of (loss'(t_i) - dloss_ref_i) b_i a_i at the
+    margins t_i of x, without the ridge. dloss_ref = 0.0 is the gradient
+    itself, bit for bit (v - 0.0 is v, -0.0 included)."""
+    row, cols, vals, labels = _gather_rows(data, idx)
+    b = len(labels)
+    t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
+    coef = (_dloss_of_margin(kind, t) - dloss_ref) * labels / b
+    return np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
 
 
 class _PointMemo:
@@ -300,11 +310,7 @@ class LossObjective:
             g = np.zeros(data.dim)
             g[cols] += coef * vals
         else:
-            row, cols, vals, labels = _gather_rows(data, idx)
-            b = len(labels)
-            t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
-            coef = _dloss_of_margin(kind, t) * labels / b
-            g = np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
+            g = _batch_grad(kind, data, x, idx, 0.0)
         if kind.lambda2 > 0:
             g = g + kind.lambda2 * x
         return g
@@ -323,12 +329,8 @@ class LossObjective:
         kind, data = self.kind, self.data
         x = as_vector(x, data.dim, "x")
         x_ref = as_vector(x_ref, data.dim, "x_ref")
-        row, cols, vals, labels = _gather_rows(data, idx)
-        b = len(labels)
-        t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
         dloss_ref = self._at(x_ref).dloss[np.asarray(idx, dtype=np.int64)]
-        coef = (_dloss_of_margin(kind, t) - dloss_ref) * labels / b
-        g = np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
+        g = _batch_grad(kind, data, x, idx, dloss_ref)
         if kind.lambda2 > 0:
             g = g + kind.lambda2 * (x - x_ref)
         return g

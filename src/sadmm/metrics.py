@@ -103,10 +103,7 @@ def _constrained_newton(problem: ProblemSpec, sign_pattern, x0, nu0):
         if max(np.abs(grad_stat).max(), np.abs(feas).max(initial=0.0)) <= 1e-14:
             break
         H = problem.f.hessian(x)
-        M = np.zeros((d1 + nz, d1 + nz))
-        M[:d1, :d1] = H
-        M[:d1, d1:] = AZ.T
-        M[d1:, :d1] = AZ
+        M = np.block([[H, AZ.T], [AZ, np.zeros((nz, nz))]])
         rhs = np.concatenate([-grad, -feas])
         try:
             sol = np.linalg.solve(M, rhs)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .linalg import SparseMatrixCSR, SpectralConstants, compute_spectral_constan
 from .prox import Regularizer, h_value
 
 
-@runtime_checkable
 class SmoothObjective(Protocol):
     """Oracle for f(x) = (1/n) sum_i f_i(x)."""
 

@@ -23,14 +23,6 @@ class Regularizer:
         if self.lambda1 < 0:
             raise ValueError("lambda1 must be >= 0")
 
-    @classmethod
-    def none(cls) -> "Regularizer":
-        return cls(0.0)
-
-    @classmethod
-    def l1(cls, lambda1: float) -> "Regularizer":
-        return cls(lambda1)
-
 
 def h_value(reg: Regularizer, y) -> float:
     if reg.lambda1 == 0.0:

@@ -108,13 +108,11 @@ class BatchState:
 @dataclass(kw_only=True)
 class StocState(BatchState):
     """Decaying-step stochastic solver state: the running averages it
-    traces, Ax = A x of the current x for the next y-update, the
-    single-sample sampler and the eigendecomposition of A^T A behind its
-    exact x-update."""
+    traces, the single-sample sampler and the eigendecomposition of A^T A
+    behind its exact x-update."""
 
     x_bar: np.ndarray
     y_bar: np.ndarray
-    Ax: np.ndarray
     sampler: BatchSampler
     ata_eig: tuple[np.ndarray, np.ndarray]
     steps: int = 0  # global step counter
@@ -124,13 +122,13 @@ class StocState(BatchState):
 class VRState(BatchState):
     """Variance-reduced solver state. The tilde fields and the snapshot are
     the per-epoch outputs carried across epochs; (z, x, y, lam) are the
-    last inner iterates of the most recent epoch."""
+    last inner iterates of the most recent epoch, and z is the carried z
+    when theta decays."""
 
     z: np.ndarray
     snapshot: Snapshot
     y_tilde: np.ndarray
     lambda_tilde: np.ndarray
-    z_tilde: np.ndarray
     aat_warm: np.ndarray | None = None  # Krylov warm start for the dual solve
 
 
@@ -323,7 +321,6 @@ def init_vr_state(problem: ProblemSpec, config: SolverConfig) -> VRState:
         snapshot=snapshot,
         y_tilde=np.zeros(d2),
         lambda_tilde=lam0.copy(),
-        z_tilde=x0.copy(),
         theta=theta0,
         grad_evals=problem.f.n,
         aat_warm=warm,
@@ -349,12 +346,12 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
     theta = state.theta
     gamma = _resolve_gamma(config, theta, problem.spectra.ata_norm)
     x_snap = state.snapshot.x_tilde
-    z = state.z_tilde.copy()  # equal to x_snap unless theta decays
     if decaying:
+        z = state.z
         x = (1.0 - theta) * x_snap + theta * z
     else:
-        # a plain copy: the theta-mix of x_snap with itself need not round to x_snap
-        x = x_snap.copy()
+        # plain copies: the theta-mix of x_snap with itself need not round to x_snap
+        z, x = x_snap.copy(), x_snap.copy()
     y = state.y_tilde.copy()
     lam = state.lambda_tilde.copy()
 
@@ -390,11 +387,9 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
     state.y_tilde = y_tilde
     if decaying:
         state.lambda_tilde = lam.copy()
-        state.z_tilde = z.copy()
         state.theta = theta_next(theta)
     else:
         state.lambda_tilde, state.aat_warm = _constant_theta_dual(problem, beta, g_new, state.aat_warm)
-        state.z_tilde = x_tilde.copy()
     state.epoch += 1
     state.sup_z, state.sup_lambda = _sup(abs_z), _sup(abs_lam)
     _require_finite(x_tilde, y_tilde, state.lambda_tilde)
@@ -499,7 +494,6 @@ def init_stoc_state(problem: ProblemSpec, config: SolverConfig) -> StocState:
         lam=np.zeros(problem.d2),
         x_bar=x0.copy(),
         y_bar=np.zeros(problem.d2),
-        Ax=spmv(A, x0),
         sampler=BatchSampler(problem.f.n, 1, config.seed),
         ata_eig=np.linalg.eigh((A.csr.T @ A.csr).toarray()),
     )
@@ -518,7 +512,7 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
     f, A, reg, beta, eta = problem.f, problem.A, problem.reg, config.beta, config.eta
     w, Q = state.ata_eig
     draw = state.sampler.draw
-    x, y, lam, Ax = state.x, state.y, state.lam, state.Ax
+    x, y, lam, Ax = state.x, state.y, state.lam, spmv(A, state.x)
     x_bar, y_bar = state.x_bar, state.y_bar
     beta_w = beta * w
     abs_x, abs_lam = np.abs(x), np.abs(lam)
@@ -535,7 +529,7 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
         y_bar += (y - y_bar) / k
         np.maximum(abs_x, np.abs(x), out=abs_x)
         np.maximum(abs_lam, np.abs(lam), out=abs_lam)
-    state.x, state.y, state.lam, state.Ax = x, y, lam, Ax
+    state.x, state.y, state.lam = x, y, lam
     state.steps += config.m
     state.grad_evals += config.m
     state.sup_z, state.sup_lambda = _sup(abs_x), _sup(abs_lam)

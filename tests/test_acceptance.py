@@ -341,7 +341,7 @@ def test_criterion_09_prox_oracle():
         lam1 = rng.uniform(0.005, 2.0)
         beta = rng.uniform(0.1, 4.0)
         p = rng.uniform(-3.0, 3.0)
-        ours = y_update(Regularizer.l1(lam1), np.array([p]), np.zeros(1), beta)[0]
+        ours = y_update(Regularizer(lam1), np.array([p]), np.zeros(1), beta)[0]
         obj = lam1 * np.abs(grid) + 0.5 * beta * (p - grid) ** 2
         brute = grid[np.argmin(obj)]
         worst_grid = max(worst_grid, abs(ours - brute))
@@ -349,7 +349,7 @@ def test_criterion_09_prox_oracle():
         d = int(rng.integers(1, 10))
         Az = rng.standard_normal(d) * 2
         lam = rng.standard_normal(d)
-        y = y_update(Regularizer.l1(lam1), Az, lam, beta)
+        y = y_update(Regularizer(lam1), Az, lam, beta)
         resid = beta * (Az - y + lam)
         on = y != 0
         if on.any():

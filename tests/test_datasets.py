@@ -151,5 +151,5 @@ class TestMakeClassification:
             assert abs(corr) > 0.9
 
     def test_row_norm_scale(self):
-        data = make_classification(50, 10, seed=6, scale=1.0)
+        data = make_classification(50, 10, seed=6)
         assert data.norms_sq.max() == pytest.approx(4.0)

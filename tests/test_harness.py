@@ -416,6 +416,15 @@ class TestRunExperiment:
         assert len(summary) == cfg.epochs + 1
         assert result["meta"].exists()
 
+    def test_meta_reads_back_as_the_config(self, tmp_path):
+        # a tuple field is written in the list form the config reader parses
+        cfg = small_cfg(output_dir=str(tmp_path / "out"), seeds=(0, 1), solver="svrg", epochs=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = run_experiment(cfg)
+        assert config_from_file(result["meta"]) == cfg
+        assert "seeds = 0, 1\n" in result["meta"].read_text()
+
     def test_repeated_seed_identical_traces(self, tmp_path):
         # wall time is measured, everything else must match exactly
         cfg = small_cfg(output_dir=str(tmp_path / "out"), seeds=(1, 1), solver="svrg")
@@ -635,6 +644,28 @@ def test_resolve_constant_momentum_needs_eta_below_half_over_L():
     for eta in (1.0 / L, 0.75 / L, 0.5 / L):
         with pytest.raises(ConfigError, match=r"below 1/\(2L\)"):
             resolve_solver_config(problem, dataclasses.replace(cfg, eta=eta), seed=0)
+
+
+def test_svrg_refuses_a_numeric_theta_other_than_one(monkeypatch):
+    # svrg keeps a numeric theta, so run_solver's theta = 1 rule refuses
+    # 0.5 before any epoch runs; theta = 1 resolves as 'auto' does and runs
+    cfg = small_cfg(solver="svrg", theta=0.5, epochs=1)
+    problem, *_ = assemble_problem(cfg)
+    config = resolve_solver_config(problem, cfg, seed=0)
+    assert config.schedule == ConstantTheta(0.5)
+
+    def no_init(*args):
+        raise AssertionError("the solver state was built")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sadmm.harness, "init_vr_state", no_init)
+        with pytest.raises(ConfigError, match=re.escape(
+            "solver 'svrg' cannot run the schedule ConstantTheta(theta=0.5)"
+        )):
+            run_solver(problem, "svrg", config)
+    one = resolve_solver_config(problem, dataclasses.replace(cfg, theta=1.0), seed=0)
+    assert one == resolve_solver_config(problem, dataclasses.replace(cfg, theta="auto"), seed=0)
+    assert len(run_solver(problem, "svrg", one)) == 2
 
 
 def test_median_summary_rejects_mismatched():

@@ -34,21 +34,21 @@ class TestYUpdate:
     def test_no_regularizer_exact(self):
         Az = np.array([1.0, -2.0])
         lam = np.array([0.5, 0.5])
-        out = y_update(Regularizer.none(), Az, lam, beta=2.0)
+        out = y_update(Regularizer(0.0), Az, lam, beta=2.0)
         assert np.array_equal(out, Az + lam)
 
     def test_hand_case(self):
         # threshold lambda1/beta = 1 applied to (2, 0.5, -3)
-        out = y_update(Regularizer.l1(2.0), np.array([2.0, 0.5, -3.0]), np.zeros(3), beta=2.0)
+        out = y_update(Regularizer(2.0), np.array([2.0, 0.5, -3.0]), np.zeros(3), beta=2.0)
         assert np.allclose(out, [1.0, 0.0, -2.0])
 
     def test_zero_point(self):
-        out = y_update(Regularizer.l1(0.3), np.zeros(4), np.zeros(4), beta=1.0)
+        out = y_update(Regularizer(0.3), np.zeros(4), np.zeros(4), beta=1.0)
         assert np.all(out == 0.0)
 
     def test_beta_validation(self):
         with pytest.raises(ValueError):
-            y_update(Regularizer.l1(1.0), np.zeros(2), np.zeros(2), beta=0.0)
+            y_update(Regularizer(1.0), np.zeros(2), np.zeros(2), beta=0.0)
 
     def test_matches_grid_brute_force(self):
         # scan the scalar subproblem h(y) + beta/2 (p - y)^2 on a fine grid
@@ -60,7 +60,7 @@ class TestYUpdate:
             grid = np.arange(-4.0, 4.0, 1e-4)
             obj = lam1 * np.abs(grid) + 0.5 * beta * (p - grid) ** 2
             brute = grid[np.argmin(obj)]
-            ours = y_update(Regularizer.l1(lam1), np.array([p]), np.zeros(1), beta)[0]
+            ours = y_update(Regularizer(lam1), np.array([p]), np.zeros(1), beta)[0]
             assert abs(ours - brute) <= 2e-4
 
     def test_subgradient_optimality(self):
@@ -71,7 +71,7 @@ class TestYUpdate:
             beta = rng.uniform(0.1, 5.0)
             Az = rng.standard_normal(d) * 2
             lam = rng.standard_normal(d)
-            y = y_update(Regularizer.l1(lam1), Az, lam, beta)
+            y = y_update(Regularizer(lam1), Az, lam, beta)
             resid = beta * (Az - y + lam)  # must lie in lambda1 * subdiff of |.|
             on = y != 0
             assert np.all(np.abs(resid[on] - lam1 * np.sign(y[on])) <= 1e-10)
@@ -82,7 +82,7 @@ class TestYUpdate:
         lam1, beta = 0.7, 1.3
         Az = rng.standard_normal(6)
         lam = rng.standard_normal(6)
-        reg = Regularizer.l1(lam1)
+        reg = Regularizer(lam1)
         y = y_update(reg, Az, lam, beta)
 
         def sub_obj(yy):
@@ -104,5 +104,5 @@ def test_non_expansiveness(u, seed, tau):
 
 
 def test_h_value():
-    assert h_value(Regularizer.none(), np.array([1.0, -2.0])) == 0.0
-    assert h_value(Regularizer.l1(0.5), np.array([1.0, -2.0])) == pytest.approx(1.5)
+    assert h_value(Regularizer(0.0), np.array([1.0, -2.0])) == 0.0
+    assert h_value(Regularizer(0.5), np.array([1.0, -2.0])) == pytest.approx(1.5)

@@ -603,7 +603,6 @@ class TestVREpochIdentities:
         cfg = SolverConfig(m=2, eta=1.0 / (8 * L), beta=0.5, b=2, schedule=DecayingTheta(), epochs=2)
         state = init_vr_state(problem, cfg)
         vr_admm_epoch(state, problem, cfg)
-        assert np.array_equal(state.z_tilde, state.z)
         assert np.array_equal(state.lambda_tilde, state.lam)
 
     def test_sup_lambda_counts_the_entry_dual(self):
@@ -818,7 +817,7 @@ class TestEpochReplayOracle:
         theta = state.theta
         x_snap = state.snapshot.x_tilde.copy()
         snap = state.snapshot
-        z0 = state.z_tilde.copy()
+        z0 = state.z.copy()
         x0 = (1.0 - theta) * x_snap + theta * z0
         y_t_prev = state.y_tilde.copy()
         z, x, y, lam, sum_x, sum_y, sup_z, sup_lam = self._replay_inner(
@@ -827,7 +826,7 @@ class TestEpochReplayOracle:
             x_snap, snap, epoch=warm_epochs + 1,
         )
         vr_admm_epoch(state, problem, cfg)
-        assert np.array_equal(state.z_tilde, z)
+        assert np.array_equal(state.z, z)
         assert np.array_equal(state.lambda_tilde, lam)
         assert state.sup_z == sup_z
         assert state.sup_lambda == sup_lam

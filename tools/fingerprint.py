@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Bitwise fingerprint of the solver traces, the single-row gradients, the
+"""Bitwise fingerprint of the solver traces, the mini-batch gradients, the
 reference solutions and the resolved solver configurations.
 
     python3 tools/fingerprint.py
@@ -15,6 +15,8 @@ It prints SHA-256 digests of
   perfbench/workloads.py, with their batch sizes and trace lengths;
 - LossObjective.subset_grad(x, [i]) on every row of a 300-row instance
   with two empty rows, for four loss kinds and three scales of x;
+- subset_grad and subset_grad_diff on the same instance, kinds and scales,
+  over one sorted random batch of each size 2-40;
 - every ReferenceSolution field of compute_reference on
   make_classification(200, 12, seed=s, label_noise=0.1) for s = 0-5, three
   loss kinds and three l1 weights, and on the criterion-07 instance at
@@ -123,25 +125,50 @@ def trace_digests(cache_dir):
     print(f"traces {total.hexdigest()}")
 
 
-def row_table_digest() -> str:
+GRAD_KINDS = (
+    LossKind.logistic(),
+    LossKind.l2_logistic(0.01),
+    LossKind.huberized_hinge(0.01, 0.5),
+    LossKind.huberized_hinge(0.0, 0.3),
+)
+GRAD_SCALES = (0.01, 1.0, 10.0)
+
+
+def gradient_instance():
+    """A 300 x 30 instance with empty rows 17 and 211, and the generator
+    that drew it, which goes on to draw the points."""
     rng = np.random.default_rng(2024)
     n, dim = 300, 30
     X = rng.standard_normal((n, dim)) * (rng.random((n, dim)) < 0.3)
     X[[17, 211]] = 0.0
-    data = Dataset(SparseMatrixCSR.from_dense(X), rng.choice([-1.0, 1.0], size=n))
-    kinds = (
-        LossKind.logistic(),
-        LossKind.l2_logistic(0.01),
-        LossKind.huberized_hinge(0.01, 0.5),
-        LossKind.huberized_hinge(0.0, 0.3),
-    )
+    return rng, Dataset(SparseMatrixCSR.from_dense(X), rng.choice([-1.0, 1.0], size=n))
+
+
+def row_table_digest() -> str:
+    rng, data = gradient_instance()
     h = hashlib.sha256()
-    for kind in kinds:
+    for kind in GRAD_KINDS:
         f = LossObjective(kind, data)
-        for scale in (0.01, 1.0, 10.0):
-            x = scale * rng.standard_normal(dim)
-            for i in range(n):
+        for scale in GRAD_SCALES:
+            x = scale * rng.standard_normal(data.dim)
+            for i in range(data.n):
                 h.update(f.subset_grad(x, [i]).tobytes())
+    return h.hexdigest()
+
+
+def batch_table_digest() -> str:
+    """subset_grad and subset_grad_diff on one sorted random batch of each
+    size 2-40 per loss kind and scale of x."""
+    rng, data = gradient_instance()
+    h = hashlib.sha256()
+    for kind in GRAD_KINDS:
+        f = LossObjective(kind, data)
+        for scale in GRAD_SCALES:
+            x, x_ref = scale * rng.standard_normal((2, data.dim))
+            for b in range(2, 41):
+                idx = np.sort(rng.choice(data.n, size=b, replace=False))
+                h.update(f.subset_grad(x, idx).tobytes())
+                h.update(f.subset_grad_diff(x, x_ref, idx).tobytes())
     return h.hexdigest()
 
 
@@ -334,6 +361,7 @@ def main() -> int:
     logging.disable(logging.WARNING)
     warnings.simplefilter("ignore")
     print(f"subset_grad rows {row_table_digest()}", flush=True)
+    print(f"subset_grad batches {batch_table_digest()}", flush=True)
     print(f"constrained_newton patterns {newton_digest()}", flush=True)
     print(f"solver configs {config_grid_digest()}", flush=True)
     graph_digests()

@@ -170,6 +170,23 @@ MUTANTS = (
         "",
         "tests/test_solvers.py::TestVRConfigValidation::test_svrg_rejects_momentum_schedule",
     ),
+    Mutant(
+        "constant-theta-z-restarts-from-last-z",
+        "solvers.py",
+        "z, x = x_snap.copy(), x_snap.copy()",
+        "z, x = state.z.copy(), x_snap.copy()",
+        "tests/test_solvers.py::TestEpochReplayOracle",
+    ),
+    # the byte-identity half of criterion 04 catches a run_solver that
+    # branches on the solver name
+    Mutant(
+        "run-solver-branches-on-svrg",
+        "harness.py",
+        "epoch_fn = vr_admm_epoch",
+        "epoch_fn = (lambda st, p, c: vr_admm_epoch(st, p, replace(c, seed=c.seed + 1)))"
+        ' if solver == "svrg" else vr_admm_epoch',
+        "tests/test_acceptance.py::test_criterion_04_degeneracy_equivalences",
+    ),
 )
 
 
