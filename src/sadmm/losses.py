@@ -18,11 +18,13 @@ margins and fills in the value, the loss derivatives, the curvatures and
 the full gradient the first time a caller asks for each.
 
 A mini-batch gradient and its difference between two points (the
-variance-reduced estimator's core) are one kernel over the batch's nonzeros
-in the raw CSR arrays: a gather, a bincount for the margins at x, and a
-bincount that scatters the loss derivatives less those at a reference
-point (0.0, or the memo's). One row reads its slice instead, with the same
-bits.
+variance-reduced estimator's core) are one kernel, BatchPlan.grad. A plan
+gathers the nonzeros of a sequence of batches from the raw CSR arrays once
+(a solver draws an epoch's or a trace row's batches up front, so its plan
+holds O(m b nnz-per-row) values); each gradient is then a bincount for
+the margins at x and a bincount that scatters the loss derivatives, less
+the memo's at a reference point for the difference. subset_grad and
+subset_grad_diff are plans of one batch.
 """
 
 from __future__ import annotations
@@ -138,37 +140,72 @@ def _d2loss_of_margin(kind: LossKind, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gather_rows(data: Dataset, idx):
-    """The nonzeros of the rows ``idx``, read once from the CSR arrays.
+class BatchPlan:
+    """The nonzeros of a sequence of batches, gathered once from the CSR
+    arrays, for the mini-batch gradients of any points x; made by
+    LossObjective.batch_plan.
 
-    Returns (row, cols, vals, labels): nonzero k sits in column cols[k] with
-    value vals[k] and belongs to batch position row[k], whose label is
-    labels[row[k]].
+    Batch k holds rows[k]:rows[k+1] of the gathered samples (their labels,
+    and their loss derivatives at x_ref when there is one) and nonzeros
+    nz[k]:nz[k+1]: nonzero j sits in column cols[j] with value vals[j] and
+    belongs to local row row[j] of its batch. grad(k, x) does only the work
+    that depends on x; it trusts x to be a float64 vector of length dim.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    if len(idx) == 0:
-        raise ValueError("empty index subset")
-    if idx.min() < 0 or idx.max() >= data.n:
-        raise IndexError("sample index out of range")
-    off = data.features.row_offsets
-    starts = off[idx]
-    counts = off[idx + 1] - starts
-    ends = counts.cumsum()
-    row = np.arange(len(idx)).repeat(counts)
-    # pos[k]: offset of nonzero k in col_indices/values
-    pos = np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
-    return row, data.features.col_indices[pos], data.features.values[pos], data.labels[idx]
 
+    def __init__(self, f: "LossObjective", batches, x_ref=None):
+        data = f.data
+        sizes = [len(batch) for batch in batches]
+        if not sizes or min(sizes) == 0:
+            raise ValueError("empty index subset")
+        idx = np.concatenate(batches).astype(np.int64, copy=False)
+        if idx.min() < 0 or idx.max() >= data.n:
+            raise IndexError("sample index out of range")
+        self.kind, self.dim, self.labels = f.kind, data.dim, data.labels[idx]
+        self.x_ref = self.dloss_ref = None
+        if x_ref is not None:
+            x_ref = as_vector(x_ref, data.dim, "x_ref")
+            self.dloss_ref = f._at(x_ref).dloss[idx]
+            self.x_ref = x_ref.copy()  # a later write into x_ref must not reach the ridge
+        off = data.features.row_offsets
+        starts = off[idx]
+        counts = off[idx + 1] - starts
+        ends = counts.cumsum()
+        # the offset of each nonzero in col_indices/values, built in place
+        # and freed before the row ids, so that at most three arrays of the
+        # plan's length are alive at once
+        pos = (starts - ends + counts).repeat(counts)
+        pos += np.arange(len(pos))
+        self.cols, self.vals = data.features.col_indices[pos], data.features.values[pos]
+        del pos
+        rows = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=rows[1:])
+        # the local row of each nonzero: its sample's position in its batch
+        self.row = (np.arange(len(idx)) - rows[:-1].repeat(sizes)).repeat(counts)
+        self.rows = rows.tolist()
+        self.nz = np.concatenate(([0], ends))[rows].tolist()
 
-def _batch_grad(kind: LossKind, data: Dataset, x: np.ndarray, idx, dloss_ref) -> np.ndarray:
-    """Mean over the rows ``idx`` of (loss'(t_i) - dloss_ref_i) b_i a_i at the
-    margins t_i of x, without the ridge. dloss_ref = 0.0 is the gradient
-    itself, bit for bit (v - 0.0 is v, -0.0 included)."""
-    row, cols, vals, labels = _gather_rows(data, idx)
-    b = len(labels)
-    t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
-    coef = (_dloss_of_margin(kind, t) - dloss_ref) * labels / b
-    return np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
+    def grad(self, k: int, x: np.ndarray) -> np.ndarray:
+        """Mean over batch k of grad f_i(x), less grad f_i(x_ref) when the
+        plan has a reference point: the margins at x by one bincount, the
+        loss derivatives less those at x_ref, and one bincount that
+        scatters them over the batch's nonzeros."""
+        r0, r1 = self.rows[k], self.rows[k + 1]
+        lo, hi = self.nz[k], self.nz[k + 1]
+        row, cols, vals = self.row[lo:hi], self.cols[lo:hi], self.vals[lo:hi]
+        labels = self.labels[r0:r1]
+        b = r1 - r0
+        t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
+        coef = _dloss_of_margin(self.kind, t)
+        if self.dloss_ref is not None:
+            coef = coef - self.dloss_ref[r0:r1]
+        coef = coef * labels / b
+        g = np.bincount(cols, weights=coef[row] * vals, minlength=self.dim)
+        # bincount gives integer zeros when the batch has no nonzero
+        g = g.astype(np.float64, copy=False)
+        lambda2 = self.kind.lambda2
+        if lambda2 > 0:
+            g = g + lambda2 * (x if self.x_ref is None else x - self.x_ref)
+        return g
 
 
 class _PointMemo:
@@ -208,17 +245,18 @@ class LossObjective:
 
     Exposes the interface the estimators and solvers consume: value,
     full_grad, subset_grad (mean over a batch), subset_grad_diff (mean
-    gradient difference between two points over a batch), hess_vec, the
-    dense hessian, the margins, plus the smoothness constant L = max_i L_i
-    and strong convexity mu = lambda2.
+    gradient difference between two points over a batch), batch_plan (the
+    same for a sequence of batches, gathered once), hess_vec, the dense
+    hessian, the margins, plus the smoothness constant L = max_i L_i and
+    strong convexity mu = lambda2.
 
     Every full-data quantity is a function of the n margins b_i a_i^T x,
     and callers ask for several at one point (Newton-CG for the value, the
     gradient and many Hessian-vector products; a trace row for the value
     twice; a variance-reduced epoch for the loss derivatives at its
-    snapshot in every inner step). So the objective keeps one memo of the
-    last point it saw, keyed on the bytes of x: a caller that writes new
-    values into the same array gets the quantities of its new contents.
+    snapshot when it gathers its batches). So the objective keeps one memo
+    of the last point it saw, keyed on the bytes of x: a caller that writes
+    new values into the same array gets the quantities of its new contents.
     The memo makes an objective stateful: like BatchSampler, it must not
     be shared between threads.
     """
@@ -289,51 +327,35 @@ class LossObjective:
             return g + kind.lambda2 * x
         return g.copy()
 
-    def subset_grad(self, x, idx) -> np.ndarray:
-        """Mean of per-sample gradients over the index subset ``idx``.
+    def batch_plan(self, batches, x_ref=None) -> BatchPlan:
+        """Gather the nonzeros of every batch in ``batches`` (a sequence of
+        index arrays) once; plan.grad(k, x) is then subset_grad(x,
+        batches[k]), or subset_grad_diff(x, x_ref, batches[k]) when x_ref
+        is given, bit for bit.
 
-        One row (a stoc step) reads its CSR slice instead of the gather and
-        keeps the kernel's bits: its margin sums from the first product and
-        its gradient adds into zeros, as bincount does (a -0.0 margin has
-        the derivative of +0.0; an empty row scatters nothing).
+        The loss derivatives at x_ref come from the memo, which in a
+        variance-reduced epoch the snapshot's full gradient has filled.
+        They equal the batch's own bit for bit: the CSR product sums a
+        row's products in column order from 0, as the batch bincount
+        does. Every index is checked before the memo is read.
         """
-        kind, data = self.kind, self.data
-        x = as_vector(x, data.dim, "x")
-        if len(idx) == 1:
-            i = int(idx[0])
-            if not 0 <= i < data.n:
-                raise IndexError("sample index out of range")
-            lo, hi = data.features.row_offsets[i : i + 2].tolist()
-            cols, vals = data.features.col_indices[lo:hi], data.features.values[lo:hi]
-            label = data.labels[i : i + 1]
-            coef = _dloss_of_margin(kind, label * np.cumsum(vals * x[cols])[-1:]) * label  # b = 1
-            g = np.zeros(data.dim)
-            g[cols] += coef * vals
-        else:
-            g = _batch_grad(kind, data, x, idx, 0.0)
-        if kind.lambda2 > 0:
-            g = g + kind.lambda2 * x
-        return g
+        return BatchPlan(self, batches, x_ref)
+
+    def subset_grad(self, x, idx) -> np.ndarray:
+        """Mean of per-sample gradients over the index subset ``idx``."""
+        x = as_vector(x, self.data.dim, "x")
+        return self.batch_plan([idx]).grad(0, x)
 
     def subset_grad_diff(self, x, x_ref, idx) -> np.ndarray:
         """Mean over ``idx`` of grad f_i(x) - grad f_i(x_ref).
 
         Every f_i is a loss of the margin b_i a_i^T x, so the difference of
         the two gradients is a_i times the difference of the two loss
-        derivatives: the batch is gathered once and scattered once. The
-        derivatives at x_ref come from the memo, which in a variance-reduced
-        epoch the snapshot's full gradient has filled. They equal the
-        batch's own bit for bit: the CSR product sums a row's products in
-        column order from 0, as the batch bincount does.
+        derivatives: the batch is gathered once and scattered once, with
+        the derivatives at x_ref read from the memo (see batch_plan).
         """
-        kind, data = self.kind, self.data
-        x = as_vector(x, data.dim, "x")
-        x_ref = as_vector(x_ref, data.dim, "x_ref")
-        dloss_ref = self._at(x_ref).dloss[np.asarray(idx, dtype=np.int64)]
-        g = _batch_grad(kind, data, x, idx, dloss_ref)
-        if kind.lambda2 > 0:
-            g = g + kind.lambda2 * (x - x_ref)
-        return g
+        x = as_vector(x, self.data.dim, "x")
+        return self.batch_plan([idx], x_ref).grad(0, x)
 
     def hess_vec(self, x, v) -> np.ndarray:
         """(Generalized) Hessian-vector product of f at x."""

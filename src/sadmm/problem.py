@@ -42,6 +42,12 @@ class SmoothObjective(Protocol):
         """Mean over idx of grad f_i(x) - grad f_i(x_ref)."""
         ...
 
+    def batch_plan(self, batches, x_ref=None):
+        """Set up the gradients of a sequence of index batches once: the
+        result's grad(k, x) equals subset_grad(x, batches[k]), or
+        subset_grad_diff(x, x_ref, batches[k]) when x_ref is given."""
+        ...
+
     def hess_vec(self, x, v) -> np.ndarray: ...
 
     def hessian(self, x) -> np.ndarray:

@@ -20,6 +20,11 @@ constant theta (strongly convex case, geometric rate) or a decaying theta
 with (1-theta_s)/theta_s^2 = 1/theta_{s-1}^2 (general convex case,
 accelerated sublinear rate). The momentum-free SVRG-ADMM baseline is the
 constant schedule at theta = 1, where x = z.
+
+The stochastic loops draw all their batches when an epoch (or a stoc
+trace row) starts, since every draw is a pure function of (seed, epoch,
+k), and gather them once with f.batch_plan; each inner step then pays only
+for the gradient work that depends on its point.
 """
 
 from __future__ import annotations
@@ -35,7 +40,9 @@ from .errors import ConfigError, ConvergenceError
 from .linalg import SpectralConstants, solve_aat, spmv, spmv_t
 from .problem import ProblemSpec
 from .prox import y_update
-from .vr import BatchSampler, Snapshot, delta_b, vr_gradient
+# vr_admm_epoch runs vr_gradient's batch-plan form and does not call it; the
+# name stays in this module, where perfbench/tracing.py patches it
+from .vr import BatchSampler, Snapshot, delta_b, vr_gradient  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +364,10 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
 
     sampler = BatchSampler(f.n, config.b, config.seed)
     epoch = state.epoch + 1
+    # every draw is a pure function of (seed, epoch, k): gather the epoch's
+    # batches once, with the loss derivatives at the snapshot
+    plan = f.batch_plan([sampler.draw(epoch, k) for k in range(1, m + 1)], x_snap)
+    g_snap = state.snapshot.full_grad
     scale = config.eta / (gamma * theta)
     snap_share = (1.0 - theta) * x_snap
     sum_x = np.zeros_like(x)
@@ -364,10 +375,9 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
     Az = spmv(A, z)
     # running elementwise maxima of |z| and |lambda|: one sup per trace row
     abs_z, abs_lam = np.abs(z), np.abs(lam)
-    for k in range(1, m + 1):
-        batch = sampler.draw(epoch, k)
+    for k in range(m):
         y = y_update(reg, Az, lam, beta)
-        g = vr_gradient(state.snapshot, f, x, batch)
+        g = plan.grad(k, x) + g_snap  # vr_gradient(state.snapshot, f, x, batch k)
         z = z - scale * (g + beta * spmv_t(A, Az - y + lam))
         x = snap_share + theta * z
         Az = spmv(A, z)
@@ -511,16 +521,16 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
     """
     f, A, reg, beta, eta = problem.f, problem.A, problem.reg, config.beta, config.eta
     w, Q = state.ata_eig
-    draw = state.sampler.draw
+    first = state.steps + 1
+    plan = f.batch_plan([state.sampler.draw(0, k) for k in range(first, first + config.m)])
     x, y, lam, Ax = state.x, state.y, state.lam, spmv(A, state.x)
     x_bar, y_bar = state.x_bar, state.y_bar
     beta_w = beta * w
     abs_x, abs_lam = np.abs(x), np.abs(lam)
-    for k in range(state.steps + 1, state.steps + config.m + 1):
+    for k in range(first, first + config.m):
         eta_k = eta / math.sqrt(k)
-        i = draw(0, k)
         y = y_update(reg, Ax, lam, beta)
-        g = f.subset_grad(x, i)
+        g = plan.grad(k - first, x)
         rhs = x / eta_k - g - beta * spmv_t(A, lam - y)
         x = Q @ ((Q.T @ rhs) / (1.0 / eta_k + beta_w))
         Ax = spmv(A, x)

@@ -58,11 +58,27 @@ class QuadraticObjective:
         # every component's gradient is q (x - c_i): the centers cancel
         return self.q * (np.asarray(x, dtype=np.float64) - np.asarray(x_ref, dtype=np.float64))
 
+    def batch_plan(self, batches, x_ref=None) -> "QuadraticPlan":
+        return QuadraticPlan(self, batches, x_ref)
+
     def hess_vec(self, x, v) -> np.ndarray:
         return self.q * np.asarray(v, dtype=np.float64)
 
     def hessian(self, x) -> np.ndarray:
         return self.q * np.eye(self.dim)
+
+
+class QuadraticPlan:
+    """QuadraticObjective.batch_plan: grad(k, x) is the one-batch gradient
+    (or difference) on batches[k]."""
+
+    def __init__(self, f: QuadraticObjective, batches, x_ref):
+        self.f, self.batches, self.x_ref = f, list(batches), x_ref
+
+    def grad(self, k: int, x) -> np.ndarray:
+        if self.x_ref is None:
+            return self.f.subset_grad(x, self.batches[k])
+        return self.f.subset_grad_diff(x, self.x_ref, self.batches[k])
 
 
 def quadratic_problem(centers, q=1.0, lambda1=0.0, A=None) -> ProblemSpec:

@@ -11,7 +11,6 @@ from sadmm.losses import (
     LossKind,
     LossObjective,
     _dloss_of_margin,
-    _gather_rows,
 )
 from sadmm.problem import ProblemSpec
 from sadmm.prox import Regularizer
@@ -148,17 +147,28 @@ def test_subset_grad_matches_dense_transcription(kind):
             f.subset_grad(x, [0, bad])
 
 
-def batch_kernel_grad(f, x, idx):
-    # the gather / bincount batch body of subset_grad, kept here as the
-    # oracle its one-row branch must equal bit for bit
+def batch_kernel_grad(f, x, idx, x_ref=None):
+    # the mini-batch gradient written out straight, one row slice at a
+    # time: the oracle that subset_grad and every plan.grad must equal bit
+    # for bit. With x_ref, the difference form, whose derivatives at x_ref
+    # come from the batch's own margins (a plan reads them from the memo)
     kind, data = f.kind, f.data
-    row, cols, vals, labels = _gather_rows(data, idx)
-    b = len(labels)
-    t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
-    coef = _dloss_of_margin(kind, t) * labels / b
-    g = np.bincount(cols, weights=coef[row] * vals, minlength=data.dim)
+    off, col_indices, values = data.features.row_offsets, data.features.col_indices, data.features.values
+    b = len(idx)
+    labels = data.labels[idx]
+    row = np.concatenate([np.full(off[i + 1] - off[i], r, dtype=np.int64) for r, i in enumerate(idx)])
+    pos = np.concatenate([np.arange(off[i], off[i + 1]) for i in idx])
+    cols, vals = col_indices[pos], values[pos]
+
+    def dloss_at(point):
+        return _dloss_of_margin(kind, labels * np.bincount(row, weights=vals * point[cols], minlength=b))
+
+    coef = dloss_at(x)
+    if x_ref is not None:
+        coef = coef - dloss_at(x_ref)
+    g = np.bincount(cols, weights=(coef * labels / b)[row] * vals, minlength=data.dim).astype(np.float64)
     if kind.lambda2 > 0:
-        g = g + kind.lambda2 * x
+        g = g + kind.lambda2 * (x if x_ref is None else x - x_ref)
     return g
 
 
@@ -210,10 +220,55 @@ def test_subset_grad_diff_matches_gradient_differences(kind):
     with pytest.raises(ValueError):
         f.subset_grad_diff(x, x_ref, [])
     for bad in (-1, n):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="sample index out of range"):
             f.subset_grad_diff(x, x_ref, [0, bad])
     with pytest.raises(DimensionError):
         f.subset_grad_diff(x, x_ref[:-1], [0, 1])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")
+def test_batch_plan_equals_batch_kernel_bitwise(kind):
+    # one plan over batches of sizes 1, 20 and n, sorted and not, with the
+    # empty rows 0 and 57 alone, together and inside larger batches; at the
+    # largest scale hinge margins pass 1, so the flat region's -0.0
+    # products occur
+    rng = np.random.default_rng(37)
+    n, dim = 120, 40
+    X = rng.standard_normal((n, dim)) * (rng.random((n, dim)) < 0.5)
+    X[[0, 57]] = 0.0
+    data = Dataset(SparseMatrixCSR.from_dense(X), rng.choice([-1.0, 1.0], size=n))
+    f = LossObjective(kind, data)
+    batches = [
+        np.array([3]),
+        np.sort(rng.choice(n, size=20, replace=False)),
+        np.array([0]),
+        np.arange(n),
+        rng.integers(0, n, size=20),
+        np.array([0, 57]),
+        np.array([57, 119]),
+        np.array([n - 1]),
+    ]
+    for scale in (0.01, 1.0, 10.0):
+        x, x_ref = scale * rng.standard_normal((2, dim))
+        for ref in (None, x_ref):
+            plan = f.batch_plan(batches, ref)
+            for k, idx in enumerate(batches):
+                got = plan.grad(k, x)
+                assert got.dtype == np.float64
+                assert got.tobytes() == batch_kernel_grad(f, x, idx, ref).tobytes(), (scale, k)
+    if kind.kind != LOGISTIC:
+        assert np.any(f.margins(x) > 1.0)
+
+
+def test_batch_plan_checks_every_index_first():
+    data = tiny_dataset(n=5, dim=3)
+    f = LossObjective(LossKind.logistic(), data)
+    for batches in ([[0, 1], [2, 5]], [[4], [-1]]):
+        with pytest.raises(IndexError, match="sample index out of range"):
+            f.batch_plan(batches, np.ones(3))
+    for batches in ([], [[0], []]):
+        with pytest.raises(ValueError, match="empty index subset"):
+            f.batch_plan(batches)
 
 
 def finite_difference_grad(f, x, step=1e-6):

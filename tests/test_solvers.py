@@ -353,7 +353,8 @@ class TestStocReplay:
 
 class TestLayerBoundaries:
     """The hot path reaches its layers through the attributes a tracer
-    wraps from outside (solvers.vr_gradient, vr.BatchSampler.draw)."""
+    wraps from outside (vr.BatchSampler.draw, LossObjective.batch_plan,
+    losses.BatchPlan.grad)."""
 
     @staticmethod
     def _count(monkeypatch, owner, attr):
@@ -368,7 +369,9 @@ class TestLayerBoundaries:
         return calls
 
     def test_vr_epoch_calls_each_layer_m_times(self, monkeypatch):
-        import sadmm.solvers
+        # the epoch gathers its m batches in one plan, then asks it for m
+        # gradients
+        import sadmm.losses
         import sadmm.vr
 
         problem = vr_problem(seed=3)
@@ -377,10 +380,12 @@ class TestLayerBoundaries:
             vr_config(problem, theta=0.5, b=1, m=7),
         ):
             state = init_vr_state(problem, cfg)
-            grads = self._count(monkeypatch, sadmm.solvers, "vr_gradient")
+            plans = self._count(monkeypatch, sadmm.losses.LossObjective, "batch_plan")
+            grads = self._count(monkeypatch, sadmm.losses.BatchPlan, "grad")
             draws = self._count(monkeypatch, sadmm.vr.BatchSampler, "draw")
             vr_admm_epoch(state, problem, cfg)
             monkeypatch.undo()
+            assert len(plans) == 1
             assert len(grads) == cfg.m
             assert len(draws) == cfg.m
 
@@ -463,16 +468,19 @@ class TestLayerBoundaries:
         problem = vr_problem(seed=3)
         cfg = vr_config(problem, b=4, m=9)
         state = init_vr_state(problem, cfg)
-        diffs = self._count(monkeypatch, oracle, "subset_grad_diff")
+        plans = self._count(monkeypatch, oracle, "batch_plan")
+        grads = self._count(monkeypatch, sadmm.losses.BatchPlan, "grad")
         vr_admm_epoch(state, problem, cfg)
-        assert len(diffs) == cfg.m
+        assert len(plans) == 1
+        assert len(grads) == cfg.m
 
+        # a stoc trace row gathers its m single samples in one plan
         stoc_problem = logistic_problem(n=25, dim=4, seed=8)
         stoc_cfg = SolverConfig(m=11, eta=0.5, beta=0.5, seed=2)
         state = init_stoc_state(stoc_problem, stoc_cfg)
-        grads = self._count(monkeypatch, oracle, "subset_grad")
         stoc_admm_chunk(state, stoc_problem, stoc_cfg)
-        assert len(grads) == 11
+        assert len(plans) == 2
+        assert len(grads) == cfg.m + 11
 
         batch_cfg = SolverConfig(m=1, eta=0.1, beta=0.5)
         state = init_batch_state(problem, batch_cfg)

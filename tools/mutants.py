@@ -106,11 +106,18 @@ MUTANTS = (
         "tests/test_harness.py::TestRunExperiment::test_reference_cached",
     ),
     Mutant(
-        "one-row-margin-by-dot",
+        "plan-row-ids-not-reset-per-batch",
         "losses.py",
-        "np.cumsum(vals * x[cols])[-1:]",
-        "(vals @ x[cols])",
-        "tests/test_losses.py::test_one_row_gradient_equals_batch_kernel_bitwise",
+        "self.row = (np.arange(len(idx)) - rows[:-1].repeat(sizes)).repeat(counts)",
+        "self.row = np.arange(len(idx)).repeat(counts)",
+        "tests/test_losses.py::test_batch_plan_equals_batch_kernel_bitwise",
+    ),
+    Mutant(
+        "plan-batch-bounds-off-by-one",
+        "losses.py",
+        "self.nz = np.concatenate(([0], ends))[rows].tolist()",
+        "self.nz = (np.concatenate(([0], ends))[rows] + 1).tolist()",
+        "tests/test_losses.py::test_batch_plan_equals_batch_kernel_bitwise",
     ),
     Mutant(
         "spmv-without-minlength",
