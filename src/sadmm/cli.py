@@ -75,7 +75,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "reference":
-        _problem, _test, _kind, ref = problem_and_reference(
+        _problem, _test, ref = problem_and_reference(
             config_from_file(args.config, {"ref_tol": args.tol})
         )
         print(f"objective_star = {ref.objective_star!r}")
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
         # prints the (eta, beta) pair with the smallest final objective gap
         # of a short run, in config-file form
         cfg = config_from_file(args.config, {"solver": args.solver})
-        problem, _test, _kind, ref = problem_and_reference(cfg)
+        problem, _test, ref = problem_and_reference(cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             eta, beta = grid_search_eta_beta(problem, cfg.solver, cfg, ref, epochs=args.epochs)

@@ -202,6 +202,8 @@ class ExperimentConfig:
             raise ConfigError(f"solver must be one of {SOLVERS}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if not 0 < self.ref_tol < np.inf:
+            raise ConfigError("ref_tol must be finite and > 0")
 
 
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
@@ -282,15 +284,16 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return train_test_split(full, cfg.test_fraction, cfg.split_seed)
 
 
-def assemble_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, Dataset, Dataset, LossKind]:
+def assemble_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, Dataset]:
+    """The configured problem, whose f holds the training set and the loss
+    kind, and the test set."""
     train, test = load_datasets(cfg)
     if cfg.graph_path:
         A = graph_matrix(load_graph(cfg.graph_path), train.dim)
     else:
         A = build_graph_matrix(train, cfg.graph_threshold)
-    kind = loss_kind_for(cfg)
-    problem = ProblemSpec(LossObjective(kind, train), Regularizer(cfg.lambda1), A)
-    return problem, train, test, kind
+    problem = ProblemSpec(LossObjective(loss_kind_for(cfg), train), Regularizer(cfg.lambda1), A)
+    return problem, test
 
 
 def resolve_solver_config(problem: ProblemSpec, cfg: ExperimentConfig, seed: int) -> SolverConfig:
@@ -555,15 +558,13 @@ def median_summary(traces: list[list[TraceRecord]]) -> list[TraceRecord]:
     return out
 
 
-def problem_and_reference(
-    cfg: ExperimentConfig,
-) -> tuple[ProblemSpec, Dataset, LossKind, ReferenceSolution]:
-    """The configured problem, its test set and loss kind, and its certified
-    reference through the cache under <output_dir>/refcache."""
-    problem, train, test, kind = assemble_problem(cfg)
-    ref = get_reference(problem, kind, train, tol=cfg.ref_tol, beta=cfg.ref_beta,
-                        cache_dir=Path(cfg.output_dir) / "refcache")
-    return problem, test, kind, ref
+def problem_and_reference(cfg: ExperimentConfig) -> tuple[ProblemSpec, Dataset, ReferenceSolution]:
+    """The configured problem, its test set, and its certified reference
+    through the cache under <output_dir>/refcache."""
+    problem, test = assemble_problem(cfg)
+    ref = get_reference(problem, problem.f.kind, problem.f.data, tol=cfg.ref_tol,
+                        beta=cfg.ref_beta, cache_dir=Path(cfg.output_dir) / "refcache")
+    return problem, test, ref
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -571,11 +572,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     a per-epoch median summary; returns the written paths."""
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    problem, test, kind, ref = problem_and_reference(cfg)
+    problem, test, ref = problem_and_reference(cfg)
 
     def one_seed(seed: int):
         config = resolve_solver_config(problem, cfg, seed)
-        recs = run_solver(problem, cfg.solver, config, ref=ref, test=test, kind=kind)
+        recs = run_solver(problem, cfg.solver, config, ref=ref, test=test, kind=problem.f.kind)
         path = out_dir / f"{cfg.problem}_{cfg.solver}_seed{seed}.csv"
         write_trace_csv(path, recs)
         return path, recs

@@ -8,7 +8,7 @@ into every f_i, which is what makes f strongly convex with mu = lambda2.
 
 A LossKind names the loss and its parameters, a Dataset holds the samples,
 and LossObjective(kind, data) is the one entry point to the loss math: the
-value, the full, mini-batch and mini-batch-difference gradients, the
+value, the full gradient, the mini-batch gradients (a batch plan), the
 Hessian-vector product, the dense Hessian, and the smoothness constant L.
 
 Full-data quantities go through scipy's CSR products. Each of them is a
@@ -23,8 +23,7 @@ gathers the nonzeros of a sequence of batches from the raw CSR arrays once
 (a solver draws an epoch's or a trace row's batches up front, so its plan
 holds O(m b nnz-per-row) values); each gradient is then a bincount for
 the margins at x and a bincount that scatters the loss derivatives, less
-the memo's at a reference point for the difference. subset_grad and
-subset_grad_diff are plans of one batch.
+the memo's at a reference point for the difference.
 """
 
 from __future__ import annotations
@@ -52,10 +51,10 @@ class LossKind:
     def __post_init__(self):
         if self.kind not in (LOGISTIC, HUBERIZED_HINGE):
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.lambda2 < 0:
-            raise ValueError("lambda2 must be >= 0")
-        if self.huber_width <= 0:
-            raise ValueError("huber_width must be > 0")
+        if not 0 <= self.lambda2 < np.inf:
+            raise ValueError("lambda2 must be finite and >= 0")
+        if not 0 < self.huber_width < np.inf:
+            raise ValueError("huber_width must be finite and > 0")
 
     @classmethod
     def logistic(cls) -> "LossKind":
@@ -244,11 +243,10 @@ class LossObjective:
     """Binds a LossKind and Dataset into the smooth-objective oracle.
 
     Exposes the interface the estimators and solvers consume: value,
-    full_grad, subset_grad (mean over a batch), subset_grad_diff (mean
-    gradient difference between two points over a batch), batch_plan (the
-    same for a sequence of batches, gathered once), hess_vec, the dense
-    hessian, the margins, plus the smoothness constant L = max_i L_i and
-    strong convexity mu = lambda2.
+    full_grad, batch_plan (the mean gradients, or mean gradient differences
+    to a reference point, over a sequence of batches gathered once),
+    hess_vec, the dense hessian, the margins, plus the smoothness constant
+    L = max_i L_i and strong convexity mu = lambda2.
 
     Every full-data quantity is a function of the n margins b_i a_i^T x,
     and callers ask for several at one point (Newton-CG for the value, the
@@ -329,33 +327,25 @@ class LossObjective:
 
     def batch_plan(self, batches, x_ref=None) -> BatchPlan:
         """Gather the nonzeros of every batch in ``batches`` (a sequence of
-        index arrays) once; plan.grad(k, x) is then subset_grad(x,
-        batches[k]), or subset_grad_diff(x, x_ref, batches[k]) when x_ref
-        is given, bit for bit.
+        index arrays) once; plan.grad(k, x) is then the mean over
+        batches[k] of grad f_i(x), less grad f_i(x_ref) when x_ref is given.
 
-        The loss derivatives at x_ref come from the memo, which in a
-        variance-reduced epoch the snapshot's full gradient has filled.
-        They equal the batch's own bit for bit: the CSR product sums a
-        row's products in column order from 0, as the batch bincount
-        does. Every index is checked before the memo is read.
+        Every f_i is a loss of the margin b_i a_i^T x, so the difference of
+        two gradients is a_i times the difference of two loss derivatives.
+        Those at x_ref come from the memo, which in a variance-reduced
+        epoch the snapshot's full gradient has filled. They equal the
+        batch's own bit for bit: the CSR product sums a row's products in
+        column order from 0, as the batch bincount does. Every index is
+        checked before the memo is read.
         """
         return BatchPlan(self, batches, x_ref)
 
+    # a plan of one batch; no solver calls it, but perfbench/tracing.py
+    # patches it by name, so it stays
     def subset_grad(self, x, idx) -> np.ndarray:
         """Mean of per-sample gradients over the index subset ``idx``."""
         x = as_vector(x, self.data.dim, "x")
         return self.batch_plan([idx]).grad(0, x)
-
-    def subset_grad_diff(self, x, x_ref, idx) -> np.ndarray:
-        """Mean over ``idx`` of grad f_i(x) - grad f_i(x_ref).
-
-        Every f_i is a loss of the margin b_i a_i^T x, so the difference of
-        the two gradients is a_i times the difference of the two loss
-        derivatives: the batch is gathered once and scattered once, with
-        the derivatives at x_ref read from the memo (see batch_plan).
-        """
-        x = as_vector(x, self.data.dim, "x")
-        return self.batch_plan([idx], x_ref).grad(0, x)
 
     def hess_vec(self, x, v) -> np.ndarray:
         """(Generalized) Hessian-vector product of f at x."""

@@ -185,8 +185,8 @@ def compute_reference(
     end every later attempt that reaches one of them; an attempt that
     raised LinAlgError adds none.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be finite and > 0")
     inner_floor = min(tol * 3e-2, 1e-12)
     config = SolverConfig(m=1, eta=1.0, beta=beta, inner_tol=inner_floor, epochs=0)
     state = init_batch_state(problem, config)

@@ -36,16 +36,10 @@ class SmoothObjective(Protocol):
 
     def full_grad(self, x) -> np.ndarray: ...
 
-    def subset_grad(self, x, idx) -> np.ndarray: ...
-
-    def subset_grad_diff(self, x, x_ref, idx) -> np.ndarray:
-        """Mean over idx of grad f_i(x) - grad f_i(x_ref)."""
-        ...
-
     def batch_plan(self, batches, x_ref=None):
         """Set up the gradients of a sequence of index batches once: the
-        result's grad(k, x) equals subset_grad(x, batches[k]), or
-        subset_grad_diff(x, x_ref, batches[k]) when x_ref is given."""
+        result's grad(k, x) is the mean over batches[k] of grad f_i(x),
+        less grad f_i(x_ref) when x_ref is given."""
         ...
 
     def hess_vec(self, x, v) -> np.ndarray: ...
@@ -80,6 +74,11 @@ class ProblemSpec:
     @cached_property
     def spectra(self) -> SpectralConstants:
         return compute_spectral_constants(self.A)
+
+    @cached_property
+    def ata_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of A^T A (the stoc x-update's)."""
+        return np.linalg.eigh((self.A.csr.T @ self.A.csr).toarray())
 
     def objective(self, x) -> float:
         """Composite objective f(x) + h(Ax) as a function of x alone."""

@@ -20,8 +20,8 @@ class Regularizer:
     lambda1: float = 0.0
 
     def __post_init__(self):
-        if self.lambda1 < 0:
-            raise ValueError("lambda1 must be >= 0")
+        if not 0 <= self.lambda1 < np.inf:
+            raise ValueError("lambda1 must be finite and >= 0")
 
 
 def h_value(reg: Regularizer, y) -> float:

@@ -79,10 +79,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ConfigError("m must be >= 1")
-        if self.eta <= 0:
-            raise ConfigError("eta must be > 0")
-        if self.beta <= 0:
-            raise ConfigError("beta must be > 0")
+        if not 0 < self.eta < math.inf:
+            raise ConfigError("eta must be finite and > 0")
+        if not 0 < self.beta < math.inf:
+            raise ConfigError("beta must be finite and > 0")
         if self.b < 1:
             raise ConfigError("b must be >= 1")
         if self.epochs < 0:
@@ -90,8 +90,8 @@ class SolverConfig:
         if isinstance(self.gamma, str):
             if self.gamma != "auto":
                 raise ConfigError("gamma must be a positive number or 'auto'")
-        elif self.gamma <= 0:
-            raise ConfigError("gamma must be > 0")
+        elif not 0 < self.gamma < math.inf:
+            raise ConfigError("gamma must be finite and > 0")
 
 
 @dataclass(kw_only=True)
@@ -114,15 +114,12 @@ class BatchState:
 
 @dataclass(kw_only=True)
 class StocState(BatchState):
-    """Decaying-step stochastic solver state: the running averages it
-    traces, the single-sample sampler and the eigendecomposition of A^T A
-    behind its exact x-update."""
+    """Decaying-step stochastic solver state: the iterates and the running
+    averages it traces. Each step evaluates one sample, so grad_evals is
+    also the global step counter."""
 
     x_bar: np.ndarray
     y_bar: np.ndarray
-    sampler: BatchSampler
-    ata_eig: tuple[np.ndarray, np.ndarray]
-    steps: int = 0  # global step counter
 
 
 @dataclass(kw_only=True)
@@ -494,19 +491,10 @@ def batch_admm_epoch(state: BatchState, problem: ProblemSpec, config: SolverConf
 
 
 def init_stoc_state(problem: ProblemSpec, config: SolverConfig) -> StocState:
-    """Zero iterates, plus the eigendecomposition of A^T A that every
-    x-update reuses."""
-    A = problem.A
-    x0 = np.zeros(problem.d1)
-    return StocState(
-        x=x0.copy(),
-        y=np.zeros(problem.d2),
-        lam=np.zeros(problem.d2),
-        x_bar=x0.copy(),
-        y_bar=np.zeros(problem.d2),
-        sampler=BatchSampler(problem.f.n, 1, config.seed),
-        ata_eig=np.linalg.eigh((A.csr.T @ A.csr).toarray()),
-    )
+    """Zero iterates and averages."""
+    d1, d2 = problem.d1, problem.d2
+    return StocState(x=np.zeros(d1), y=np.zeros(d2), lam=np.zeros(d2),
+                     x_bar=np.zeros(d1), y_bar=np.zeros(d2))
 
 
 def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig) -> StocState:
@@ -516,13 +504,14 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
 
     The x-update keeps the exact quadratic penalty (identity proximal
     metric) and solves (I/eta_k + beta A^T A) x = rhs through the
-    eigendecomposition of A^T A; y and lambda update as in the batch
-    solver.
+    eigendecomposition of A^T A, which the problem keeps; y and lambda
+    update as in the batch solver.
     """
     f, A, reg, beta, eta = problem.f, problem.A, problem.reg, config.beta, config.eta
-    w, Q = state.ata_eig
-    first = state.steps + 1
-    plan = f.batch_plan([state.sampler.draw(0, k) for k in range(first, first + config.m)])
+    w, Q = problem.ata_eig
+    first = state.grad_evals + 1
+    sampler = BatchSampler(f.n, 1, config.seed)
+    plan = f.batch_plan([sampler.draw(0, k) for k in range(first, first + config.m)])
     x, y, lam, Ax = state.x, state.y, state.lam, spmv(A, state.x)
     x_bar, y_bar = state.x_bar, state.y_bar
     beta_w = beta * w
@@ -540,7 +529,6 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
         np.maximum(abs_x, np.abs(x), out=abs_x)
         np.maximum(abs_lam, np.abs(lam), out=abs_lam)
     state.x, state.y, state.lam = x, y, lam
-    state.steps += config.m
     state.grad_evals += config.m
     state.sup_z, state.sup_lambda = _sup(abs_x), _sup(abs_lam)
     state.epoch += 1

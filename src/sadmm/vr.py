@@ -116,7 +116,7 @@ def vr_gradient(snap: Snapshot, f, x, batch) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != snap.x_tilde.shape:
         raise DimensionError("x does not match the snapshot dimension (stale snapshot?)")
-    return f.subset_grad_diff(x, snap.x_tilde, batch) + snap.full_grad
+    return f.batch_plan([batch], snap.x_tilde).grad(0, x) + snap.full_grad
 
 
 def variance_bound_rhs(snap: Snapshot, f, x, L: float, b: int) -> float:

@@ -50,14 +50,6 @@ class QuadraticObjective:
     def full_grad(self, x) -> np.ndarray:
         return self.q * (np.asarray(x, dtype=np.float64) - self.mean_center)
 
-    def subset_grad(self, x, idx) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        return self.q * (np.asarray(x, dtype=np.float64) - self.centers[idx].mean(axis=0))
-
-    def subset_grad_diff(self, x, x_ref, idx) -> np.ndarray:
-        # every component's gradient is q (x - c_i): the centers cancel
-        return self.q * (np.asarray(x, dtype=np.float64) - np.asarray(x_ref, dtype=np.float64))
-
     def batch_plan(self, batches, x_ref=None) -> "QuadraticPlan":
         return QuadraticPlan(self, batches, x_ref)
 
@@ -69,16 +61,19 @@ class QuadraticObjective:
 
 
 class QuadraticPlan:
-    """QuadraticObjective.batch_plan: grad(k, x) is the one-batch gradient
-    (or difference) on batches[k]."""
+    """QuadraticObjective.batch_plan: grad(k, x) is the mean gradient
+    q (x - mean c_i) over batches[k], or with x_ref the mean difference
+    q (x - x_ref), in which the centers cancel."""
 
     def __init__(self, f: QuadraticObjective, batches, x_ref):
         self.f, self.batches, self.x_ref = f, list(batches), x_ref
 
     def grad(self, k: int, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
         if self.x_ref is None:
-            return self.f.subset_grad(x, self.batches[k])
-        return self.f.subset_grad_diff(x, self.x_ref, self.batches[k])
+            idx = np.asarray(self.batches[k], dtype=np.int64)
+            return self.f.q * (x - self.f.centers[idx].mean(axis=0))
+        return self.f.q * (x - np.asarray(self.x_ref, dtype=np.float64))
 
 
 def quadratic_problem(centers, q=1.0, lambda1=0.0, A=None) -> ProblemSpec:

@@ -31,6 +31,7 @@ from sadmm.harness import (
     write_trace_csv,
 )
 from sadmm.linalg import compute_spectral_constants
+from sadmm.losses import LossKind
 from sadmm.metrics import (
     CSV_HEADER,
     GAP_FLOOR,
@@ -39,6 +40,7 @@ from sadmm.metrics import (
     compute_reference,
     kkt_residuals,
 )
+from sadmm.prox import Regularizer
 from sadmm.solvers import (
     ConstantTheta,
     DecayingTheta,
@@ -349,6 +351,36 @@ class TestConfigFile:
             ExperimentConfig(seeds=())
 
 
+def _config_file(tmp_path, text):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    return config_from_file(path)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tmp: SolverConfig(m=1, eta=math.nan, beta=1.0),
+        lambda tmp: SolverConfig(m=1, eta=1.0, beta=math.inf),
+        lambda tmp: SolverConfig(m=1, eta=1.0, beta=1.0, gamma=math.nan),
+        lambda tmp: LossKind.l2_logistic(math.nan),
+        lambda tmp: LossKind.huberized_hinge(huber_width=math.nan),
+        lambda tmp: Regularizer(math.nan),
+        lambda tmp: Regularizer(math.inf),
+        lambda tmp: ExperimentConfig(ref_tol=math.nan),
+        lambda tmp: _config_file(tmp, "ref_tol = nan\n"),
+        lambda tmp: compute_reference(assemble_problem(small_cfg())[0], tol=math.inf),
+    ],
+    ids=["eta-nan", "beta-inf", "gamma-nan", "lambda2-nan", "huber-width-nan", "lambda1-nan",
+         "lambda1-inf", "ref-tol-nan", "ref-tol-nan-in-file", "reference-tol-inf"],
+)
+def test_non_finite_settings_are_refused(tmp_path, build):
+    # NaN passes a check written as x <= 0, so each check is one that NaN and
+    # +-inf fail
+    with pytest.raises(ValueError, match="finite"):
+        build(tmp_path)
+
+
 def small_cfg(**kw):
     base = dict(
         problem="gg_logistic",
@@ -370,10 +402,10 @@ def small_cfg(**kw):
 class TestTraceCSV:
     def test_header_and_round_trip(self, tmp_path):
         cfg = small_cfg(solver="svrg")
-        problem, train, test, kind = assemble_problem(cfg)
+        problem, test = assemble_problem(cfg)
         config = resolve_solver_config(problem, cfg, seed=0)
         ref = compute_reference(problem, tol=1e-10)
-        recs = run_solver(problem, "svrg", config, ref=ref, test=test, kind=kind)
+        recs = run_solver(problem, "svrg", config, ref=ref, test=test, kind=problem.f.kind)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, recs)
         text = path.read_text().splitlines()
@@ -451,7 +483,8 @@ class TestRunExperiment:
 
     def test_reference_cached(self, tmp_path):
         cfg = small_cfg(output_dir=str(tmp_path / "out"))
-        problem, train, test, kind = assemble_problem(cfg)
+        problem, _test = assemble_problem(cfg)
+        kind, train = problem.f.kind, problem.f.data
         cache = tmp_path / "out" / "refcache"
 
         def load():
@@ -534,7 +567,7 @@ class TestNegativeGaps:
 class TestDegeneracyThroughHarness:
     def test_svrg_and_momentum_one_traces_byte_identical(self):
         cfg = small_cfg()
-        problem, train, test, kind = assemble_problem(cfg)
+        problem, _test = assemble_problem(cfg)
         ref = compute_reference(problem, tol=1e-10)
         L = problem.f.smoothness
         base = dict(m=20, eta=1.0 / (8 * L), beta=0.5, b=5, gamma="auto", epochs=4, seed=9)

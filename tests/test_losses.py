@@ -192,9 +192,10 @@ def test_one_row_gradient_equals_batch_kernel_bitwise(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")
-def test_subset_grad_diff_matches_gradient_differences(kind):
-    # the one-gather kernel against two subset_grad calls and against X[idx]
-    # products on the dense matrix; row 5 is all zero and in every batch
+def test_batch_plan_difference_matches_gradient_differences(kind):
+    # a one-batch plan at a reference point against two subset_grad calls and
+    # against X[idx] products on the dense matrix; row 5 is all zero and in
+    # every batch
     rng = np.random.default_rng(23)
     n, dim = 40, 7
     X = rng.standard_normal((n, dim)) * (rng.random((n, dim)) < 0.5)
@@ -206,7 +207,7 @@ def test_subset_grad_diff_matches_gradient_differences(kind):
         idx = rng.permutation(n) if b == n else rng.integers(0, n, size=b)
         idx[0] = 5
         x, x_ref = 2.0 * rng.standard_normal(dim), 2.0 * rng.standard_normal(dim)
-        got = f.subset_grad_diff(x, x_ref, idx)
+        got = f.batch_plan([idx], x_ref).grad(0, x)
         np.testing.assert_allclose(
             got, f.subset_grad(x, idx) - f.subset_grad(x_ref, idx), rtol=0.0, atol=1e-15
         )
@@ -218,12 +219,12 @@ def test_subset_grad_diff_matches_gradient_differences(kind):
         expected = X[idx].T @ coef + kind.lambda2 * (x - x_ref)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
     with pytest.raises(ValueError):
-        f.subset_grad_diff(x, x_ref, [])
+        f.batch_plan([[]], x_ref)
     for bad in (-1, n):
         with pytest.raises(IndexError, match="sample index out of range"):
-            f.subset_grad_diff(x, x_ref, [0, bad])
+            f.batch_plan([[0, bad]], x_ref)
     with pytest.raises(DimensionError):
-        f.subset_grad_diff(x, x_ref[:-1], [0, 1])
+        f.batch_plan([[0, 1]], x_ref[:-1])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")
@@ -418,7 +419,8 @@ def test_hess_vec_curvature_follows_the_values_of_x(kind):
 def test_memo_answers_equal_a_fresh_objective(kind):
     # one objective answers interleaved calls at x1, at x2, and at x1 after
     # new values are written into it; each answer must equal, bit for bit,
-    # a fresh objective's answer on copies of the inputs
+    # a fresh objective's answer on copies of the inputs. A one-batch plan
+    # reads the loss derivatives at its reference point from the memo
     data = tiny_dataset(n=30, dim=6, seed=43)
     f = LossObjective(kind, data)
     rng = np.random.default_rng(44)
@@ -431,6 +433,11 @@ def test_memo_answers_equal_a_fresh_objective(kind):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), method
         return got
 
+    def ask_plan(x, x_ref):
+        got = f.batch_plan([idx], x_ref).grad(0, x)
+        want = LossObjective(kind, data).batch_plan([idx], x_ref.copy()).grad(0, x.copy())
+        assert got.tobytes() == want.tobytes(), "batch_plan"
+
     def sequence(x, other, write_into_grad=False):
         ask("value", x)
         g = ask("full_grad", x)
@@ -440,14 +447,22 @@ def test_memo_answers_equal_a_fresh_objective(kind):
         ask("full_grad", x)
         ask("margins", x)
         ask("hessian", x)
-        ask("subset_grad_diff", other, x, idx)
+        ask_plan(other, x)
         ask("value", x)
-        ask("subset_grad_diff", x, other, idx)  # leaves the memo at other
+        ask_plan(x, other)  # leaves the memo at other
 
     sequence(x1, x2, write_into_grad=True)
     sequence(x2, x1)
     x1[:] = 2.0 * rng.standard_normal(6)
     sequence(x1, x2)
+    # the memo follows an array's values, not the array: new values are
+    # written into x3 between two calls at it, with no call in between
+    x3 = rng.standard_normal(6)
+    ask("value", x3)
+    ask("full_grad", x3)
+    x3[:] = 2.0 * rng.standard_normal(6)
+    ask("value", x3)
+    ask("full_grad", x3)
     with pytest.raises(ValueError):
         f.margins(x1)[0] = 0.0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -341,7 +342,7 @@ class TestStocReplay:
         state = init_stoc_state(problem, config)
         stoc_admm_chunk(state, problem, config)
         stoc_admm_chunk(state, problem, config)
-        assert state.steps == 30
+        assert state.grad_evals == 30
         assert np.array_equal(state.x, x)
         assert np.array_equal(state.y, y)
         assert np.array_equal(state.lam, lam)
@@ -349,6 +350,20 @@ class TestStocReplay:
         assert np.array_equal(state.y_bar, y_bar)
         assert state.sup_z == sup_x
         assert state.sup_lambda == sup_lam
+
+    def test_runs_share_the_problems_eigendecomposition(self):
+        # two runs on one problem, with a dense A^T A, use its one
+        # eigendecomposition and trace, bit for bit, what each run traces on
+        # a fresh problem
+        def trace(problem, seed):
+            config = SolverConfig(m=15, eta=0.5, beta=0.5, epochs=3, seed=seed)
+            recs = run_solver(problem, "stoc", config)
+            return [dataclasses.replace(r, wall_seconds=0.0).to_row() for r in recs]
+
+        shared = vr_problem(seed=4)
+        got = [trace(shared, seed) for seed in (0, 1)]
+        assert got == [trace(vr_problem(seed=4), seed) for seed in (0, 1)]
+        assert got[0] != got[1]
 
 
 class TestLayerBoundaries:

@@ -15,8 +15,9 @@ It prints SHA-256 digests of
   perfbench/workloads.py, with their batch sizes and trace lengths;
 - LossObjective.subset_grad(x, [i]) on every row of a 300-row instance
   with two empty rows, for four loss kinds and three scales of x;
-- subset_grad and subset_grad_diff on the same instance, kinds and scales,
-  over one sorted random batch of each size 2-40;
+- subset_grad, and the one-batch plan f.batch_plan([idx], x_ref).grad(0, x)
+  (the difference form), on the same instance, kinds and scales, over one
+  sorted random batch of each size 2-40;
 - every ReferenceSolution field of compute_reference on
   make_classification(200, 12, seed=s, label_noise=0.1) for s = 0-5, three
   loss kinds and three l1 weights, and on the criterion-07 instance at
@@ -157,8 +158,8 @@ def row_table_digest() -> str:
 
 
 def batch_table_digest() -> str:
-    """subset_grad and subset_grad_diff on one sorted random batch of each
-    size 2-40 per loss kind and scale of x."""
+    """subset_grad and the one-batch difference plan at x_ref on one sorted
+    random batch of each size 2-40 per loss kind and scale of x."""
     rng, data = gradient_instance()
     h = hashlib.sha256()
     for kind in GRAD_KINDS:
@@ -168,7 +169,7 @@ def batch_table_digest() -> str:
             for b in range(2, 41):
                 idx = np.sort(rng.choice(data.n, size=b, replace=False))
                 h.update(f.subset_grad(x, idx).tobytes())
-                h.update(f.subset_grad_diff(x, x_ref, idx).tobytes())
+                h.update(f.batch_plan([idx], x_ref).grad(0, x).tobytes())
     return h.hexdigest()
 
 

@@ -120,6 +120,20 @@ MUTANTS = (
         "tests/test_losses.py::test_batch_plan_equals_batch_kernel_bitwise",
     ),
     Mutant(
+        "vr-gradient-plan-without-snapshot",
+        "vr.py",
+        "f.batch_plan([batch], snap.x_tilde)",
+        "f.batch_plan([batch])",
+        "tests/test_vr.py::TestVRGradient::test_at_snapshot_returns_full_grad",
+    ),
+    Mutant(
+        "stoc-first-step-off-by-one",
+        "solvers.py",
+        "first = state.grad_evals + 1",
+        "first = state.grad_evals",
+        "tests/test_solvers.py::TestStocReplay",
+    ),
+    Mutant(
         "spmv-without-minlength",
         "linalg.py",
         "minlength=A.rows)",
