@@ -16,14 +16,12 @@ class MatrixFormatError(SadmmError, ValueError):
 class ConvergenceError(SadmmError, RuntimeError):
     """An iterative method did not reach its tolerance within the budget.
 
-    Carries the best estimate produced so far in ``best_estimate`` and the
-    number of iterations spent in ``iterations``.
+    Carries the best estimate produced so far in ``best_estimate``.
     """
 
-    def __init__(self, message, best_estimate=None, iterations=None):
+    def __init__(self, message, best_estimate=None):
         super().__init__(message)
         self.best_estimate = best_estimate
-        self.iterations = iterations
 
 
 class RankDeficiencyError(SadmmError, RuntimeError):

@@ -362,8 +362,8 @@ def resolve_solver_config(problem: ProblemSpec, cfg: ExperimentConfig, seed: int
 # reference cache
 
 
-def reference_key(kind: LossKind, data: Dataset, reg: Regularizer, A: SparseMatrixCSR,
-                  tol: float, beta: float) -> str:
+def reference_key(problem: ProblemSpec, tol: float, beta: float) -> str:
+    kind, data, reg, A = problem.f.kind, problem.f.data, problem.reg, problem.A
     h = hashlib.sha256()
     h.update(repr((kind.kind, kind.lambda2, kind.huber_width, reg.lambda1, tol, beta)).encode())
     F = data.features
@@ -414,8 +414,11 @@ def get_reference(
     cache under cache_dir, or compute and store it. An entry holds only
     (x*, y*, lambda*), which is certified again on load and from which every
     other field is derived; one that cannot be read, has the wrong shapes or
-    fails the KKT check at tol is recomputed and overwritten."""
-    key = reference_key(kind, data, problem.reg, problem.A, tol, beta)
+    fails the KKT check at tol is recomputed and overwritten. The key is read
+    from the problem; kind and data must be problem.f's own."""
+    if kind != problem.f.kind or data is not problem.f.data:
+        raise ConfigError("get_reference: kind and data must be problem.f.kind and problem.f.data")
+    key = reference_key(problem, tol, beta)
     path = Path(cache_dir) / f"{key}.npz"
     if path.exists():
         ref = _load_certified(path, problem, tol, beta)
@@ -443,8 +446,11 @@ def run_solver(
 
     Variance-reduced solvers trace their averaged epoch outputs, the batch
     solver its current iterate, and the decaying-step solver its running
-    average. Row 0 is the initial point.
+    average. Row 0 is the initial point. The test columns score the test
+    set under problem.f.kind; kind, when given, must equal it.
     """
+    if kind is not None and kind != problem.f.kind:
+        raise ConfigError(f"run_solver: kind {kind!r} is not the problem's {problem.f.kind!r}")
     if solver in VR_SCHEDULES:
         sched = config.schedule
         if not isinstance(sched, VR_SCHEDULES[solver]) or (solver == "svrg" and sched.theta != 1.0):
@@ -464,12 +470,12 @@ def run_solver(
     else:
         raise ConfigError(f"unknown solver {solver!r}")
 
-    if test is None or kind is None:
+    if test is None:
         test_f = None
-    elif isinstance(problem.f, LossObjective) and test is problem.f.data and kind == problem.f.kind:
+    elif test is problem.f.data:
         test_f = problem.f  # the training objective: its memo holds the traced point's margins
     else:
-        test_f = LossObjective(kind, test)
+        test_f = LossObjective(problem.f.kind, test)
     wall = 0.0  # time spent inside epoch_fn only
     below_ref = []  # raw gaps below -ref.tol: the reference is not optimal
 

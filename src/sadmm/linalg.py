@@ -163,26 +163,25 @@ def _power_iteration(matvec, v0, tol, max_iter, resid_scale=None):
     """Largest eigenvalue of a symmetric PSD operator by power iteration.
 
     Stops when the Rayleigh-quotient residual ||Mv - lam*v|| falls below
-    tol * resid_scale (resid_scale defaults to |lam|). Returns (lam, iters).
+    tol * resid_scale (resid_scale defaults to |lam|). Returns lam.
     """
     v = v0
     lam = 0.0
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         w = matvec(v)
         lam = float(v @ w)
         r = w - lam * v
         scale = resid_scale if resid_scale is not None else max(abs(lam), 1e-300)
         if np.linalg.norm(r) <= tol * scale:
-            return lam, it
+            return lam
         nw = np.linalg.norm(w)
         if nw == 0.0:
             # v is numerically in the null space; lam is 0 on this component
-            return 0.0, it
+            return 0.0
         v = w / nw
     raise ConvergenceError(
         f"power iteration did not converge in {max_iter} iterations",
         best_estimate=lam,
-        iterations=max_iter,
     )
 
 
@@ -192,8 +191,6 @@ class SpectralConstants:
 
     ata_norm: float
     aat_min_eig: float
-    tol: float
-    iters_used: int
 
 
 def compute_spectral_constants(
@@ -213,31 +210,30 @@ def compute_spectral_constants(
     singular by construction while the quantity the rate formulas need is
     the spectrum over the range of A).
 
-    Computed by power iteration on the shifted operator sigma_max*I - Gram;
-    iters_used counts that iteration. Raises RankDeficiencyError when the
-    estimate falls below RANK_TOL * sigma_max.
+    Computed by power iteration on the shifted operator sigma_max*I - Gram.
+    Raises RankDeficiencyError when the estimate falls below
+    RANK_TOL * sigma_max.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if A.nnz == 0:
         raise MatrixFormatError("spectral norm of an all-zero matrix is undefined here")
     ata = lambda v: spmv_t(A, spmv(A, v))
-    sigma_max, _ = _power_iteration(ata, _start_vector(A, A.cols), tol, max_iter)
+    sigma_max = _power_iteration(ata, _start_vector(A, A.cols), tol, max_iter)
     if A.rows <= A.cols:
         dim, gram = A.rows, lambda v: spmv(A, spmv_t(A, v))
     else:
         dim, gram = A.cols, ata
     shifted = lambda v: sigma_max * v - gram(v)
-    nu, iters = _power_iteration(
-        shifted, _start_vector(A, dim, stream=1), tol, max_iter, resid_scale=sigma_max
-    )
+    nu = _power_iteration(shifted, _start_vector(A, dim, stream=1), tol, max_iter,
+                          resid_scale=sigma_max)
     sigma_min = sigma_max - nu
     if sigma_min < RANK_TOL * sigma_max:
         raise RankDeficiencyError(
             f"A not full row rank: smallest Gram eigenvalue {sigma_min:.3e} "
             f"below {RANK_TOL:.0e} * sigma_max ({sigma_max:.3e})"
         )
-    return SpectralConstants(ata_norm=sigma_max, aat_min_eig=sigma_min, tol=tol, iters_used=iters)
+    return SpectralConstants(ata_norm=sigma_max, aat_min_eig=sigma_min)
 
 
 def solve_aat(
@@ -261,14 +257,13 @@ def solve_aat(
     aat = lambda w: spmv(A, spmv_t(A, w))
     op = scipy.sparse.linalg.LinearOperator((A.rows, A.rows), matvec=aat, dtype=np.float64)
     max_iter = max(20 * A.rows, 1000)
-    u, info = scipy.sparse.linalg.cg(op, v, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter)
+    u, _ = scipy.sparse.linalg.cg(op, v, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter)
     resid = np.linalg.norm(aat(u) - v)
     if resid > tol * nv:
         raise ConvergenceError(
             f"cg on A A^T stalled at relative residual {resid / nv:.3e} "
             "(possible rank deficiency)",
             best_estimate=u,
-            iterations=max_iter if info > 0 else info,
         )
     return u
 

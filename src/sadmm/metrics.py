@@ -217,7 +217,6 @@ def compute_reference(
             f"reference solve stalled at KKT residual {kkt:.3e} "
             f"after {REFERENCE_MAX_ITER} iterations",
             best_estimate=state.x,
-            iterations=REFERENCE_MAX_ITER,
         )
     return ReferenceSolution.at(problem, x, y, lam, beta, tol, kkt)
 

@@ -92,6 +92,8 @@ class SolverConfig:
                 raise ConfigError("gamma must be a positive number or 'auto'")
         elif not 0 < self.gamma < math.inf:
             raise ConfigError("gamma must be finite and > 0")
+        if not 0 < self.inner_tol < math.inf:
+            raise ConfigError("inner_tol must be finite and > 0")
 
 
 @dataclass(kw_only=True)
@@ -460,7 +462,6 @@ def _minimize_x_subproblem(f, A, beta, y, lam, x0, gtol):
         raise ConvergenceError(
             f"x-subproblem Newton stalled at gradient norm {gn:.3e}",
             best_estimate=x,
-            iterations=NEWTON_MAX_ITER,
         )
     return x, n_grads
 

@@ -393,7 +393,7 @@ def test_criterion_10_rate_parameter_formulas():
         dense_params = RateParams(mu=mu, L=L, omega=ata_dense / min_dense)
         from sadmm.linalg import SpectralConstants
 
-        dense_sc = SpectralConstants(ata_norm=ata_dense, aat_min_eig=min_dense, tol=0, iters_used=0)
+        dense_sc = SpectralConstants(ata_norm=ata_dense, aat_min_eig=min_dense)
         # beta*
         b1 = beta_star(params, sc)
         b2 = beta_star(dense_params, dense_sc)

@@ -204,6 +204,19 @@ class TestGraph:
         save_graph(path, spec)
         assert load_graph(path) == spec
 
+    def test_graph_path_gives_the_saved_graphs_matrix(self, tmp_path):
+        # the file is built at another threshold than the config's, so A
+        # comes from the file and not from the config's threshold
+        train = assemble_problem(small_cfg())[0].f.data
+        path = tmp_path / "edges.txt"
+        save_graph(path, build_graph_spec(train, 0.15))
+        A = assemble_problem(small_cfg(graph_path=str(path)))[0].A
+        expected = build_graph_matrix(train, 0.15)
+        assert (A.rows, A.cols) == (expected.rows, expected.cols)
+        for name in ("row_offsets", "col_indices", "values"):
+            assert getattr(A, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert A.rows != build_graph_matrix(train, 0.9).rows
+
     def test_bad_graph_file(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("0 1\n")
@@ -370,9 +383,12 @@ def _config_file(tmp_path, text):
         lambda tmp: ExperimentConfig(ref_tol=math.nan),
         lambda tmp: _config_file(tmp, "ref_tol = nan\n"),
         lambda tmp: compute_reference(assemble_problem(small_cfg())[0], tol=math.inf),
+        lambda tmp: SolverConfig(m=1, eta=1.0, beta=1.0, inner_tol=-1.0),
+        lambda tmp: SolverConfig(m=1, eta=1.0, beta=1.0, inner_tol=math.nan),
     ],
     ids=["eta-nan", "beta-inf", "gamma-nan", "lambda2-nan", "huber-width-nan", "lambda1-nan",
-         "lambda1-inf", "ref-tol-nan", "ref-tol-nan-in-file", "reference-tol-inf"],
+         "lambda1-inf", "ref-tol-nan", "ref-tol-nan-in-file", "reference-tol-inf",
+         "inner-tol-negative", "inner-tol-nan"],
 )
 def test_non_finite_settings_are_refused(tmp_path, build):
     # NaN passes a check written as x <= 0, so each check is one that NaN and
@@ -413,6 +429,20 @@ class TestTraceCSV:
         assert len(text) == len(recs) + 1
         back = read_trace_csv(path)
         assert back == recs
+
+    def test_test_columns_score_the_problems_loss(self):
+        cfg = small_cfg(solver="svrg", epochs=2)
+        problem, test = assemble_problem(cfg)
+        config = resolve_solver_config(problem, cfg, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            given = run_solver(problem, "svrg", config, test=test, kind=problem.f.kind)
+            derived = run_solver(problem, "svrg", config, test=test)
+            with pytest.raises(ConfigError, match="not the problem's"):
+                run_solver(problem, "svrg", config, test=test, kind=LossKind.logistic())
+        cols = lambda recs: [(r.test_loss, r.test_accuracy) for r in recs]
+        assert np.isfinite(cols(derived)).all()
+        assert cols(derived) == cols(given)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -539,6 +569,31 @@ class TestRunExperiment:
         assert_recomputed()
         write({k: v for k, v in triple.items() if k != "lambda_star"})
         assert_recomputed()
+        # the right keys with another problem's shapes
+        write({k: np.append(v, 0.0) for k, v in triple.items()})
+        assert_recomputed()
+
+    def test_reference_refuses_a_loss_other_than_the_problems(self, tmp_path):
+        # the key is read from problem.f, so a reference cannot be filed
+        # under another loss's key
+        problem, _test = assemble_problem(small_cfg())
+        f = problem.f
+        for kind, data in ((LossKind.logistic(), f.data), (f.kind, dataclasses.replace(f.data))):
+            with pytest.raises(ConfigError, match="problem.f.kind"):
+                get_reference(problem, kind, data, tol=1e-10, beta=0.1, cache_dir=tmp_path)
+        assert not list(tmp_path.glob("*.npz"))
+
+    def test_losses_on_one_dataset_get_their_own_entries(self, tmp_path, caplog):
+        # l2-logistic and plain logistic on the same data and graph differ
+        # only in lambda2
+        problems = [assemble_problem(small_cfg(problem=name))[0]
+                    for name in ("gg_logistic", "fused_lasso")]
+        with caplog.at_level(logging.WARNING, logger="sadmm.harness"):
+            for problem in problems * 2:
+                get_reference(problem, problem.f.kind, problem.f.data, tol=1e-10, beta=0.1,
+                              cache_dir=tmp_path)
+        assert len(list(tmp_path.glob("*.npz"))) == 2
+        assert "recomputing" not in caplog.text
 
 
 class TestNegativeGaps:

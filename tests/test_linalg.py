@@ -243,7 +243,6 @@ class TestSpectral:
         A = random_sparse(6, 9, seed=42, density=0.9)
         sc = compute_spectral_constants(A)
         assert sc.ata_norm >= sc.aat_min_eig >= 0
-        assert sc.iters_used > 0
 
 
 class TestSolveAAT:

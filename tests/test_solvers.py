@@ -108,7 +108,7 @@ class TestRateFormulas:
     def _spectra(self, ata=3.0, aat=1.0):
         from sadmm.linalg import SpectralConstants
 
-        return SpectralConstants(ata_norm=ata, aat_min_eig=aat, tol=1e-9, iters_used=1)
+        return SpectralConstants(ata_norm=ata, aat_min_eig=aat)
 
     def test_rho_theta_zero_is_one(self):
         cfg = SolverConfig(m=100, eta=0.1, beta=1.0)
@@ -176,7 +176,7 @@ class TestRateFormulas:
                 continue
             delta = delta_b(n, b)
             assert theta <= 1 - delta / (alpha - 1) + 1e-12
-            sp = SpectralConstants(ata_norm=omega, aat_min_eig=1.0, tol=1e-9, iters_used=1)
+            sp = SpectralConstants(ata_norm=omega, aat_min_eig=1.0)
             bs = beta_star(p, sp)
             cfg = SolverConfig(m=m, eta=eta, beta=bs, gamma="auto")
             rho = rho_rate(theta, p, cfg, sp)
@@ -194,7 +194,7 @@ class TestRateFormulas:
             n, b = 500, int(rng.integers(1, 50))
             m = int((2 * p.kappa + 2 * math.sqrt(p.kappa * p.omega)) * 2) + 1
             theta, alpha, eta = optimal_theta_sc(m, b, n, p)
-            sp = SpectralConstants(ata_norm=omega, aat_min_eig=1.0, tol=1e-9, iters_used=1)
+            sp = SpectralConstants(ata_norm=omega, aat_min_eig=1.0)
             cfg = SolverConfig(m=m, eta=eta, beta=beta_star(p, sp), gamma="auto")
             rho_mid = rho_rate(theta, p, cfg, sp)
             for d_theta in (-0.05, 0.05):
@@ -206,7 +206,7 @@ class TestRateFormulas:
         from sadmm.linalg import SpectralConstants
 
         p = self._params(mu=1.0, L=1.0, omega=1.0)
-        sp = SpectralConstants(ata_norm=1.0, aat_min_eig=1.0, tol=1e-9, iters_used=1)
+        sp = SpectralConstants(ata_norm=1.0, aat_min_eig=1.0)
         assert beta_star(p, sp) == pytest.approx(1.0)
         p4 = self._params(mu=1.0, L=4.0, omega=1.0)
         assert beta_star(p4, sp) == pytest.approx(2.0)
@@ -216,9 +216,9 @@ class TestRateFormulas:
         from sadmm.linalg import SpectralConstants
 
         p = self._params(mu=0.05, L=2.0, omega=3.0)
-        sp1 = SpectralConstants(ata_norm=3.0, aat_min_eig=1.0, tol=1e-9, iters_used=1)
+        sp1 = SpectralConstants(ata_norm=3.0, aat_min_eig=1.0)
         c2 = 4.0
-        sp2 = SpectralConstants(ata_norm=3.0 * c2, aat_min_eig=1.0 * c2, tol=1e-9, iters_used=1)
+        sp2 = SpectralConstants(ata_norm=3.0 * c2, aat_min_eig=1.0 * c2)
         assert beta_star(p, sp2) == pytest.approx(beta_star(p, sp1) / c2)
 
 

@@ -262,7 +262,7 @@ def cached_reference_digests(cache_dir) -> None:
     }
     for name, problem in problems.items():
         f = problem.f
-        key = sadmm.harness.reference_key(f.kind, f.data, problem.reg, problem.A, 1e-10, 0.1)
+        key = sadmm.harness.reference_key(problem, 1e-10, 0.1)
         for _ in range(2):  # the first call stores, the second reloads
             ref = sadmm.harness.get_reference(
                 problem, f.kind, f.data, tol=1e-10, beta=0.1, cache_dir=cache_dir

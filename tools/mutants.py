@@ -106,6 +106,34 @@ MUTANTS = (
         "tests/test_harness.py::TestRunExperiment::test_reference_cached",
     ),
     Mutant(
+        "cache-load-skips-shape-check",
+        "harness.py",
+        "if (x.shape, y.shape, lam.shape) != ((problem.d1,), (problem.d2,), (problem.d2,)):",
+        "if False:",
+        "tests/test_harness.py::TestRunExperiment::test_reference_cached",
+    ),
+    Mutant(
+        "reference-key-drops-lambda2",
+        "harness.py",
+        "repr((kind.kind, kind.lambda2, kind.huber_width,",
+        "repr((kind.kind, kind.huber_width,",
+        "tests/test_harness.py::TestRunExperiment::test_losses_on_one_dataset_get_their_own_entries",
+    ),
+    Mutant(
+        "get-reference-without-kind-check",
+        "harness.py",
+        "if kind != problem.f.kind or data is not problem.f.data:",
+        "if data is not problem.f.data:",
+        "tests/test_harness.py::TestRunExperiment::test_reference_refuses_a_loss_other_than_the_problems",
+    ),
+    Mutant(
+        "inner-tol-unchecked",
+        "solvers.py",
+        "if not 0 < self.inner_tol < math.inf:",
+        "if False:",
+        "tests/test_harness.py::test_non_finite_settings_are_refused",
+    ),
+    Mutant(
         "plan-row-ids-not-reset-per-batch",
         "losses.py",
         "self.row = (np.arange(len(idx)) - rows[:-1].repeat(sizes)).repeat(counts)",
