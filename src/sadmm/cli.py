@@ -89,7 +89,7 @@ def main(argv=None) -> int:
         problem, _test, ref = problem_and_reference(cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            eta, beta = grid_search_eta_beta(problem, cfg.solver, cfg, ref, epochs=args.epochs)
+            eta, beta = grid_search_eta_beta(problem, cfg, ref, epochs=args.epochs)
         print(f"solver = {cfg.solver}")
         print(f"eta = {eta!r}")
         print(f"beta = {beta!r}")

@@ -31,7 +31,6 @@ from .metrics import (
     TraceRecord,
     compute_reference,
     evaluate,
-    kkt_residuals,
     p_criterion,
 )
 from .problem import ProblemSpec
@@ -321,7 +320,7 @@ def resolve_solver_config(problem: ProblemSpec, cfg: ExperimentConfig, seed: int
         m = 1
     beta = cfg.beta
     if beta == "auto":
-        beta = beta_star(RateParams.from_problem(problem), problem.spectra) if mu > 0 else 1.0
+        beta = beta_star(RateParams.from_problem(problem)) if mu > 0 else 1.0
     eta = cfg.eta
     if eta == "auto":
         eta = 1.0 / L if cfg.solver == "stoc" else 1.0 / (8.0 * L)
@@ -398,8 +397,8 @@ def _load_certified(path: Path, problem: ProblemSpec, tol: float,
         return None
     if (x.shape, y.shape, lam.shape) != ((problem.d1,), (problem.d2,), (problem.d2,)):
         return None
-    kkt = max(kkt_residuals(problem, x, y, lam, beta))
-    return ReferenceSolution.at(problem, x, y, lam, beta, tol, kkt) if kkt <= tol else None
+    ref = ReferenceSolution.at(problem, x, y, lam, beta, tol)
+    return ref if ref.kkt_residual <= tol else None
 
 
 def get_reference(
@@ -458,13 +457,13 @@ def run_solver(
         state = init_vr_state(problem, config)
         epoch_fn = vr_admm_epoch
         point = lambda st: (st.snapshot.x_tilde, st.y_tilde)
-        warn_if_outside_rate_regime(problem, config, state.theta)
+        warn_if_outside_rate_regime(problem, config)
     elif solver == "batch":
-        state = init_batch_state(problem, config)
+        state = init_batch_state(problem)
         epoch_fn = batch_admm_epoch
         point = lambda st: (st.x, st.y)
     elif solver == "stoc":
-        state = init_stoc_state(problem, config)
+        state = init_stoc_state(problem)
         epoch_fn = stoc_admm_chunk
         point = lambda st: (st.x_bar, st.y_bar)
     else:
@@ -609,7 +608,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 def grid_search_eta_beta(
     problem: ProblemSpec,
-    solver: str,
     cfg: ExperimentConfig,
     ref: ReferenceSolution,
     etas=None,
@@ -617,8 +615,8 @@ def grid_search_eta_beta(
     epochs: int = 4,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Pick (eta, beta) minimizing the final objective gap of a short run."""
-    L = problem.f.smoothness
+    """Pick (eta, beta) minimizing the final objective gap of a short cfg.solver run."""
+    solver, L = cfg.solver, problem.f.smoothness
     if etas is None:
         if solver == "stoc":
             etas = [16.0 / L, 8.0 / L, 4.0 / L, 1.0 / L]
@@ -629,7 +627,7 @@ def grid_search_eta_beta(
     best = (float("inf"), None, None)
     for eta in etas:
         for beta in betas:
-            trial = replace(cfg, solver=solver, eta=eta, beta=beta, epochs=epochs)
+            trial = replace(cfg, eta=eta, beta=beta, epochs=epochs)
             try:
                 config = resolve_solver_config(problem, trial, seed)
                 recs = run_solver(problem, solver, config, ref=ref)

@@ -214,8 +214,8 @@ def compute_spectral_constants(
     Raises RankDeficiencyError when the estimate falls below
     RANK_TOL * sigma_max.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be finite and > 0")
     if A.nnz == 0:
         raise MatrixFormatError("spectral norm of an all-zero matrix is undefined here")
     ata = lambda v: spmv_t(A, spmv(A, v))
@@ -250,6 +250,8 @@ def solve_aat(
     solve_aat(A, A @ w). A warm start x0 may be supplied; it must lie in the
     range of A for the pseudo-inverse interpretation to survive.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be finite and > 0")
     v = as_vector(v, A.rows, "v")
     nv = np.linalg.norm(v)
     if nv == 0.0:
@@ -259,7 +261,7 @@ def solve_aat(
     max_iter = max(20 * A.rows, 1000)
     u, _ = scipy.sparse.linalg.cg(op, v, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter)
     resid = np.linalg.norm(aat(u) - v)
-    if resid > tol * nv:
+    if not resid <= tol * nv:  # a NaN residual fails too
         raise ConvergenceError(
             f"cg on A A^T stalled at relative residual {resid / nv:.3e} "
             "(possible rank deficiency)",

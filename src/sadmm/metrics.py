@@ -41,10 +41,9 @@ class ReferenceSolution:
     tol: float
 
     @classmethod
-    def at(cls, problem: ProblemSpec, x, y, lam, beta: float, tol: float,
-           kkt: float) -> "ReferenceSolution":
-        """The reference at the triple (x, y, lam), whose KKT residual at beta
-        is kkt; every other field is derived from the triple."""
+    def at(cls, problem: ProblemSpec, x, y, lam, beta: float, tol: float) -> "ReferenceSolution":
+        """The reference at the triple (x, y, lam); every field, the KKT
+        residual at beta among them, is derived from the triple."""
         return cls(
             x_star=x,
             y_star=y,
@@ -52,7 +51,7 @@ class ReferenceSolution:
             grad_f_star=problem.f.full_grad(x),
             h_subgrad_star=beta * lam,
             objective_star=problem.objective(x),
-            kkt_residual=kkt,
+            kkt_residual=max(kkt_residuals(problem, x, y, lam, beta)),
             f_star=problem.f.value(x),
             h_star=h_value(problem.reg, y),
             beta=beta,
@@ -188,8 +187,7 @@ def compute_reference(
     if not 0 < tol < np.inf:
         raise ValueError("tol must be finite and > 0")
     inner_floor = min(tol * 3e-2, 1e-12)
-    config = SolverConfig(m=1, eta=1.0, beta=beta, inner_tol=inner_floor, epochs=0)
-    state = init_batch_state(problem, config)
+    state = init_batch_state(problem)
     kkt = np.inf
     failed = set()
     for it in range(1, REFERENCE_MAX_ITER + 1):
@@ -218,7 +216,7 @@ def compute_reference(
             f"after {REFERENCE_MAX_ITER} iterations",
             best_estimate=state.x,
         )
-    return ReferenceSolution.at(problem, x, y, lam, beta, tol, kkt)
+    return ReferenceSolution.at(problem, x, y, lam, beta, tol)
 
 
 def p_criterion(x, y, ref: ReferenceSolution, problem: ProblemSpec) -> float:

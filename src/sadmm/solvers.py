@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .errors import ConfigError, ConvergenceError
-from .linalg import SpectralConstants, solve_aat, spmv, spmv_t
+from .linalg import solve_aat, spmv, spmv_t
 from .problem import ProblemSpec
 from .prox import y_update
 # vr_admm_epoch runs vr_gradient's batch-plan form and does not call it; the
@@ -164,44 +164,49 @@ def theta_next(theta_prev: float) -> float:
 def gamma_min(eta: float, beta: float, theta: float, ata_norm: float) -> float:
     """Smallest gamma keeping the proximal metric G = gamma I -
     (eta beta/theta) A^T A at or above the identity."""
-    if theta <= 0:
-        raise ValueError("theta must be > 0")
-    if eta < 0 or beta < 0 or ata_norm < 0:
-        raise ValueError("eta, beta and ata_norm must be >= 0")
+    if not 0 < theta < math.inf:
+        raise ValueError("theta must be finite and > 0")
+    if not (0 <= eta < math.inf and 0 <= beta < math.inf and 0 <= ata_norm < math.inf):
+        raise ValueError("eta, beta and ata_norm must be finite and >= 0")
     return eta * beta * ata_norm / theta + 1.0
 
 
 @dataclass(frozen=True)
 class RateParams:
-    """Condition numbers entering the geometric-rate and optimal-weight
-    formulas: mu strong convexity, L = max_i L_i, kappa = L/mu, and omega
-    the Gram condition ratio of A. The paper's formulas also use the
-    smoothness L_f of the averaged f; L_f <= L, and L stands in for it."""
+    """The four constants of the rate formulas: mu strong convexity, L =
+    max_i L_i, ||A^T A||_2 and sigma_min, the smallest Gram eigenvalue of A;
+    kappa = L/mu, and omega = ||A^T A||_2 / sigma_min is the Gram condition
+    ratio of A. The paper's formulas also use the smoothness L_f of the
+    averaged f; L_f <= L, and L stands in for it."""
 
     mu: float
     L: float
-    omega: float
+    ata_norm: float
+    aat_min_eig: float
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ConfigError("mu must be > 0 for the geometric-rate formulas")
-        if self.kappa < 1 or self.omega < 1:
-            raise ConfigError("kappa and omega must both be >= 1")
+        if not 0 < self.mu < math.inf:
+            raise ConfigError("mu must be finite and > 0 for the geometric-rate formulas")
+        if not 0 < self.aat_min_eig < math.inf:
+            raise ConfigError("sigma_min must be finite and > 0")
+        if not (1 <= self.kappa < math.inf and 1 <= self.omega < math.inf):
+            raise ConfigError("kappa and omega must both be finite and >= 1")
 
     @property
     def kappa(self) -> float:
         return self.L / self.mu
 
+    @property
+    def omega(self) -> float:
+        return self.ata_norm / self.aat_min_eig
+
     @classmethod
     def from_problem(cls, problem: ProblemSpec) -> "RateParams":
-        spectra = problem.spectra
-        omega = spectra.ata_norm / spectra.aat_min_eig
-        return cls(mu=problem.f.strong_convexity, L=problem.f.smoothness, omega=omega)
+        f, spectra = problem.f, problem.spectra
+        return cls(f.strong_convexity, f.smoothness, spectra.ata_norm, spectra.aat_min_eig)
 
 
-def rho_rate(
-    theta: float, params: RateParams, config: SolverConfig, spectra: SpectralConstants
-) -> float:
+def rho_rate(theta: float, params: RateParams, config: SolverConfig) -> float:
     """Per-epoch contraction factor of the constant-theta solver:
 
         rho = theta ||theta G + eta beta A^T A||_2 / (eta m mu)
@@ -213,9 +218,9 @@ def rho_rate(
     """
     if theta == 0.0:
         return 1.0
-    gamma = _resolve_gamma(config, theta, spectra.ata_norm)
+    gamma = _resolve_gamma(config, theta, params.ata_norm)
     first = theta * (theta * gamma) / (config.eta * config.m * params.mu)
-    third = params.L * theta / (config.beta * config.m * spectra.aat_min_eig)
+    third = params.L * theta / (config.beta * config.m * params.aat_min_eig)
     return first + (1.0 - theta) + third
 
 
@@ -239,12 +244,10 @@ def optimal_theta_sc(m: int, b: int, n: int, params: RateParams) -> tuple[float,
     return theta_star, alpha, eta
 
 
-def beta_star(params: RateParams, spectra: SpectralConstants) -> float:
+def beta_star(params: RateParams) -> float:
     """Penalty weight minimizing the contraction factor:
     sqrt(L mu / (sigma_min ||A^T A||_2))."""
-    if spectra.aat_min_eig <= 0:
-        raise ValueError("sigma_min must be > 0")
-    return math.sqrt(params.L * params.mu / (spectra.aat_min_eig * spectra.ata_norm))
+    return math.sqrt(params.L * params.mu / (params.aat_min_eig * params.ata_norm))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +469,7 @@ def _minimize_x_subproblem(f, A, beta, y, lam, x0, gtol):
     return x, n_grads
 
 
-def init_batch_state(problem: ProblemSpec, config: SolverConfig) -> BatchState:
+def init_batch_state(problem: ProblemSpec) -> BatchState:
     return BatchState(x=np.zeros(problem.d1), y=np.zeros(problem.d2), lam=np.zeros(problem.d2))
 
 
@@ -491,7 +494,7 @@ def batch_admm_epoch(state: BatchState, problem: ProblemSpec, config: SolverConf
 # decaying-step stochastic solver
 
 
-def init_stoc_state(problem: ProblemSpec, config: SolverConfig) -> StocState:
+def init_stoc_state(problem: ProblemSpec) -> StocState:
     """Zero iterates and averages."""
     d1, d2 = problem.d1, problem.d2
     return StocState(x=np.zeros(d1), y=np.zeros(d2), lam=np.zeros(d2),
@@ -537,21 +540,22 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
     return state
 
 
-def warn_if_outside_rate_regime(problem: ProblemSpec, config: SolverConfig, theta: float) -> float | None:
-    """Compute rho for a strongly convex constant-theta run and warn when
-    rho >= 1 or the supplied gamma undercuts gamma_min; the run proceeds
-    either way. None when the problem is not strongly convex or theta
-    decays: the geometric rate does not apply."""
+def warn_if_outside_rate_regime(problem: ProblemSpec, config: SolverConfig) -> float | None:
+    """Compute rho for a strongly convex constant-theta run at the
+    schedule's theta and warn when rho >= 1 or the supplied gamma undercuts
+    gamma_min; the run proceeds either way. None when the problem is not
+    strongly convex or theta decays: the geometric rate does not apply."""
     if problem.f.strong_convexity <= 0 or isinstance(config.schedule, DecayingTheta):
         return None
-    spectra = problem.spectra
-    rho = rho_rate(theta, RateParams.from_problem(problem), config, spectra)
+    theta = float(config.schedule.theta)
+    params = RateParams.from_problem(problem)
+    rho = rho_rate(theta, params, config)
     if rho >= 1.0:
         warnings.warn(
             f"config outside the geometric-rate regime (rho = {rho:.4f} >= 1)", RuntimeWarning
         )
     if not isinstance(config.gamma, str):
-        gmin = gamma_min(config.eta, config.beta, theta, spectra.ata_norm)
+        gmin = gamma_min(config.eta, config.beta, theta, params.ata_norm)
         if config.gamma < gmin - 1e-12:
             warnings.warn(
                 f"gamma = {config.gamma} is below gamma_min = {gmin:.4f}; "

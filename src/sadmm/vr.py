@@ -119,15 +119,15 @@ def vr_gradient(snap: Snapshot, f, x, batch) -> np.ndarray:
     return f.batch_plan([batch], snap.x_tilde).grad(0, x) + snap.full_grad
 
 
-def variance_bound_rhs(snap: Snapshot, f, x, L: float, b: int) -> float:
+def variance_bound_rhs(snap: Snapshot, f, x, b: int) -> float:
     """Upper bound on E||g - grad f(x)||^2 for the size-b estimator:
 
         2 L delta(b) [ f(x_snap) - f(x) + (x - x_snap)^T grad f(x) ]
 
-    The bracket is a Bregman divergence of f, hence non-negative; tiny
-    negative rounding is clamped to zero.
+    with L = f.smoothness. The bracket is a Bregman divergence of f, hence
+    non-negative; tiny negative rounding is clamped to zero.
     """
     x = np.asarray(x, dtype=np.float64)
     d = delta_b(f.n, b)
     bracket = f.value(snap.x_tilde) - f.value(x) + float((x - snap.x_tilde) @ f.full_grad(x))
-    return max(2.0 * L * d * bracket, 0.0)
+    return max(2.0 * f.smoothness * d * bracket, 0.0)

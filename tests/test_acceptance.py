@@ -74,7 +74,6 @@ def test_criterion_02_variance_bound():
     worst = -np.inf
     for f in toy_objectives():
         n = f.n
-        L = f.smoothness
         rng = np.random.default_rng(1000 + n)
         for _ in range(40):  # 40 pairs x 6 objectives = 240 >= 100
             x0 = rng.standard_normal(f.dim)
@@ -91,7 +90,7 @@ def test_criterion_02_variance_bound():
                         ]
                     )
                 )
-                rhs = variance_bound_rhs(snap, f, x, L, b)
+                rhs = variance_bound_rhs(snap, f, x, b)
                 worst = max(worst, lhs - rhs)
                 if lhs > rhs + 1e-10:
                     violations += 1
@@ -171,12 +170,12 @@ def test_criterion_05_geometric_rate():
     floor = 2.0 * params.kappa + 2.0 * math.sqrt(params.kappa * params.omega)
     m = max((2 * n) // b, int(1.6 * floor) + 1)
     theta, _alpha, eta = optimal_theta_sc(m, b, n, params)
-    bstar = beta_star(params, problem.spectra)
+    bstar = beta_star(params)
     config = SolverConfig(
         m=m, eta=eta, beta=bstar, b=b, gamma="auto", epochs=20, seed=0,
         schedule=ConstantTheta(theta),
     )
-    rho = rho_rate(theta, params, config, problem.spectra)
+    rho = rho_rate(theta, params, config)
     assert rho < 1.0
     ratios = []
     for seed in range(10):
@@ -276,7 +275,7 @@ def test_criterion_07_solver_ordering_at_equal_passes():
         warnings.simplefilter("ignore")
         for solver, sched in (("svrg", ConstantTheta(1.0)), ("asvrg_gc", DecayingTheta())):
             eta, beta = grid_search_eta_beta(
-                problem, solver, base_cfg, ref, epochs=epochs_vr, seed=0
+                problem, dataclasses.replace(base_cfg, solver=solver), ref, epochs=epochs_vr, seed=0
             )
             gaps = []
             for seed in range(5):
@@ -389,14 +388,11 @@ def test_criterion_10_rate_parameter_formulas():
         min_dense = float(eigs.min())
         mu = rng.uniform(0.005, 0.2)
         L = rng.uniform(0.5, 2.0)
-        params = RateParams(mu=mu, L=L, omega=sc.ata_norm / sc.aat_min_eig)
-        dense_params = RateParams(mu=mu, L=L, omega=ata_dense / min_dense)
-        from sadmm.linalg import SpectralConstants
-
-        dense_sc = SpectralConstants(ata_norm=ata_dense, aat_min_eig=min_dense)
+        params = RateParams(mu=mu, L=L, ata_norm=sc.ata_norm, aat_min_eig=sc.aat_min_eig)
+        dense_params = RateParams(mu=mu, L=L, ata_norm=ata_dense, aat_min_eig=min_dense)
         # beta*
-        b1 = beta_star(params, sc)
-        b2 = beta_star(dense_params, dense_sc)
+        b1 = beta_star(params)
+        b2 = beta_star(dense_params)
         worst = max(worst, abs(b1 - b2) / b2)
         # gamma_min
         theta = rng.uniform(0.1, 1.0)
@@ -415,7 +411,7 @@ def test_criterion_10_rate_parameter_formulas():
             + (1 - theta)
             + L * theta / (b2 * m * min_dense)
         )
-        rho_ours = rho_rate(theta, dense_params, cfg, dense_sc)
+        rho_ours = rho_rate(theta, dense_params, cfg)
         worst = max(worst, abs(rho_ours - rho_dense) / max(rho_dense, 1.0))
         # theta*: formula agreement plus local minimality of rho(theta)
         n_samples = 400
@@ -426,11 +422,11 @@ def test_criterion_10_rate_parameter_formulas():
         t2, _a2, e2 = optimal_theta_sc(m_big, bsz, n_samples, dense_params)
         worst = max(worst, abs(t1 - t2))
         auto_cfg = SolverConfig(m=m_big, eta=e2, beta=b2, gamma="auto")
-        rho_mid = rho_rate(t2, dense_params, auto_cfg, dense_sc)
+        rho_mid = rho_rate(t2, dense_params, auto_cfg)
         for dtheta in (-0.05, 0.05):
             t = t2 + dtheta
             if t > 0:
-                assert rho_rate(t, dense_params, auto_cfg, dense_sc) >= rho_mid - 1e-12
+                assert rho_rate(t, dense_params, auto_cfg) >= rho_mid - 1e-12
     report(
         10,
         "rate parameter formulas",

@@ -30,7 +30,7 @@ from sadmm.harness import (
     save_graph,
     write_trace_csv,
 )
-from sadmm.linalg import compute_spectral_constants
+from sadmm.linalg import SparseMatrixCSR, compute_spectral_constants, solve_aat
 from sadmm.losses import LossKind
 from sadmm.metrics import (
     CSV_HEADER,
@@ -46,6 +46,7 @@ from sadmm.solvers import (
     DecayingTheta,
     RateParams,
     SolverConfig,
+    gamma_min,
     init_vr_state,
     theta_bound,
 )
@@ -370,6 +371,9 @@ def _config_file(tmp_path, text):
     return config_from_file(path)
 
 
+GRAPH_43 = graph_matrix(GraphSpec(((0, 1, 1.0),)), 3)  # a 4x3 [G; I]
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -385,10 +389,28 @@ def _config_file(tmp_path, text):
         lambda tmp: compute_reference(assemble_problem(small_cfg())[0], tol=math.inf),
         lambda tmp: SolverConfig(m=1, eta=1.0, beta=1.0, inner_tol=-1.0),
         lambda tmp: SolverConfig(m=1, eta=1.0, beta=1.0, inner_tol=math.nan),
+        lambda tmp: compute_spectral_constants(SparseMatrixCSR.identity(3), tol=math.nan),
+        lambda tmp: compute_spectral_constants(SparseMatrixCSR.identity(3), tol=math.inf),
+        lambda tmp: solve_aat(GRAPH_43, np.ones(4), tol=0.0),
+        lambda tmp: solve_aat(GRAPH_43, np.ones(4), tol=-1e-10),
+        lambda tmp: solve_aat(GRAPH_43, np.ones(4), tol=math.nan),
+        lambda tmp: solve_aat(GRAPH_43, np.ones(4), tol=math.inf),
+        lambda tmp: RateParams(mu=math.nan, L=1.0, ata_norm=3.0, aat_min_eig=1.0),
+        lambda tmp: RateParams(mu=0.1, L=math.inf, ata_norm=3.0, aat_min_eig=1.0),
+        lambda tmp: RateParams(mu=0.1, L=1.0, ata_norm=math.nan, aat_min_eig=1.0),
+        lambda tmp: RateParams(mu=0.1, L=1.0, ata_norm=3.0, aat_min_eig=math.nan),
+        lambda tmp: gamma_min(math.nan, 1.0, 0.5, 3.0),
+        lambda tmp: gamma_min(1.0, math.inf, 0.5, 3.0),
+        lambda tmp: gamma_min(1.0, 1.0, math.nan, 3.0),
+        lambda tmp: gamma_min(1.0, 1.0, 0.5, math.nan),
     ],
     ids=["eta-nan", "beta-inf", "gamma-nan", "lambda2-nan", "huber-width-nan", "lambda1-nan",
          "lambda1-inf", "ref-tol-nan", "ref-tol-nan-in-file", "reference-tol-inf",
-         "inner-tol-negative", "inner-tol-nan"],
+         "inner-tol-negative", "inner-tol-nan", "spectral-tol-nan", "spectral-tol-inf",
+         "solve-aat-tol-zero", "solve-aat-tol-negative", "solve-aat-tol-nan",
+         "solve-aat-tol-inf", "rate-mu-nan", "rate-L-inf", "rate-ata-norm-nan",
+         "rate-aat-min-eig-nan", "gamma-min-eta-nan", "gamma-min-beta-inf",
+         "gamma-min-theta-nan", "gamma-min-ata-norm-nan"],
 )
 def test_non_finite_settings_are_refused(tmp_path, build):
     # NaN passes a check written as x <= 0, so each check is one that NaN and
@@ -672,7 +694,7 @@ def test_resolve_constant_momentum_auto():
     assert isinstance(config.schedule, ConstantTheta)
     assert config.schedule.theta == pytest.approx(theta)
     assert config.eta == pytest.approx(eta)
-    assert config.beta == pytest.approx(beta_star(params, problem.spectra))
+    assert config.beta == pytest.approx(beta_star(params))
 
 
 def test_resolve_constant_momentum_with_beta_set():
@@ -778,8 +800,8 @@ class TestGridSearch:
         monkeypatch.setattr(sadmm.harness, "run_solver", diverges_at_small_beta)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            eta, beta = grid_search_eta_beta(problem, "svrg", cfg, ref, etas=etas,
-                                             betas=[0.1, 1.0], epochs=1)
+            eta, beta = grid_search_eta_beta(problem, cfg, ref, etas=etas, betas=[0.1, 1.0],
+                                             epochs=1)
         assert (eta, beta) == (etas[0], 1.0)
 
         def buggy(*args, **kw):
@@ -787,7 +809,7 @@ class TestGridSearch:
 
         monkeypatch.setattr(sadmm.harness, "run_solver", buggy)
         with pytest.raises(TypeError):
-            grid_search_eta_beta(problem, "svrg", cfg, ref, etas=etas, betas=[1.0], epochs=1)
+            grid_search_eta_beta(problem, cfg, ref, etas=etas, betas=[1.0], epochs=1)
 
     def test_skips_an_eta_the_momentum_bound_refuses(self):
         cfg = small_cfg(solver="asvrg_sc")
@@ -797,6 +819,6 @@ class TestGridSearch:
         etas = [1.0 / L, 1.0 / (8.0 * L)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            eta, _beta = grid_search_eta_beta(problem, "asvrg_sc", cfg, ref, etas=etas,
-                                              betas=[1.0], epochs=1)
+            eta, _beta = grid_search_eta_beta(problem, cfg, ref, etas=etas, betas=[1.0],
+                                              epochs=1)
         assert eta == etas[1]

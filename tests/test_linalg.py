@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -269,6 +271,12 @@ class TestSolveAAT:
             u = solve_aat(A, v, tol=1e-12)
             dense = A.to_dense()
             assert np.linalg.norm(dense @ (dense.T @ u) - v) <= 1e-11 * np.linalg.norm(v)
+
+    def test_nan_rhs_raises(self):
+        # a NaN residual fails every comparison, so the check must be one it fails
+        A = graph_matrix(GraphSpec(((0, 1, 1.0),)), 3)
+        with pytest.raises(ConvergenceError):
+            solve_aat(A, [1.0, math.nan, 0.0, 1.0])
 
     def test_tall_consistent_system(self):
         # A A^T singular for tall A, but rhs = A w is in range(A)

@@ -46,6 +46,7 @@ class TestComputeReference:
         assert ref.kkt_residual <= 1e-10
         r = kkt_residuals(problem, ref.x_star, ref.y_star, ref.lambda_star, ref.beta)
         assert max(r) <= 1e-10
+        assert ref.kkt_residual == max(r)  # derived from the triple, not carried
         assert np.linalg.norm(spmv(problem.A, ref.x_star) - ref.y_star) <= 1e-10
 
     def test_tol_monotonicity(self):

@@ -102,24 +102,18 @@ class TestGammaMin:
 
 
 class TestRateFormulas:
-    def _params(self, mu=0.01, L=1.0, omega=3.0):
-        return RateParams(mu=mu, L=L, omega=omega)
-
-    def _spectra(self, ata=3.0, aat=1.0):
-        from sadmm.linalg import SpectralConstants
-
-        return SpectralConstants(ata_norm=ata, aat_min_eig=aat)
+    def _params(self, mu=0.01, L=1.0, ata_norm=3.0, aat_min_eig=1.0):
+        return RateParams(mu=mu, L=L, ata_norm=ata_norm, aat_min_eig=aat_min_eig)
 
     def test_rho_theta_zero_is_one(self):
         cfg = SolverConfig(m=100, eta=0.1, beta=1.0)
-        assert rho_rate(0.0, self._params(), cfg, self._spectra()) == 1.0
+        assert rho_rate(0.0, self._params(), cfg) == 1.0
 
     def test_rho_large_m_limit(self):
         p = self._params()
-        sp = self._spectra()
         theta = 0.5
         cfg = SolverConfig(m=10**9, eta=0.1, beta=1.0, gamma="auto")
-        assert rho_rate(theta, p, cfg, sp) == pytest.approx(1 - theta, abs=1e-6)
+        assert rho_rate(theta, p, cfg) == pytest.approx(1 - theta, abs=1e-6)
 
     def test_rho_matches_dense_norm_path(self):
         # ||theta G + eta beta A^T A||_2 evaluated densely equals theta*gamma
@@ -130,7 +124,7 @@ class TestRateFormulas:
             sc = compute_spectral_constants(A)
             mu = rng.uniform(0.001, 0.1)
             L = rng.uniform(0.5, 2.0)
-            params = RateParams(mu=mu, L=L, omega=sc.ata_norm / sc.aat_min_eig)
+            params = RateParams(mu=mu, L=L, ata_norm=sc.ata_norm, aat_min_eig=sc.aat_min_eig)
             theta = rng.uniform(0.05, 1.0)
             eta = rng.uniform(0.01, 0.4) / L
             beta = rng.uniform(0.1, 2.0)
@@ -142,7 +136,7 @@ class TestRateFormulas:
             first_dense = theta * dense_norm / (eta * cfg.m * mu)
             third = params.L * theta / (beta * cfg.m * sc.aat_min_eig)
             expected = first_dense + (1 - theta) + third
-            assert rho_rate(theta, params, cfg, sc) == pytest.approx(expected, abs=1e-10)
+            assert rho_rate(theta, params, cfg) == pytest.approx(expected, abs=1e-10)
 
     def test_optimal_theta_requires_large_m(self):
         p = self._params()
@@ -150,7 +144,7 @@ class TestRateFormulas:
             optimal_theta_sc(10, 1, 100, p)
 
     def test_optimal_theta_full_batch_formula(self):
-        p = self._params(mu=0.1, L=1.0, omega=2.0)
+        p = self._params(mu=0.1, L=1.0, ata_norm=2.0)
         m = 200
         n = 50
         theta, alpha, eta = optimal_theta_sc(m, n, n, p)  # b = n, delta = 0
@@ -160,13 +154,11 @@ class TestRateFormulas:
 
     def test_theta_star_respects_batch_bound_and_rate(self):
         rng = np.random.default_rng(5)
-        from sadmm.linalg import SpectralConstants
-
         for _ in range(30):
             mu = rng.uniform(0.001, 0.2)
             L = rng.uniform(0.5, 3.0)
             omega = rng.uniform(1.0, 10.0)
-            p = RateParams(mu=mu, L=L, omega=omega)
+            p = RateParams(mu=mu, L=L, ata_norm=omega, aat_min_eig=1.0)
             n = int(rng.integers(20, 2000))
             b = int(rng.integers(1, n + 1))
             m = int((2 * p.kappa + 2 * math.sqrt(p.kappa * p.omega)) * rng.uniform(1.2, 5.0)) + 1
@@ -176,50 +168,39 @@ class TestRateFormulas:
                 continue
             delta = delta_b(n, b)
             assert theta <= 1 - delta / (alpha - 1) + 1e-12
-            sp = SpectralConstants(ata_norm=omega, aat_min_eig=1.0)
-            bs = beta_star(p, sp)
-            cfg = SolverConfig(m=m, eta=eta, beta=bs, gamma="auto")
-            rho = rho_rate(theta, p, cfg, sp)
+            cfg = SolverConfig(m=m, eta=eta, beta=beta_star(p), gamma="auto")
+            rho = rho_rate(theta, p, cfg)
             assert rho < 1.0
 
     def test_theta_star_local_minimality(self):
-        from sadmm.linalg import SpectralConstants
-
         rng = np.random.default_rng(9)
         for _ in range(20):
             mu = rng.uniform(0.005, 0.1)
             L = 1.0
             omega = rng.uniform(1.0, 5.0)
-            p = RateParams(mu=mu, L=L, omega=omega)
+            p = RateParams(mu=mu, L=L, ata_norm=omega, aat_min_eig=1.0)
             n, b = 500, int(rng.integers(1, 50))
             m = int((2 * p.kappa + 2 * math.sqrt(p.kappa * p.omega)) * 2) + 1
             theta, alpha, eta = optimal_theta_sc(m, b, n, p)
-            sp = SpectralConstants(ata_norm=omega, aat_min_eig=1.0)
-            cfg = SolverConfig(m=m, eta=eta, beta=beta_star(p, sp), gamma="auto")
-            rho_mid = rho_rate(theta, p, cfg, sp)
+            cfg = SolverConfig(m=m, eta=eta, beta=beta_star(p), gamma="auto")
+            rho_mid = rho_rate(theta, p, cfg)
             for d_theta in (-0.05, 0.05):
                 t = theta + d_theta
                 if 0 < t:
-                    assert rho_rate(t, p, cfg, sp) >= rho_mid - 1e-12
+                    assert rho_rate(t, p, cfg) >= rho_mid - 1e-12
 
     def test_beta_star_values(self):
-        from sadmm.linalg import SpectralConstants
-
-        p = self._params(mu=1.0, L=1.0, omega=1.0)
-        sp = SpectralConstants(ata_norm=1.0, aat_min_eig=1.0)
-        assert beta_star(p, sp) == pytest.approx(1.0)
-        p4 = self._params(mu=1.0, L=4.0, omega=1.0)
-        assert beta_star(p4, sp) == pytest.approx(2.0)
+        p = self._params(mu=1.0, L=1.0, ata_norm=1.0)
+        assert beta_star(p) == pytest.approx(1.0)
+        p4 = self._params(mu=1.0, L=4.0, ata_norm=1.0)
+        assert beta_star(p4) == pytest.approx(2.0)
 
     def test_beta_star_scaling(self):
         # scaling A by c scales both Gram spectra by c^2 and beta* by 1/c^2
-        from sadmm.linalg import SpectralConstants
-
-        p = self._params(mu=0.05, L=2.0, omega=3.0)
-        sp1 = SpectralConstants(ata_norm=3.0, aat_min_eig=1.0)
         c2 = 4.0
-        sp2 = SpectralConstants(ata_norm=3.0 * c2, aat_min_eig=1.0 * c2)
-        assert beta_star(p, sp2) == pytest.approx(beta_star(p, sp1) / c2)
+        p1 = self._params(mu=0.05, L=2.0, ata_norm=3.0, aat_min_eig=1.0)
+        p2 = self._params(mu=0.05, L=2.0, ata_norm=3.0 * c2, aat_min_eig=1.0 * c2)
+        assert beta_star(p2) == pytest.approx(beta_star(p1) / c2)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +213,7 @@ class TestBatchAdmm:
         centers = np.array([[1.0], [3.0], [2.0]])
         problem = quadratic_problem(centers, q=2.0, lambda1=0.0)
         config = SolverConfig(m=1, eta=1.0, beta=1.0, inner_tol=1e-12)
-        state = init_batch_state(problem, config)
+        state = init_batch_state(problem)
         for _ in range(200):
             batch_admm_epoch(state, problem, config)
         assert state.x[0] == pytest.approx(2.0, abs=1e-8)
@@ -241,7 +222,7 @@ class TestBatchAdmm:
     def test_fixed_point_is_stationary(self):
         problem = logistic_problem(n=30, dim=5, seed=4)
         config = SolverConfig(m=1, eta=1.0, beta=0.5, inner_tol=1e-13)
-        state = init_batch_state(problem, config)
+        state = init_batch_state(problem)
         for _ in range(3000):
             batch_admm_epoch(state, problem, config)
         x0, y0, l0 = state.x.copy(), state.y.copy(), state.lam.copy()
@@ -253,7 +234,7 @@ class TestBatchAdmm:
     def test_dual_update_identity(self):
         problem = logistic_problem(n=20, dim=4, seed=6)
         config = SolverConfig(m=1, eta=1.0, beta=0.7)
-        state = init_batch_state(problem, config)
+        state = init_batch_state(problem)
         lam_before = state.lam.copy()
         batch_admm_epoch(state, problem, config)
         expected = lam_before + (spmv(problem.A, state.x) - state.y)
@@ -269,7 +250,7 @@ class TestStocAdmm:
         centers = np.zeros((4, 2))  # f minimized at 0, gradient 0 at x=0
         problem = quadratic_problem(centers, q=1.0, lambda1=0.0)
         config = SolverConfig(m=1, eta=0.5, beta=0.01, seed=0)
-        state = init_stoc_state(problem, config)
+        state = init_stoc_state(problem)
         state.lam = np.array([1.0, -1.0])  # puts a pure penalty pull on x
         stoc_admm_chunk(state, problem, config)
         # y-update absorbs lam exactly, so x stays at the origin
@@ -283,7 +264,7 @@ class TestStocAdmm:
         centers = np.zeros((4, 2))
         problem = quadratic_problem(centers, q=1.0, lambda1=0.5)
         config = SolverConfig(m=1, eta=0.5, beta=0.01, seed=0)
-        state = init_stoc_state(problem, config)
+        state = init_stoc_state(problem)
         state.lam = np.array([1.0, -1.0])
         stoc_admm_chunk(state, problem, config)
         assert np.linalg.norm(state.x) > 0.0
@@ -294,7 +275,7 @@ class TestStocAdmm:
         out = []
         for _ in range(2):
             config = SolverConfig(m=40, eta=0.5, beta=0.5, seed=5)
-            state = init_stoc_state(problem, config)
+            state = init_stoc_state(problem)
             stoc_admm_chunk(state, problem, config)
             out.append(state.x.copy())
         assert np.array_equal(out[0], out[1])
@@ -305,7 +286,7 @@ class TestStocAdmm:
         problem = quadratic_problem(centers, q=1.0, lambda1=0.0)
         x_star = float(np.mean(centers))
         config = SolverConfig(m=10_000, eta=1.0, beta=0.1, seed=3)
-        state = init_stoc_state(problem, config)
+        state = init_stoc_state(problem)
         stoc_admm_chunk(state, problem, config)
         assert abs(state.x[0] - x_star) <= 0.1
         assert abs(state.x_bar[0] - x_star) <= 0.1
@@ -339,7 +320,7 @@ class TestStocReplay:
             y_bar += (y - y_bar) / k
             sup_x = max(sup_x, float(np.max(np.abs(x))))
             sup_lam = max(sup_lam, float(np.max(np.abs(lam))))
-        state = init_stoc_state(problem, config)
+        state = init_stoc_state(problem)
         stoc_admm_chunk(state, problem, config)
         stoc_admm_chunk(state, problem, config)
         assert state.grad_evals == 30
@@ -436,7 +417,7 @@ class TestLayerBoundaries:
 
         problem = logistic_problem(n=25, dim=4, seed=8)
         config = SolverConfig(m=11, eta=0.5, beta=0.5, seed=2)
-        state = init_stoc_state(problem, config)
+        state = init_stoc_state(problem)
         draws = self._count(monkeypatch, sadmm.vr.BatchSampler, "draw")
         stoc_admm_chunk(state, problem, config)
         assert len(draws) == 11
@@ -492,13 +473,13 @@ class TestLayerBoundaries:
         # a stoc trace row gathers its m single samples in one plan
         stoc_problem = logistic_problem(n=25, dim=4, seed=8)
         stoc_cfg = SolverConfig(m=11, eta=0.5, beta=0.5, seed=2)
-        state = init_stoc_state(stoc_problem, stoc_cfg)
+        state = init_stoc_state(stoc_problem)
         stoc_admm_chunk(state, stoc_problem, stoc_cfg)
         assert len(plans) == 2
         assert len(grads) == cfg.m + 11
 
         batch_cfg = SolverConfig(m=1, eta=0.1, beta=0.5)
-        state = init_batch_state(problem, batch_cfg)
+        state = init_batch_state(problem)
         hvps = self._count(monkeypatch, oracle, "hess_vec")
         batch_admm_epoch(state, problem, batch_cfg)
         assert len(hvps) > 0
@@ -928,7 +909,7 @@ def test_strongly_convex_momentum_gains_nothing_over_theta_one_at_equal_step():
     for name, (solver, th, step) in runs.items():
         per_seed = []
         for seed in range(5):
-            cfg = SolverConfig(m=m, eta=step, beta=beta_star(params, problem.spectra), b=b,
+            cfg = SolverConfig(m=m, eta=step, beta=beta_star(params), b=b,
                                gamma="auto", epochs=10, seed=seed, schedule=ConstantTheta(th))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -947,7 +928,7 @@ class TestRateRegimeWarnings:
         from sadmm.solvers import warn_if_outside_rate_regime
 
         with pytest.warns(RuntimeWarning, match="rho"):
-            rho = warn_if_outside_rate_regime(problem, cfg, theta=1.0)
+            rho = warn_if_outside_rate_regime(problem, cfg)
         assert rho >= 1.0
 
     def test_gamma_below_floor_warns(self):
@@ -958,7 +939,7 @@ class TestRateRegimeWarnings:
         from sadmm.solvers import warn_if_outside_rate_regime
 
         with pytest.warns(RuntimeWarning, match="gamma"):
-            warn_if_outside_rate_regime(problem, cfg, theta=1.0)
+            warn_if_outside_rate_regime(problem, cfg)
 
     def test_general_convex_problem_skips_rate_check(self):
         data = tiny_dataset(n=20, dim=4, seed=32)
@@ -970,7 +951,7 @@ class TestRateRegimeWarnings:
         cfg = vr_config(problem, theta=None, b=2, m=2)
         from sadmm.solvers import warn_if_outside_rate_regime
 
-        assert warn_if_outside_rate_regime(problem, cfg, theta=1.0) is None
+        assert warn_if_outside_rate_regime(problem, cfg) is None
 
     def test_decaying_schedule_skips_rate_check(self):
         # rho is the constant-theta contraction factor; m = 2 would put it >= 1
@@ -982,7 +963,7 @@ class TestRateRegimeWarnings:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert warn_if_outside_rate_regime(problem, cfg, theta=0.5) is None
+            assert warn_if_outside_rate_regime(problem, cfg) is None
 
 
 class TestFiniteIterates:

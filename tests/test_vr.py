@@ -200,13 +200,13 @@ class TestVarianceBound:
         f = make_objective()
         x0 = np.full(f.dim, 0.2)
         snap = Snapshot(x0, f.full_grad(x0))
-        assert variance_bound_rhs(snap, f, x0, f.smoothness, 2) == pytest.approx(0.0, abs=1e-12)
+        assert variance_bound_rhs(snap, f, x0, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_at_full_batch(self):
         f = make_objective()
         snap = Snapshot(np.zeros(f.dim), f.full_grad(np.zeros(f.dim)))
         x = np.random.default_rng(3).standard_normal(f.dim)
-        assert variance_bound_rhs(snap, f, x, f.smoothness, f.n) == 0.0
+        assert variance_bound_rhs(snap, f, x, f.n) == 0.0
 
     def test_direct_recomputation(self):
         f = make_objective(n=5, dim=3, seed=8)
@@ -220,12 +220,11 @@ class TestVarianceBound:
             * delta_b(5, 2)
             * (f.value(x0) - f.value(x) + float((x - x0) @ f.full_grad(x)))
         )
-        assert variance_bound_rhs(snap, f, x, L, b) == pytest.approx(max(expected, 0.0))
+        assert variance_bound_rhs(snap, f, x, b) == pytest.approx(max(expected, 0.0))
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_bound_dominates_exact_expectation(self, n):
         f = make_objective(n=n, dim=4, seed=n + 20)
-        L = f.smoothness
         rng = np.random.default_rng(n)
         for trial in range(25):
             x0 = rng.standard_normal(4)
@@ -233,7 +232,7 @@ class TestVarianceBound:
             snap = Snapshot(x0, f.full_grad(x0))
             for b in {1, 2, n - 1, n}:
                 lhs = exhaustive_second_moment(snap, f, x, b)
-                rhs = variance_bound_rhs(snap, f, x, L, b)
+                rhs = variance_bound_rhs(snap, f, x, b)
                 assert lhs <= rhs + 1e-10, (trial, b)
 
     def test_variance_zero_cases(self):

@@ -101,8 +101,8 @@ MUTANTS = (
     Mutant(
         "cache-load-skips-kkt-gate",
         "harness.py",
-        "if kkt <= tol else None",
-        "if True else None",
+        "return ref if ref.kkt_residual <= tol else None",
+        "return ref",
         "tests/test_harness.py::TestRunExperiment::test_reference_cached",
     ),
     Mutant(
@@ -125,6 +125,36 @@ MUTANTS = (
         "if kind != problem.f.kind or data is not problem.f.data:",
         "if data is not problem.f.data:",
         "tests/test_harness.py::TestRunExperiment::test_reference_refuses_a_loss_other_than_the_problems",
+    ),
+    Mutant(
+        "reference-kkt-not-derived",
+        "metrics.py",
+        "kkt_residual=max(kkt_residuals(problem, x, y, lam, beta)),",
+        "kkt_residual=0.0,",
+        "tests/test_metrics.py::TestComputeReference::test_kkt_residuals_certified",
+    ),
+    Mutant(
+        "rate-omega-inverted",
+        "solvers.py",
+        "return self.ata_norm / self.aat_min_eig",
+        "return self.aat_min_eig / self.ata_norm",
+        "tests/test_solvers.py::TestRateFormulas::test_optimal_theta_full_batch_formula",
+    ),
+    Mutant(
+        "spectral-tol-check-passes-nan",
+        "linalg.py",
+        'if not 0 < tol < np.inf:\n        raise ValueError("tol must be finite and > 0")\n'
+        "    if A.nnz == 0:",
+        'if tol <= 0:\n        raise ValueError("tol must be finite and > 0")\n'
+        "    if A.nnz == 0:",
+        "tests/test_harness.py::test_non_finite_settings_are_refused[spectral-tol-nan]",
+    ),
+    Mutant(
+        "solve-aat-nan-residual-passes",
+        "linalg.py",
+        "if not resid <= tol * nv:",
+        "if resid > tol * nv:",
+        "tests/test_linalg.py::TestSolveAAT::test_nan_rhs_raises",
     ),
     Mutant(
         "inner-tol-unchecked",
