@@ -19,9 +19,9 @@ the full gradient the first time a caller asks for each.
 
 A mini-batch gradient and its difference between two points (the
 variance-reduced estimator's core) are one kernel, BatchPlan.grad. A plan
-gathers the nonzeros of a sequence of batches from the raw CSR arrays once
-(a solver draws an epoch's or a trace row's batches up front, so its plan
-holds O(m b nnz-per-row) values); each gradient is then a bincount for
+gathers the nonzeros of a sequence of batches once, through scipy's row
+index (a solver draws an epoch's or a trace row's batches up front, so its
+plan holds O(m b nnz-per-row) values); each gradient is then a bincount for
 the margins at x and a bincount that scatters the loss derivatives, less
 the memo's at a reference point for the difference.
 """
@@ -140,8 +140,8 @@ def _d2loss_of_margin(kind: LossKind, t: np.ndarray) -> np.ndarray:
 
 
 class BatchPlan:
-    """The nonzeros of a sequence of batches, gathered once from the CSR
-    arrays, for the mini-batch gradients of any points x; made by
+    """The nonzeros of a sequence of batches, gathered once by scipy's row
+    index, for the mini-batch gradients of any points x; made by
     LossObjective.batch_plan.
 
     Batch k holds rows[k]:rows[k+1] of the gathered samples (their labels,
@@ -153,10 +153,15 @@ class BatchPlan:
 
     def __init__(self, f: "LossObjective", batches, x_ref=None):
         data = f.data
-        sizes = [len(batch) for batch in batches]
+        # a 2-D array holds one batch per row, as BatchSampler.draw returns them
+        rowwise = isinstance(batches, np.ndarray) and batches.ndim == 2
+        sizes = [batches.shape[1]] * len(batches) if rowwise else [len(b) for b in batches]
         if not sizes or min(sizes) == 0:
             raise ValueError("empty index subset")
-        idx = np.concatenate(batches).astype(np.int64, copy=False)
+        idx = batches.ravel() if rowwise else np.concatenate(batches)
+        if idx.dtype.kind not in "iu":
+            raise TypeError(f"sample indices must be integers, not {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         if idx.min() < 0 or idx.max() >= data.n:
             raise IndexError("sample index out of range")
         self.kind, self.dim, self.labels = f.kind, data.dim, data.labels[idx]
@@ -165,23 +170,18 @@ class BatchPlan:
             x_ref = as_vector(x_ref, data.dim, "x_ref")
             self.dloss_ref = f._at(x_ref).dloss[idx]
             self.x_ref = x_ref.copy()  # a later write into x_ref must not reach the ridge
-        off = data.features.row_offsets
-        starts = off[idx]
-        counts = off[idx + 1] - starts
-        ends = counts.cumsum()
-        # the offset of each nonzero in col_indices/values, built in place
-        # and freed before the row ids, so that at most three arrays of the
-        # plan's length are alive at once
-        pos = (starts - ends + counts).repeat(counts)
-        pos += np.arange(len(pos))
-        self.cols, self.vals = data.features.col_indices[pos], data.features.values[pos]
-        del pos
+        # scipy's C row index copies each sample's nonzeros in column order
+        sub = data.features.csr[idx]
+        self.vals = sub.data
+        self.cols = sub.indices.astype(np.int64)  # int64, for the speed of grad
+        off = sub.indptr
+        del sub
         rows = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=rows[1:])
         # the local row of each nonzero: its sample's position in its batch
-        self.row = (np.arange(len(idx)) - rows[:-1].repeat(sizes)).repeat(counts)
+        self.row = (np.arange(len(idx)) - rows[:-1].repeat(sizes)).repeat(np.diff(off))
         self.rows = rows.tolist()
-        self.nz = np.concatenate(([0], ends))[rows].tolist()
+        self.nz = off[rows].tolist()
 
     def grad(self, k: int, x: np.ndarray) -> np.ndarray:
         """Mean over batch k of grad f_i(x), less grad f_i(x_ref) when the
@@ -327,7 +327,8 @@ class LossObjective:
 
     def batch_plan(self, batches, x_ref=None) -> BatchPlan:
         """Gather the nonzeros of every batch in ``batches`` (a sequence of
-        index arrays) once; plan.grad(k, x) is then the mean over
+        index arrays, or a 2-D array of one batch per row) once;
+        plan.grad(k, x) is then the mean over
         batches[k] of grad f_i(x), less grad f_i(x_ref) when x_ref is given.
 
         Every f_i is a loss of the margin b_i a_i^T x, so the difference of

@@ -21,10 +21,10 @@ with (1-theta_s)/theta_s^2 = 1/theta_{s-1}^2 (general convex case,
 accelerated sublinear rate). The momentum-free SVRG-ADMM baseline is the
 constant schedule at theta = 1, where x = z.
 
-The stochastic loops draw all their batches when an epoch (or a stoc
-trace row) starts, since every draw is a pure function of (seed, epoch,
-k), and gather them once with f.batch_plan; each inner step then pays only
-for the gradient work that depends on its point.
+The stochastic loops draw all their batches in one call when an epoch (or
+a stoc trace row) starts, since every draw is a pure function of (seed,
+epoch, k), and gather them once with f.batch_plan; each inner step then
+pays only for the gradient work that depends on its point.
 """
 
 from __future__ import annotations
@@ -368,7 +368,7 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
     epoch = state.epoch + 1
     # every draw is a pure function of (seed, epoch, k): gather the epoch's
     # batches once, with the loss derivatives at the snapshot
-    plan = f.batch_plan([sampler.draw(epoch, k) for k in range(1, m + 1)], x_snap)
+    plan = f.batch_plan(sampler.draw(epoch, np.arange(1, m + 1)), x_snap)
     g_snap = state.snapshot.full_grad
     scale = config.eta / (gamma * theta)
     snap_share = (1.0 - theta) * x_snap
@@ -515,7 +515,7 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
     w, Q = problem.ata_eig
     first = state.grad_evals + 1
     sampler = BatchSampler(f.n, 1, config.seed)
-    plan = f.batch_plan([sampler.draw(0, k) for k in range(first, first + config.m)])
+    plan = f.batch_plan(sampler.draw(0, np.arange(first, first + config.m)))
     x, y, lam, Ax = state.x, state.y, state.lam, spmv(A, state.x)
     x_bar, y_bar = state.x_bar, state.y_bar
     beta_w = beta * w

@@ -33,6 +33,24 @@ class Snapshot:
             raise DimensionError("snapshot point and gradient must have equal shape")
 
 
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011) as numpy's Philox computes it: the multipliers of the two
+# products each round makes, and the key's increment from round to round
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
+_LO32 = np.uint64(0xFFFFFFFF)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> 32
+
+
+def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products _PHILOX_M * x, the high
+    word summed from the products of 32-bit halves."""
+    x_lo, x_hi = x & _LO32, x >> 32
+    lo_hi, hi_lo = _M_LO * x_hi, _M_HI * x_lo
+    mid = (_M_LO * x_lo >> 32) + (lo_hi & _LO32) + (hi_lo & _LO32)
+    return _M_HI * x_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32), _PHILOX_M * x
+
+
 class BatchSampler:
     """Draws size-b index sets uniformly at random, without replacement.
 
@@ -41,11 +59,22 @@ class BatchSampler:
     seed, and draws may be made in any order. epoch and k must each be below
     2**32, so that together they fill one 64-bit counter word.
 
-    The sampler holds one Philox stream keyed by the seed and rewinds it for
-    every draw to the counter ((epoch << 32) | k) << 128 with its output
-    buffer cleared, which is exactly the state a fresh
-    Philox(key=seed, counter=...) starts from. Because every draw rewinds
-    that one stream, a sampler must not be shared between threads.
+    The scalar draw rewinds the sampler's one Philox stream, keyed by the
+    seed, to the counter ((epoch << 32) | k) << 128 with its output buffer
+    cleared, which is exactly the state a fresh Philox(key=seed,
+    counter=...) starts from. Because every draw rewinds that one stream, a
+    sampler must not be shared between threads.
+
+    draw(epoch, ks) with a 1-D integer array ks returns one row per k, each
+    equal to the scalar draw. When b = 1, or when b(b-1) < n in the
+    rejection branch, it evaluates Philox4x64-10 for all rows at once in
+    uint64 arithmetic and applies numpy's bounded (Lemire) step to the
+    32-bit halves of its words; a row that numpy would retry (a Lemire
+    rejection, or a tuple with a repeat) is drawn by the scalar path. The
+    bound keeps those retries rare: a tuple repeats with probability about
+    b(b-1)/2n, and larger b spends more time on them than the scalar loop
+    costs. Every other branch, and n >= 2**32, takes the scalar path row
+    by row.
 
     Returned indices are sorted, which makes batch-gradient reductions
     independent of the draw order (and makes b = n runs seed-independent).
@@ -62,12 +91,38 @@ class BatchSampler:
         # the fresh stream's state; draw rewrites the counter word that
         # holds (epoch << 32) | k, and the rest resets the output buffer
         self._start = self._bitgen.state
+        # rejection sampling beats the O(n) partial shuffle for small b;
+        # retrying the whole tuple keeps subsets exactly uniform. A tuple
+        # is distinct with probability about exp(-b(b-1)/2n), so the
+        # second bound keeps the expected tries below e^2
+        self._rejects = b * 16 < n and b * (b - 1) < 4 * n
+        self._bulk = n < 1 << 32 and (b == 1 < n or (self._rejects and b * (b - 1) < n))
+        # the bulk path's ten round keys: the key, bumped once per round
+        rounds = np.arange(10, dtype=np.uint64)[:, None]
+        self._round_keys = (self._start["state"]["key"] + rounds * _PHILOX_W)[:, :, None, None]
 
-    def draw(self, epoch: int, k: int) -> np.ndarray:
-        if epoch < 0 or k < 0:
+    def draw(self, epoch: int, k) -> np.ndarray:
+        """The sorted batch for (epoch, k); for a 1-D integer array of k, an
+        int64 array of shape (len(k), b) with one batch per k."""
+        ks = np.asarray(k) if np.ndim(k) else None
+        if ks is not None and (ks.ndim != 1 or ks.dtype.kind not in "iu"):
+            raise TypeError(f"k must be an integer or a 1-D integer array, not {ks.dtype}")
+        lo, hi = (k, k) if ks is None else (ks.min(initial=0), ks.max(initial=0))
+        if epoch < 0 or lo < 0:
             raise ValueError("epoch and k must be non-negative")
-        if epoch >= 1 << 32 or k >= 1 << 32:
+        if epoch >= 1 << 32 or hi >= 1 << 32:
             raise ValueError("epoch and k must be below 2**32")
+        if ks is None:
+            return self._draw_one(epoch, k)
+        if self._bulk:
+            out, ok = self._draw_bulk(epoch, ks)
+        else:
+            out, ok = np.empty((len(ks), self.b), dtype=np.int64), np.zeros(len(ks), dtype=bool)
+        for i in np.flatnonzero(~ok):
+            out[i] = self._draw_one(epoch, int(ks[i]))
+        return out
+
+    def _draw_one(self, epoch: int, k: int) -> np.ndarray:
         if self.b == self.n:
             return np.arange(self.n)
         self._start["state"]["counter"][2] = (epoch << 32) | k
@@ -76,11 +131,7 @@ class BatchSampler:
         if self.b == 1:
             # the scalar draw takes the same value as size=1, at lower cost
             return np.array([rng.integers(self.n)])
-        if self.b * 16 < self.n and self.b * (self.b - 1) < 4 * self.n:
-            # rejection sampling beats the O(n) partial shuffle for small b;
-            # retrying the whole tuple keeps subsets exactly uniform. A tuple
-            # is distinct with probability about exp(-b(b-1)/2n), so the
-            # second bound keeps the expected tries below e^2
+        if self._rejects:
             while True:
                 idx = rng.integers(self.n, size=self.b)
                 idx.sort()
@@ -89,6 +140,31 @@ class BatchSampler:
         idx = rng.choice(self.n, size=self.b, replace=False)
         idx.sort()
         return idx
+
+    def _draw_bulk(self, epoch: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The first try of every row, and which rows it settles. Block j of
+        row k is Philox4x64-10 at counter (j, 0, (epoch << 32) | k, 0) for
+        j = 1, 2, ... (the stream increments its counter before each
+        block); its four words give eight 32-bit values, low half first."""
+        n, b = self.n, self.b
+        blocks = -(-b // 8)
+        # the words (c0, c2) and (c1, c3) of every row's counters
+        even = np.empty((2, len(ks), blocks), dtype=np.uint64)
+        even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+        even[1] = (np.uint64(epoch << 32) | ks.astype(np.uint64))[:, None]
+        odd = np.zeros_like(even)
+        for key in self._round_keys:
+            hi, lo = _mulhilo(even)
+            even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+        words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
+        u = np.stack((words & _LO32, words >> 32), axis=-1).reshape(len(ks), 8 * blocks)[:, :b]
+        # numpy's bounded step: the high word of u * n, unless the low word
+        # falls below (2**32 - n) mod n, where numpy draws again
+        prod = u * np.uint64(n)
+        rejected = ((prod & _LO32) < (2**32 - n) % n).any(axis=1)
+        idx = (prod >> 32).astype(np.int64)
+        idx.sort(axis=1)
+        return idx, ~rejected & (idx[:, 1:] > idx[:, :-1]).all(axis=1)
 
 
 def delta_b(n: int, b: int) -> float:
@@ -108,9 +184,11 @@ def vr_gradient(snap: Snapshot, f, x, batch) -> np.ndarray:
     """Snapshot-corrected mini-batch gradient estimate at x. The batch
     must be strictly increasing (sorted and distinct), as
     BatchSampler.draw returns it."""
-    batch = np.asarray(batch, dtype=np.int64)
+    batch = np.asarray(batch)
     if len(batch) == 0:
         raise ValueError("empty batch")
+    if batch.dtype.kind not in "iu":
+        raise TypeError(f"sample indices must be integers, not {batch.dtype}")
     if not (batch[1:] > batch[:-1]).all():
         raise ValueError("batch indices must be strictly increasing")
     x = np.asarray(x, dtype=np.float64)

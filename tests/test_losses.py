@@ -272,6 +272,42 @@ def test_batch_plan_checks_every_index_first():
             f.batch_plan(batches)
 
 
+def test_batch_plan_takes_a_batch_per_row():
+    # a 2-D array, as BatchSampler.draw(epoch, ks) returns it, gives the
+    # plan of its list of rows
+    f = LossObjective(LossKind.huberized_hinge(0.01), tiny_dataset(n=30, dim=5, seed=4))
+    rng = np.random.default_rng(6)
+    x, x_ref = rng.standard_normal((2, 5))
+    for shape in ((7, 3), (1, 30), (9, 1)):
+        rows = rng.integers(30, size=shape)
+        for ref in (None, x_ref):
+            plan, oracle = f.batch_plan(rows, ref), f.batch_plan(list(rows), ref)
+            for k in range(shape[0]):
+                assert plan.grad(k, x).tobytes() == oracle.grad(k, x).tobytes()
+    for rows in (np.zeros((0, 3), dtype=np.int64), np.zeros((4, 0), dtype=np.int64)):
+        with pytest.raises(ValueError, match="empty index subset"):
+            f.batch_plan(rows)
+
+
+def test_batch_plan_refuses_non_integer_indices():
+    # float indices used to be truncated (1.9 read row 1) and a bool batch
+    # read as rows 0 and 1
+    f = LossObjective(LossKind.logistic(), tiny_dataset(n=5, dim=3))
+    for batches, dtype in (
+        ([np.array([1.9])], "float64"),
+        ([[0, 1], [2.5]], "float64"),
+        ([[0, 1.5]], "float64"),
+        ([np.array([True, False])], "bool"),
+        (np.array([[0.0, 1.0], [2.0, 3.0]]), "float64"),
+    ):
+        for ref in (None, np.ones(3)):
+            with pytest.raises(TypeError, match=dtype):
+                f.batch_plan(batches, ref)
+    for idx in ([0.2, 1.7], [True, False]):
+        with pytest.raises(TypeError):
+            f.subset_grad(np.ones(3), idx)
+
+
 def finite_difference_grad(f, x, step=1e-6):
     d = len(x)
     out = np.zeros(d)

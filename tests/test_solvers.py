@@ -364,9 +364,9 @@ class TestLayerBoundaries:
         monkeypatch.setattr(owner, attr, counted)
         return calls
 
-    def test_vr_epoch_calls_each_layer_m_times(self, monkeypatch):
-        # the epoch gathers its m batches in one plan, then asks it for m
-        # gradients
+    def test_vr_epoch_draws_and_plans_once(self, monkeypatch):
+        # the epoch draws its m batches in one call and gathers them in one
+        # plan, then asks it for m gradients
         import sadmm.losses
         import sadmm.vr
 
@@ -383,7 +383,7 @@ class TestLayerBoundaries:
             monkeypatch.undo()
             assert len(plans) == 1
             assert len(grads) == cfg.m
-            assert len(draws) == cfg.m
+            assert len(draws) == 1
 
     def test_vr_epoch_takes_snapshot_derivatives_from_the_memo(self, monkeypatch):
         # the loss derivatives at the snapshot come from the memo its full
@@ -412,7 +412,8 @@ class TestLayerBoundaries:
             assert sizes.count(problem.f.n) == 2
             assert len(sizes) == 2 * cfg.m + 2
 
-    def test_stoc_chunk_draws_once_per_step(self, monkeypatch):
+    def test_stoc_chunk_draws_once_per_row(self, monkeypatch):
+        # the trace row's m = 11 single-sample draws are one call
         import sadmm.vr
 
         problem = logistic_problem(n=25, dim=4, seed=8)
@@ -420,7 +421,7 @@ class TestLayerBoundaries:
         state = init_stoc_state(problem)
         draws = self._count(monkeypatch, sadmm.vr.BatchSampler, "draw")
         stoc_admm_chunk(state, problem, config)
-        assert len(draws) == 11
+        assert len(draws) == 1
 
     @pytest.mark.parametrize(
         "solver, init",

@@ -132,6 +132,65 @@ class TestSamplerStream:
         assert not np.array_equal(s.draw(0, 2**32 - 1), s.draw(1, 0))
 
 
+# the bulk draw's cases: every branch above, and the sizes at which its
+# Philox rows must match the scalar stream; at n = 2**31 + 11 numpy's
+# bounded step rejects about half the 32-bit values, so those rows are
+# drawn again by the scalar path, and at (2000, 20) about one row in ten
+# repeats a sample and is retried there
+BULK_CASES = SAMPLER_BRANCHES + [
+    (n, b)
+    for n in (2, 3, 2000, 32561, 2**31 + 11)
+    for b in (1, 2, 3, 20, 256)
+    if b <= n and (n, b) not in SAMPLER_BRANCHES
+]
+BULK_KS = np.array([0, 1, 2, 3, 199, 2**32 - 2, 2**32 - 1] + list(range(1000, 1150)) + [7, 7])
+
+
+class TestBulkDraw:
+    @pytest.mark.parametrize("n,b", BULK_CASES)
+    def test_rows_equal_scalar_draws(self, n, b):
+        for seed in (0, 41):
+            s = BatchSampler(n, b, seed=seed)
+            for epoch in (0, 1, 2**32 - 1):
+                rows = s.draw(epoch, BULK_KS)
+                assert rows.dtype == np.int64 and rows.shape == (len(BULK_KS), b)
+                for k, row in zip(BULK_KS.tolist(), rows):
+                    assert row.tobytes() == s.draw(epoch, k).tobytes(), (seed, epoch, k)
+                assert s.draw(epoch, np.arange(0)).shape == (0, b)
+                # unsigned counters give the same rows
+                assert s.draw(epoch, BULK_KS.astype(np.uint64)).tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("n,b,lo,hi", [(2**31 + 11, 1, 0.3, 0.7), (2000, 20, 0.03, 0.2)])
+    def test_retried_rows_take_the_scalar_path(self, monkeypatch, n, b, lo, hi):
+        s = BatchSampler(n, b, seed=41)
+        ks = np.arange(1, 1001)
+        scalar = [s.draw(3, k) for k in ks.tolist()]
+        calls = []
+        one = BatchSampler._draw_one
+
+        def counted(self, epoch, k):
+            calls.append(k)
+            return one(self, epoch, k)
+
+        monkeypatch.setattr(BatchSampler, "_draw_one", counted)
+        rows = s.draw(3, ks)
+        assert lo * len(ks) <= len(calls) <= hi * len(ks)
+        assert rows.tobytes() == np.array(scalar).tobytes()
+
+    def test_counter_and_k_checks(self):
+        s = BatchSampler(2000, 20, seed=3)
+        for ks in ([5, -1, 6], [2**32, 0], [0, 1, 2**32 + 7]):
+            with pytest.raises(ValueError):
+                s.draw(1, np.array(ks, dtype=np.int64))
+        with pytest.raises(ValueError):
+            s.draw(1, np.array([1, 2**32], dtype=np.uint64))
+        with pytest.raises(ValueError):
+            s.draw(2**32, np.arange(3))
+        for ks in (np.array([1.0, 2.0]), np.array([True, False]), np.ones((2, 2), dtype=np.int64)):
+            with pytest.raises(TypeError):
+                s.draw(1, ks)
+
+
 class TestVRGradient:
     def test_at_snapshot_returns_full_grad(self):
         f = make_objective()
@@ -177,6 +236,17 @@ class TestVRGradient:
         for batch in ([1, 1], [2, 0]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 vr_gradient(snap, f, np.zeros(f.dim), batch)
+
+    def test_rejects_non_integer_indices(self):
+        # a float or bool batch is refused, not truncated to rows 0 and 1,
+        # whichever objective serves the batch
+        centers = np.random.default_rng(9).standard_normal((6, 4))
+        for f in (make_objective(), QuadraticObjective(centers)):
+            snap = Snapshot(np.zeros(f.dim), f.full_grad(np.zeros(f.dim)))
+            for batch, dtype in (([0.2, 1.7], "float64"), ([0, 1.5], "float64"),
+                                 ([False, True], "bool")):
+                with pytest.raises(TypeError, match=dtype):
+                    vr_gradient(snap, f, np.ones(f.dim), batch)
 
     def test_stale_snapshot_dimension(self):
         f = make_objective(dim=4)

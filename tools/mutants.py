@@ -166,16 +166,59 @@ MUTANTS = (
     Mutant(
         "plan-row-ids-not-reset-per-batch",
         "losses.py",
-        "self.row = (np.arange(len(idx)) - rows[:-1].repeat(sizes)).repeat(counts)",
-        "self.row = np.arange(len(idx)).repeat(counts)",
+        "self.row = (np.arange(len(idx)) - rows[:-1].repeat(sizes)).repeat(np.diff(off))",
+        "self.row = np.arange(len(idx)).repeat(np.diff(off))",
         "tests/test_losses.py::test_batch_plan_equals_batch_kernel_bitwise",
     ),
     Mutant(
         "plan-batch-bounds-off-by-one",
         "losses.py",
-        "self.nz = np.concatenate(([0], ends))[rows].tolist()",
-        "self.nz = (np.concatenate(([0], ends))[rows] + 1).tolist()",
+        "self.nz = off[rows].tolist()",
+        "self.nz = (off[rows] + 1).tolist()",
         "tests/test_losses.py::test_batch_plan_equals_batch_kernel_bitwise",
+    ),
+    Mutant(
+        "plan-reads-batch-rows-column-major",
+        "losses.py",
+        "idx = batches.ravel() if rowwise",
+        "idx = batches.T.ravel() if rowwise",
+        "tests/test_losses.py::test_batch_plan_takes_a_batch_per_row",
+    ),
+    Mutant(
+        "plan-takes-non-integer-indices",
+        "losses.py",
+        'if idx.dtype.kind not in "iu":',
+        "if False:",
+        "tests/test_losses.py::test_batch_plan_refuses_non_integer_indices",
+    ),
+    Mutant(
+        "vr-gradient-takes-non-integer-indices",
+        "vr.py",
+        'if batch.dtype.kind not in "iu":',
+        "if False:",
+        "tests/test_vr.py::TestVRGradient::test_rejects_non_integer_indices",
+    ),
+    Mutant(
+        "bulk-draw-block-counter-from-zero",
+        "vr.py",
+        "even[0] = np.arange(1, blocks + 1, dtype=np.uint64)",
+        "even[0] = np.arange(blocks, dtype=np.uint64)",
+        "tests/test_vr.py::TestBulkDraw::test_rows_equal_scalar_draws[2000-20]",
+    ),
+    Mutant(
+        "bulk-draw-high-half-first",
+        "vr.py",
+        "np.stack((words & _LO32, words >> 32), axis=-1)",
+        "np.stack((words >> 32, words & _LO32), axis=-1)",
+        # with b even a row takes both halves of its words, and sorts them
+        "tests/test_vr.py::TestBulkDraw::test_rows_equal_scalar_draws[2000-1]",
+    ),
+    Mutant(
+        "bulk-draw-keeps-lemire-rejections",
+        "vr.py",
+        "return idx, ~rejected & (idx[:, 1:] > idx[:, :-1]).all(axis=1)",
+        "return idx, (idx[:, 1:] > idx[:, :-1]).all(axis=1)",
+        "tests/test_vr.py::TestBulkDraw::test_rows_equal_scalar_draws[2147483659-1]",
     ),
     Mutant(
         "vr-gradient-plan-without-snapshot",
