@@ -6,11 +6,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DataFormatError, DimensionError
 from .linalg import SparseMatrixCSR
 from .losses import Dataset
+
+# rows per block in make_classification's full-size steps
+_ROW_BLOCK = 2048
 
 
 def parse_libsvm(path, dim: int | None = None) -> Dataset:
@@ -123,8 +125,12 @@ def make_classification(
         raise ValueError("dim too small for the requested paired features")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, dim))
-    mask = rng.random((n, dim)) < density
-    X = X * mask
+    # the draw is the only n x dim array: every full-size step below runs
+    # in row blocks, and successive uniform blocks are the same stream as
+    # one (n, dim) draw
+    blocks = [slice(lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK)]
+    for rows in blocks:
+        X[rows] *= rng.random((rows.stop - rows.start, dim)) < density
     col = 0
     for _ in range(n_correlated_pairs):
         base = X[:, col].copy()
@@ -137,12 +143,26 @@ def make_classification(
         heavy = rng.random(n) < heavy_row_fraction
         X[heavy] *= heavy_row_factor
     # scale so the largest row norm is about 2
-    row_norms = np.linalg.norm(X, axis=1)
-    X *= 2.0 / max(row_norms.max(), 1e-12)
+    max_norm = max(np.linalg.norm(X[rows], axis=1).max() for rows in blocks)
+    X *= 2.0 / max(max_norm, 1e-12)
     w = rng.standard_normal(dim) / np.sqrt(dim)
     margins = X @ w + 0.1 * rng.standard_normal(n)
     labels = np.where(margins >= 0, 1.0, -1.0)
     flip = rng.random(n) < label_noise
     labels[flip] *= -1.0
-    features = SparseMatrixCSR.from_scipy(scipy.sparse.csr_matrix(X))
-    return Dataset(features, labels)
+    # the CSR arrays filled in place, row block by row block, in row-major
+    # order, so each row's columns are increasing
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    for rows in blocks:
+        np.sum(X[rows] != 0.0, axis=1, out=offsets[rows.start + 1 : rows.stop + 1])
+    np.cumsum(offsets, out=offsets)
+    col_indices = np.empty(offsets[-1], dtype=np.int64)
+    values = np.empty(offsets[-1], dtype=np.float64)
+    block_cols = np.tile(np.arange(dim), min(n, _ROW_BLOCK))
+    for rows in blocks:
+        nz = (X[rows] != 0.0).ravel()
+        lo, hi = offsets[rows.start], offsets[rows.stop]
+        np.compress(nz, block_cols[: len(nz)], out=col_indices[lo:hi])
+        np.compress(nz, X[rows], out=values[lo:hi])
+    del X  # before the CSR checks make their nnz-sized temporaries
+    return Dataset(SparseMatrixCSR(n, dim, offsets, col_indices, values), labels)

@@ -231,6 +231,11 @@ class _PointMemo:
 
     @cached_property
     def curvature(self) -> np.ndarray:
+        if self.kind.kind == LOGISTIC:
+            # the logistic dloss is exactly -sigmoid(-t), the s of
+            # _d2loss_of_margin, so this is its s * (1 - s) bit for bit
+            s = -self.dloss
+            return s * (1.0 - s) / self.data.n
         return _d2loss_of_margin(self.kind, self.margins) / self.data.n
 
     @cached_property

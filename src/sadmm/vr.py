@@ -12,6 +12,7 @@ as x approaches the snapshot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,10 @@ class BatchSampler:
         # is distinct with probability about exp(-b(b-1)/2n), so the
         # second bound keeps the expected tries below e^2
         self._rejects = b * 16 < n and b * (b - 1) < 4 * n
+        # tuples asked of one integers call in the rejection branch: about
+        # the expected number of tries. Philox's stream runs on across
+        # calls, so the draw is the same as one tuple per call
+        self._tries = math.ceil(math.exp(b * (b - 1) / (2 * n))) if self._rejects else 1
         self._bulk = n < 1 << 32 and (b == 1 < n or (self._rejects and b * (b - 1) < n))
         # the bulk path's ten round keys: the key, bumped once per round
         rounds = np.arange(10, dtype=np.uint64)[:, None]
@@ -133,10 +138,11 @@ class BatchSampler:
             return np.array([rng.integers(self.n)])
         if self._rejects:
             while True:
-                idx = rng.integers(self.n, size=self.b)
-                idx.sort()
-                if (idx[1:] > idx[:-1]).all():
-                    return idx
+                idx = rng.integers(self.n, size=(self._tries, self.b))
+                idx.sort(axis=1)
+                distinct = (idx[:, 1:] > idx[:, :-1]).all(axis=1)
+                if distinct.any():
+                    return idx[distinct.argmax()]
         idx = rng.choice(self.n, size=self.b, replace=False)
         idx.sort()
         return idx

@@ -1,13 +1,58 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from sadmm.datasets import (
+    _ROW_BLOCK,
     make_classification,
     parse_libsvm,
     train_test_split,
     write_libsvm,
 )
 from sadmm.errors import DataFormatError, DimensionError
+from sadmm.linalg import SparseMatrixCSR
+
+
+def dense_make_classification(
+    n,
+    dim,
+    seed=0,
+    density=0.4,
+    n_correlated_pairs=None,
+    duplicate_pairs=0,
+    label_noise=0.05,
+    heavy_row_fraction=0.0,
+    heavy_row_factor=10.0,
+):
+    """Transcription of make_classification on whole dense arrays, with
+    scipy's dense-to-CSR conversion."""
+    if n_correlated_pairs is None:
+        n_correlated_pairs = min(5, dim // 4)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, dim))
+    mask = rng.random((n, dim)) < density
+    X = X * mask
+    col = 0
+    for _ in range(n_correlated_pairs):
+        base = X[:, col].copy()
+        X[:, col + 1] = 0.97 * base + 0.03 * rng.standard_normal(n)
+        col += 2
+    for _ in range(duplicate_pairs):
+        X[:, col + 1] = X[:, col]
+        col += 2
+    if heavy_row_fraction > 0.0:
+        heavy = rng.random(n) < heavy_row_fraction
+        X[heavy] *= heavy_row_factor
+    row_norms = np.linalg.norm(X, axis=1)
+    X *= 2.0 / max(row_norms.max(), 1e-12)
+    w = rng.standard_normal(dim) / np.sqrt(dim)
+    margins = X @ w + 0.1 * rng.standard_normal(n)
+    labels = np.where(margins >= 0, 1.0, -1.0)
+    flip = rng.random(n) < label_noise
+    labels[flip] *= -1.0
+    return SparseMatrixCSR.from_scipy(scipy.sparse.csr_matrix(X)), labels
 
 
 class TestParseLibsvm:
@@ -153,3 +198,42 @@ class TestMakeClassification:
     def test_row_norm_scale(self):
         data = make_classification(50, 10, seed=6)
         assert data.norms_sq.max() == pytest.approx(4.0)
+
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [
+            ((100, 20), dict(seed=5)),
+            ((2 * _ROW_BLOCK, 15), dict(seed=1)),
+            ((2 * _ROW_BLOCK + 1, 15), dict(seed=2)),
+            ((32561, 123), dict(seed=1, density=0.11)),
+            ((3000, 40), dict(seed=3, density=1.0)),
+            ((4500, 50), dict(seed=4, density=0.01, n_correlated_pairs=0)),
+            ((5000, 24), dict(seed=8, duplicate_pairs=3, heavy_row_fraction=0.05)),
+            ((700, 12), dict(seed=9, n_correlated_pairs=0)),
+            ((1, 8), dict(seed=0)),
+        ],
+        ids=["below-block", "block-multiple", "block-multiple-plus-one", "a9a", "dense",
+             "empty-rows", "duplicates-heavy", "no-pairs", "one-row"],
+    )
+    def test_csr_matches_dense_transcription(self, args, kwargs):
+        data = make_classification(*args, **kwargs)
+        features, labels = dense_make_classification(*args, **kwargs)
+        for name in ("row_offsets", "col_indices", "values"):
+            got, want = getattr(data.features, name), getattr(features, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert data.labels.tobytes() == labels.tobytes()
+        if kwargs.get("density") == 0.01:
+            assert (np.diff(data.features.row_offsets) == 0).any()
+
+    def test_peak_memory_is_the_draw_and_its_csr(self):
+        # the dense draw is the only n x dim array; everything else is
+        # bounded by three copies of the CSR output
+        n, dim = 32561, 123
+        tracemalloc.start()
+        try:
+            data = make_classification(n, dim, seed=1, density=0.11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        csr_bytes = 16 * data.features.nnz + 8 * (n + 1)
+        assert peak <= 8 * n * dim + 3 * csr_bytes, peak

@@ -10,6 +10,7 @@ from sadmm.losses import (
     Dataset,
     LossKind,
     LossObjective,
+    _d2loss_of_margin,
     _dloss_of_margin,
 )
 from sadmm.problem import ProblemSpec
@@ -449,6 +450,21 @@ def test_hess_vec_curvature_follows_the_values_of_x(kind):
         calls.append((x1.copy(), f.hess_vec(x1, v)))
     for x, got in calls:
         assert got.tobytes() == LossObjective(kind, data).hess_vec(x, v).tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")
+def test_curvature_equals_second_derivative_bitwise(kind):
+    # the memo derives the logistic curvature from its loss derivatives;
+    # it must equal the direct second derivative / n byte for byte, also
+    # where large margins saturate the sigmoid
+    data = tiny_dataset(n=40, dim=6, seed=45)
+    f = LossObjective(kind, data)
+    rng = np.random.default_rng(46)
+    for scale in (0.3, 3.0, 300.0):
+        x = scale * rng.standard_normal(6)
+        got = f._at(x).curvature
+        want = _d2loss_of_margin(kind, f.margins(x)) / data.n
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")

@@ -132,6 +132,26 @@ class TestSamplerStream:
         assert not np.array_equal(s.draw(0, 2**32 - 1), s.draw(1, 0))
 
 
+class TestRejectionTries:
+    # the scalar rejection branch asks one integers call for several
+    # tuples and keeps the first distinct one; it must equal the one-try
+    # loop on a fresh stream. At (32561, 256) about a quarter of the rows
+    # find no distinct tuple in the first call, and at (2000, 20) the
+    # bulk draw hands its retried rows to this path
+    @pytest.mark.parametrize("n,b", [(32561, 256), (2000, 20)])
+    def test_draws_equal_the_one_try_loop(self, n, b):
+        ks = np.arange(60)
+        for seed in range(4):
+            s = BatchSampler(n, b, seed=seed)
+            assert s._tries > 1
+            for epoch in (1, 2, 3):
+                rows = s.draw(epoch, ks)
+                for k in ks.tolist():
+                    want = fresh_philox_draw(n, b, seed, epoch, k).tobytes()
+                    assert rows[k].tobytes() == want, (seed, epoch, k)
+                    assert s.draw(epoch, k).tobytes() == want, (seed, epoch, k)
+
+
 # the bulk draw's cases: every branch above, and the sizes at which its
 # Philox rows must match the scalar stream; at n = 2**31 + 11 numpy's
 # bounded step rejects about half the 32-bit values, so those rows are

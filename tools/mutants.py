@@ -71,6 +71,13 @@ MUTANTS = (
         "tests/test_losses.py::test_memo_answers_equal_a_fresh_objective",
     ),
     Mutant(
+        "curvature-from-the-derivative-not-its-negative",
+        "losses.py",
+        "s = -self.dloss",
+        "s = self.dloss",
+        "tests/test_losses.py::test_curvature_equals_second_derivative_bitwise",
+    ),
+    Mutant(
         "full-grad-returns-the-memo-array",
         "losses.py",
         "return g.copy()",
@@ -221,11 +228,33 @@ MUTANTS = (
         "tests/test_vr.py::TestBulkDraw::test_rows_equal_scalar_draws[2147483659-1]",
     ),
     Mutant(
+        "rejection-draw-keeps-the-last-distinct-tuple",
+        "vr.py",
+        "return idx[distinct.argmax()]",
+        "return idx[len(distinct) - 1 - distinct[::-1].argmax()]",
+        "tests/test_vr.py::TestRejectionTries",
+    ),
+    Mutant(
         "vr-gradient-plan-without-snapshot",
         "vr.py",
         "f.batch_plan([batch], snap.x_tilde)",
         "f.batch_plan([batch])",
         "tests/test_vr.py::TestVRGradient::test_at_snapshot_returns_full_grad",
+    ),
+    Mutant(
+        "generator-copy-block-ends-a-row-early",
+        "datasets.py",
+        "lo, hi = offsets[rows.start], offsets[rows.stop]",
+        "lo, hi = offsets[rows.start], offsets[rows.stop - 1]",
+        "tests/test_datasets.py::TestMakeClassification::test_csr_matches_dense_transcription",
+    ),
+    # the same bits from a second full-size array: only the memory test sees it
+    Mutant(
+        "generator-scales-out-of-place",
+        "datasets.py",
+        "X *= 2.0 / max(max_norm, 1e-12)",
+        "X = X * (2.0 / max(max_norm, 1e-12))",
+        "tests/test_datasets.py::TestMakeClassification::test_peak_memory_is_the_draw_and_its_csr",
     ),
     Mutant(
         "stoc-first-step-off-by-one",
