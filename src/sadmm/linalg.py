@@ -6,14 +6,12 @@ eigenvalue, and a conjugate-gradient solve against A A^T used for the
 pseudo-inverse dual initialization. All operations are pure functions of
 immutable inputs and safe to call concurrently.
 
-Every product with A or A^T in this module goes through spmv and spmv_t:
-one np.bincount over the stored nonzeros, keyed by their cached rows
-(nz_rows) or their columns. Each output entry is summed from 0.0 in
-increasing storage order, which is the order of scipy's CSR product (a
-column's nonzeros appear in increasing row order in row-major storage), so
-the results equal A.csr @ x and A.csr_t @ y bit for bit. This skips
-scipy's Python dispatch, so it is faster for a small A; scipy's C loop
-wins on a large one (A = [G; I] has 2 * edges + dim nonzeros).
+Every product with A or A^T in this module goes through spmv and spmv_t,
+which call the C loops of scipy's own CSR product on A's arrays: csr_matvec
+for A x, and csc_matvec on the same arrays (the CSC form of A^T) for A^T y.
+So the results equal A.csr @ x and A.csr_t @ y bit for bit: each output
+entry is summed from 0.0 in increasing storage order (a column's nonzeros
+appear in increasing row order in row-major storage).
 """
 
 from __future__ import annotations
@@ -24,6 +22,12 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+
+# scipy's `csr @ x` dispatches to these loops (_compressed._matmul_vector)
+# after Python work that costs more than a small product; calling them
+# directly skips it. They read x without bounds checks and add into their
+# output, so callers check the length of x and pass a fresh np.zeros.
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .errors import (
     ConvergenceError,
@@ -97,11 +101,6 @@ class SparseMatrixCSR:
         )
 
     @cached_property
-    def nz_rows(self) -> np.ndarray:
-        """The row of each stored nonzero, in storage order."""
-        return np.repeat(np.arange(self.rows), np.diff(self.row_offsets))
-
-    @cached_property
     def csr_t(self) -> scipy.sparse.csr_matrix:
         """The transpose, stored row-major so A^T y is a CSR product."""
         return self.csr.T.tocsr()
@@ -136,18 +135,20 @@ def as_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 def spmv(A: SparseMatrixCSR, x) -> np.ndarray:
-    """A @ x, bit for bit A.csr @ x."""
+    """A @ x by scipy's csr_matvec, bit for bit A.csr @ x."""
     x = as_vector(x, A.cols, "x")
-    # bincount gives integer zeros when A stores no nonzero; astype is a no-op otherwise
-    Ax = np.bincount(A.nz_rows, weights=A.values * x[A.col_indices], minlength=A.rows)
-    return Ax.astype(np.float64, copy=False)
+    Ax = np.zeros(A.rows)
+    csr_matvec(A.rows, A.cols, A.row_offsets, A.col_indices, A.values, x, Ax)
+    return Ax
 
 
 def spmv_t(A: SparseMatrixCSR, y) -> np.ndarray:
-    """A^T @ y, bit for bit A.csr_t @ y."""
+    """A^T @ y by scipy's csc_matvec on A's CSR arrays, which are the CSC
+    arrays of A^T; bit for bit A.csr_t @ y."""
     y = as_vector(y, A.rows, "y")
-    Aty = np.bincount(A.col_indices, weights=A.values * y[A.nz_rows], minlength=A.cols)
-    return Aty.astype(np.float64, copy=False)
+    Aty = np.zeros(A.cols)
+    csc_matvec(A.cols, A.rows, A.row_offsets, A.col_indices, A.values, y, Aty)
+    return Aty
 
 
 def _start_vector(A: SparseMatrixCSR, dim: int, stream: int = 0) -> np.ndarray:

@@ -21,9 +21,10 @@ A mini-batch gradient and its difference between two points (the
 variance-reduced estimator's core) are one kernel, BatchPlan.grad. A plan
 gathers the nonzeros of a sequence of batches once, through scipy's row
 index (a solver draws an epoch's or a trace row's batches up front, so its
-plan holds O(m b nnz-per-row) values); each gradient is then a bincount for
-the margins at x and a bincount that scatters the loss derivatives, less
-the memo's at a reference point for the difference.
+plan holds O(m b nnz-per-row) values); each gradient is then scipy's
+csr_matvec for the margins at x, the loss derivatives less the memo's at a
+reference point for the difference, and csc_matvec to scatter them over
+the batch's nonzeros.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataFormatError, DimensionError
-from .linalg import SparseMatrixCSR, as_vector
+from .linalg import SparseMatrixCSR, as_vector, csc_matvec, csr_matvec
 
 LOGISTIC = "logistic"
 HUBERIZED_HINGE = "huberized_hinge"
@@ -144,11 +145,11 @@ class BatchPlan:
     index, for the mini-batch gradients of any points x; made by
     LossObjective.batch_plan.
 
-    Batch k holds rows[k]:rows[k+1] of the gathered samples (their labels,
-    and their loss derivatives at x_ref when there is one) and nonzeros
-    nz[k]:nz[k+1]: nonzero j sits in column cols[j] with value vals[j] and
-    belongs to local row row[j] of its batch. grad(k, x) does only the work
-    that depends on x; it trusts x to be a float64 vector of length dim.
+    The plan keeps scipy's gathered CSR as it comes: batch k is rows
+    rows[k]:rows[k+1] of it (their labels, and their loss derivatives at
+    x_ref when there is one), and the slice indptr[rows[k]:rows[k+1]+1]
+    gives those rows' nonzeros as positions in indices and data. grad(k, x)
+    checks that x has shape (dim,) and does only the work that depends on x.
     """
 
     def __init__(self, f: "LossObjective", batches, x_ref=None):
@@ -172,35 +173,28 @@ class BatchPlan:
             self.x_ref = x_ref.copy()  # a later write into x_ref must not reach the ridge
         # scipy's C row index copies each sample's nonzeros in column order
         sub = data.features.csr[idx]
-        self.vals = sub.data
-        self.cols = sub.indices.astype(np.int64)  # int64, for the speed of grad
-        off = sub.indptr
-        del sub
-        rows = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=rows[1:])
-        # the local row of each nonzero: its sample's position in its batch
-        self.row = (np.arange(len(idx)) - rows[:-1].repeat(sizes)).repeat(np.diff(off))
-        self.rows = rows.tolist()
-        self.nz = off[rows].tolist()
+        self.data, self.indices, self.indptr = sub.data, sub.indices, sub.indptr
+        self.rows = [0, *np.cumsum(sizes).tolist()]
 
     def grad(self, k: int, x: np.ndarray) -> np.ndarray:
         """Mean over batch k of grad f_i(x), less grad f_i(x_ref) when the
-        plan has a reference point: the margins at x by one bincount, the
-        loss derivatives less those at x_ref, and one bincount that
-        scatters them over the batch's nonzeros."""
+        plan has a reference point: the margins at x by csr_matvec, the
+        loss derivatives less those at x_ref, and csc_matvec to scatter
+        them over the batch's nonzeros."""
+        # the compiled loops read x without bounds checks
+        if x.shape != (self.dim,):
+            raise DimensionError(f"x has shape {x.shape}, expected ({self.dim},)")
         r0, r1 = self.rows[k], self.rows[k + 1]
-        lo, hi = self.nz[k], self.nz[k + 1]
-        row, cols, vals = self.row[lo:hi], self.cols[lo:hi], self.vals[lo:hi]
-        labels = self.labels[r0:r1]
+        indptr, labels = self.indptr[r0 : r1 + 1], self.labels[r0:r1]
         b = r1 - r0
-        t = labels * np.bincount(row, weights=vals * x[cols], minlength=b)
-        coef = _dloss_of_margin(self.kind, t)
+        Ax = np.zeros(b)
+        csr_matvec(b, self.dim, indptr, self.indices, self.data, x, Ax)
+        coef = _dloss_of_margin(self.kind, labels * Ax)
         if self.dloss_ref is not None:
             coef = coef - self.dloss_ref[r0:r1]
         coef = coef * labels / b
-        g = np.bincount(cols, weights=coef[row] * vals, minlength=self.dim)
-        # bincount gives integer zeros when the batch has no nonzero
-        g = g.astype(np.float64, copy=False)
+        g = np.zeros(self.dim)
+        csc_matvec(self.dim, b, indptr, self.indices, self.data, coef, g)
         lambda2 = self.kind.lambda2
         if lambda2 > 0:
             g = g + lambda2 * (x if self.x_ref is None else x - self.x_ref)
@@ -341,7 +335,7 @@ class LossObjective:
         Those at x_ref come from the memo, which in a variance-reduced
         epoch the snapshot's full gradient has filled. They equal the
         batch's own bit for bit: the CSR product sums a row's products in
-        column order from 0, as the batch bincount does. Every index is
+        column order from 0, as csr_matvec on the batch does. Every index is
         checked before the memo is read.
         """
         return BatchPlan(self, batches, x_ref)

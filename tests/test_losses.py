@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sadmm.datasets import make_classification
 from sadmm.errors import DimensionError
 from sadmm.linalg import SparseMatrixCSR
 from sadmm.losses import (
@@ -307,6 +309,41 @@ def test_batch_plan_refuses_non_integer_indices():
     for idx in ([0.2, 1.7], [True, False]):
         with pytest.raises(TypeError):
             f.subset_grad(np.ones(3), idx)
+
+
+def test_plan_grad_checks_the_shape_of_x_first():
+    # the compiled loops read x without bounds checks, so a short x must not
+    # reach them and a long one must not pass silently. Batch 0 leaves the
+    # last column empty: a short x misses no column it reads
+    data = dataset_from_rows([{0: 1.0, 1: 2.0}, {1: -1.0}, {0: 0.5, 2: 3.0}], [1, -1, 1], dim=3)
+    f = LossObjective(LossKind.logistic(), data)
+    for ref in (None, np.ones(3)):
+        plan = f.batch_plan([[0, 1], [2]], ref)
+        for k in (0, 1):
+            for x in (np.ones(2), np.ones(4), np.ones((1, 3))):
+                with pytest.raises(DimensionError):
+                    plan.grad(k, x)
+            assert plan.grad(k, np.ones(3)).shape == (3,)
+
+
+def test_plan_memory_is_its_gathered_csr():
+    # a plan keeps scipy's gathered CSR as it comes (8-byte values, 4-byte
+    # column indices) and a few numbers per gathered row; with the memo
+    # already filled, building it allocates nothing more per nonzero
+    data = make_classification(4000, 100, seed=3, density=0.11)
+    f = LossObjective(LossKind.logistic(), data)
+    rng = np.random.default_rng(8)
+    batches = rng.integers(0, data.n, size=(300, 20))
+    x_ref = rng.standard_normal(data.dim)
+    f.full_grad(x_ref)
+    tracemalloc.start()
+    try:
+        f.batch_plan(batches, x_ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nnz = int(np.diff(data.features.row_offsets)[batches].sum())
+    assert peak <= 16 * nnz + 64 * batches.size, peak
 
 
 def finite_difference_grad(f, x, step=1e-6):

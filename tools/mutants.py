@@ -171,18 +171,34 @@ MUTANTS = (
         "tests/test_harness.py::test_non_finite_settings_are_refused",
     ),
     Mutant(
-        "plan-row-ids-not-reset-per-batch",
+        "plan-batch-positions-rebased-to-zero",
         "losses.py",
-        "self.row = (np.arange(len(idx)) - rows[:-1].repeat(sizes)).repeat(np.diff(off))",
-        "self.row = np.arange(len(idx)).repeat(np.diff(off))",
+        "indptr, labels = self.indptr[r0 : r1 + 1], self.labels[r0:r1]",
+        "indptr, labels = self.indptr[r0 : r1 + 1] - self.indptr[r0], self.labels[r0:r1]",
         "tests/test_losses.py::test_batch_plan_equals_batch_kernel_bitwise",
     ),
     Mutant(
         "plan-batch-bounds-off-by-one",
         "losses.py",
-        "self.nz = off[rows].tolist()",
-        "self.nz = (off[rows] + 1).tolist()",
+        "self.rows = [0, *np.cumsum(sizes).tolist()]",
+        "self.rows = [1, *np.cumsum(sizes).tolist()]",
         "tests/test_losses.py::test_batch_plan_equals_batch_kernel_bitwise",
+    ),
+    Mutant(
+        "plan-scatters-the-margins",
+        "losses.py",
+        "self.data, coef, g)",
+        "self.data, Ax, g)",
+        "tests/test_losses.py::test_batch_plan_equals_batch_kernel_bitwise",
+    ),
+    # the test's first call passes a short x that batch 0 reads only in
+    # range, so the unchecked loop reads no memory past it
+    Mutant(
+        "plan-grad-without-shape-check",
+        "losses.py",
+        "if x.shape != (self.dim,):",
+        "if False:",
+        "tests/test_losses.py::test_plan_grad_checks_the_shape_of_x_first",
     ),
     Mutant(
         "plan-reads-batch-rows-column-major",
@@ -263,25 +279,20 @@ MUTANTS = (
         "first = state.grad_evals",
         "tests/test_solvers.py::TestStocReplay",
     ),
+    # on the test's 240 x 60 matrix the row loop over 60 "rows" reads only
+    # row offsets and entries of y that exist
     Mutant(
-        "spmv-without-minlength",
+        "spmv-t-runs-the-row-loop",
         "linalg.py",
-        "minlength=A.rows)",
-        ")",
-        "tests/test_linalg.py::TestSpmvEqualsScipy::test_empty_rows_and_columns",
-    ),
-    Mutant(
-        "spmv-t-gathers-by-column",
-        "linalg.py",
-        "weights=A.values * y[A.nz_rows]",
-        "weights=A.values * y[A.col_indices]",
+        "csc_matvec(A.cols, A.rows, A.row_offsets",
+        "csr_matvec(A.cols, A.rows, A.row_offsets",
         "tests/test_linalg.py::TestSpmvEqualsScipy::test_four_clique_graph",
     ),
     Mutant(
-        "spmv-returns-integer-zeros",
+        "spmv-output-starts-from-ones",
         "linalg.py",
-        "return Ax.astype(np.float64, copy=False)",
-        "return Ax",
+        "Ax = np.zeros(A.rows)",
+        "Ax = np.ones(A.rows)",
         "tests/test_linalg.py::TestSpmvEqualsScipy::test_no_stored_nonzero",
     ),
     Mutant(
