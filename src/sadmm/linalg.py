@@ -1,10 +1,11 @@
 """Sparse matrix kernels and spectral quantities.
 
 Everything the solvers need from the penalty matrix A lives here: CSR
-matrix-vector products, the spectral norm of A^T A, the smallest Gram
-eigenvalue, and a conjugate-gradient solve against A A^T used for the
-pseudo-inverse dual initialization. All operations are pure functions of
-immutable inputs and safe to call concurrently.
+matrix-vector products, the eigendecomposition of A^T A that each matrix
+caches (the source of the spectral norm of A^T A, the smallest Gram
+eigenvalue, the stoc x-update and the pseudo-inverse dual initialization),
+and a conjugate-gradient solve against A A^T. All operations are pure
+functions of immutable inputs and safe to call concurrently.
 
 Every product with A or A^T in this module goes through spmv and spmv_t,
 which call the C loops of scipy's own CSR product on A's arrays: csr_matvec
@@ -16,6 +17,7 @@ appear in increasing row order in row-major storage).
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,10 +38,9 @@ from .errors import (
     RankDeficiencyError,
 )
 
-# Smallest-eigenvalue estimates below this fraction of the spectral norm are
-# treated as rank deficiency.
+# A smallest Gram eigenvalue (compute_spectral_constants) below this fraction
+# of ||A^T A||_2 is treated as rank deficiency.
 RANK_TOL = 1e-10
-SPECTRAL_TOL = 1e-10  # relative residual at which the spectral power iterations stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +106,19 @@ class SparseMatrixCSR:
         """The transpose, stored row-major so A^T y is a CSR product."""
         return self.csr.T.tocsr()
 
+    @cached_property
+    def ata_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and orthonormal eigenvectors of A^T A,
+        formed once per matrix: every spectral quantity reads them."""
+        w, Q = np.linalg.eigh((self.csr.T @ self.csr).toarray())
+        # Q lives as long as the matrix, so it gets its own anonymous map: in
+        # the malloc heap it splits the free space later large arrays reuse
+        # (largebatch-a9a, a fresh instance per round, peaked 182-184 MB, not 166)
+        buf = mmap.mmap(-1, max(Q.nbytes, 1), flags=mmap.MAP_PRIVATE)
+        kept = np.frombuffer(buf, dtype=Q.dtype, count=Q.size).reshape(Q.shape)
+        kept[...] = Q
+        return w, kept
+
     @classmethod
     def from_scipy(cls, mat) -> "SparseMatrixCSR":
         m = scipy.sparse.csr_matrix(mat).copy()
@@ -151,41 +165,6 @@ def spmv_t(A: SparseMatrixCSR, y) -> np.ndarray:
     return Aty
 
 
-def _start_vector(A: SparseMatrixCSR, dim: int, stream: int = 0) -> np.ndarray:
-    # Deterministic pseudo-random start derived from the matrix dimensions so
-    # spectral estimates are reproducible run to run.
-    ss = np.random.SeedSequence([A.rows, A.cols, A.nnz, stream])
-    v = np.random.default_rng(ss).standard_normal(dim)
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else np.ones(dim) / np.sqrt(dim)
-
-
-def _power_iteration(matvec, v0, tol, max_iter, resid_scale=None):
-    """Largest eigenvalue of a symmetric PSD operator by power iteration.
-
-    Stops when the Rayleigh-quotient residual ||Mv - lam*v|| falls below
-    tol * resid_scale (resid_scale defaults to |lam|). Returns lam.
-    """
-    v = v0
-    lam = 0.0
-    for _ in range(max_iter):
-        w = matvec(v)
-        lam = float(v @ w)
-        r = w - lam * v
-        scale = resid_scale if resid_scale is not None else max(abs(lam), 1e-300)
-        if np.linalg.norm(r) <= tol * scale:
-            return lam
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v is numerically in the null space; lam is 0 on this component
-            return 0.0
-        v = w / nw
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
-        best_estimate=lam,
-    )
-
-
 @dataclass(frozen=True)
 class SpectralConstants:
     """Spectral quantities of the penalty matrix used by the rate formulas."""
@@ -194,41 +173,24 @@ class SpectralConstants:
     aat_min_eig: float
 
 
-def compute_spectral_constants(
-    A: SparseMatrixCSR, tol: float = SPECTRAL_TOL, max_iter: int = 10000
-) -> SpectralConstants:
-    """||A^T A||_2 and the smallest Gram eigenvalue of A.
+def compute_spectral_constants(A: SparseMatrixCSR) -> SpectralConstants:
+    """||A^T A||_2 and the smallest Gram eigenvalue of A, read from the
+    ascending eigenvalues w of A^T A: w[-1] and w[max(cols - rows, 0)].
 
-    ||A^T A||_2 is a Rayleigh quotient of power iteration on x -> A^T(Ax)
-    from a deterministic start, so it never exceeds the truth by more than
-    rounding.
+    The smallest Gram eigenvalue is that of A A^T for wide or square A, and
+    of A^T A for tall A, which equals the smallest nonzero eigenvalue of
+    A A^T whenever A has full rank (the stacked edge/identity penalty
+    matrices are tall, and the rate formulas need the spectrum over the
+    range of A). A^T A has the nonzero eigenvalues of A A^T, plus cols -
+    rows zeros for a wide A: hence the one index.
 
-    The smallest Gram eigenvalue is computed on the smaller side. For wide
-    or square A (rows <= cols) it is the smallest eigenvalue of A A^T; for
-    tall A it is the smallest eigenvalue of A^T A, which equals the
-    smallest nonzero eigenvalue of A A^T whenever A has full rank (the
-    stacked edge/identity penalty matrices are tall, and their A A^T is
-    singular by construction while the quantity the rate formulas need is
-    the spectrum over the range of A).
-
-    Computed by power iteration on the shifted operator sigma_max*I - Gram.
-    Raises RankDeficiencyError when the estimate falls below
-    RANK_TOL * sigma_max.
+    Raises RankDeficiencyError when it falls below RANK_TOL * ||A^T A||_2.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be finite and > 0")
     if A.nnz == 0:
         raise MatrixFormatError("spectral norm of an all-zero matrix is undefined here")
-    ata = lambda v: spmv_t(A, spmv(A, v))
-    sigma_max = _power_iteration(ata, _start_vector(A, A.cols), tol, max_iter)
-    if A.rows <= A.cols:
-        dim, gram = A.rows, lambda v: spmv(A, spmv_t(A, v))
-    else:
-        dim, gram = A.cols, ata
-    shifted = lambda v: sigma_max * v - gram(v)
-    nu = _power_iteration(shifted, _start_vector(A, dim, stream=1), tol, max_iter,
-                          resid_scale=sigma_max)
-    sigma_min = sigma_max - nu
+    w = A.ata_eig[0]
+    sigma_max = float(w[-1])
+    sigma_min = float(w[max(A.cols - A.rows, 0)])
     if sigma_min < RANK_TOL * sigma_max:
         raise RankDeficiencyError(
             f"A not full row rank: smallest Gram eigenvalue {sigma_min:.3e} "
@@ -237,19 +199,13 @@ def compute_spectral_constants(
     return SpectralConstants(ata_norm=sigma_max, aat_min_eig=sigma_min)
 
 
-def solve_aat(
-    A: SparseMatrixCSR,
-    v,
-    tol: float = 1e-12,
-    x0: np.ndarray | None = None,
-) -> np.ndarray:
+def solve_aat(A: SparseMatrixCSR, v, tol: float = 1e-12) -> np.ndarray:
     """Solve A A^T u = v by conjugate gradients.
 
     Contract: the returned u satisfies ||A A^T u - v|| <= tol * ||v||. For a
     consistent right-hand side (v in the range of A) CG from zero converges
     to the minimum-norm solution, so (A^T)^+ w can be computed as
-    solve_aat(A, A @ w). A warm start x0 may be supplied; it must lie in the
-    range of A for the pseudo-inverse interpretation to survive.
+    solve_aat(A, A @ w).
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be finite and > 0")
@@ -260,7 +216,7 @@ def solve_aat(
     aat = lambda w: spmv(A, spmv_t(A, w))
     op = scipy.sparse.linalg.LinearOperator((A.rows, A.rows), matvec=aat, dtype=np.float64)
     max_iter = max(20 * A.rows, 1000)
-    u, _ = scipy.sparse.linalg.cg(op, v, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter)
+    u, _ = scipy.sparse.linalg.cg(op, v, rtol=tol, atol=0.0, maxiter=max_iter)
     resid = np.linalg.norm(aat(u) - v)
     if not resid <= tol * nv:  # a NaN residual fails too
         raise ConvergenceError(

@@ -75,11 +75,6 @@ class ProblemSpec:
     def spectra(self) -> SpectralConstants:
         return compute_spectral_constants(self.A)
 
-    @cached_property
-    def ata_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors of A^T A (the stoc x-update's)."""
-        return np.linalg.eigh((self.A.csr.T @ self.A.csr).toarray())
-
     def objective(self, x) -> float:
         """Composite objective f(x) + h(Ax) as a function of x alone."""
         return self.f.value(x) + h_value(self.reg, spmv(self.A, x))

@@ -37,18 +37,18 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .errors import ConfigError, ConvergenceError
-from .linalg import solve_aat, spmv, spmv_t
+# nothing here calls solve_aat (the dual reads A.ata_eig) or vr_gradient
+# (vr_admm_epoch runs its batch-plan form); the names stay in this module,
+# where perfbench/tracing.py patches them
+from .linalg import solve_aat, spmv, spmv_t  # noqa: F401
 from .problem import ProblemSpec
 from .prox import y_update
-# vr_admm_epoch runs vr_gradient's batch-plan form and does not call it; the
-# name stays in this module, where perfbench/tracing.py patches it
 from .vr import BatchSampler, Snapshot, delta_b, vr_gradient  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
 # configuration
 
-DUAL_SOLVE_TOL = 1e-10  # CG tolerance of the A A^T solve behind the constant-theta dual
 NEWTON_MAX_ITER = 100  # Newton steps of the batch x-subproblem
 
 
@@ -135,7 +135,6 @@ class VRState(BatchState):
     snapshot: Snapshot
     y_tilde: np.ndarray
     lambda_tilde: np.ndarray
-    aat_warm: np.ndarray | None = None  # Krylov warm start for the dual solve
 
 
 def _sup(v: np.ndarray) -> float:
@@ -294,15 +293,17 @@ def _resolve_gamma(config: SolverConfig, theta: float, ata_norm: float) -> float
     return float(config.gamma)
 
 
-def _constant_theta_dual(
-    problem: ProblemSpec, beta: float, g: np.ndarray, warm: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _constant_theta_dual(problem: ProblemSpec, beta: float, g: np.ndarray) -> np.ndarray:
     """The constant-theta dual epoch variable -(1/beta) (A^T)^+ g at the
-    snapshot gradient g, and the A A^T solution behind it, which warm-starts
-    the next solve."""
+    snapshot gradient g. (A^T)^+ = A (A^T A)^+ for tall and wide A alike,
+    and (A^T A)^+ is read from the top r = min(rows, cols) eigenpairs of
+    A^T A, which problem.spectra has first checked are nonzero."""
     A = problem.A
-    u = solve_aat(A, spmv(A, g), tol=DUAL_SOLVE_TOL, x0=warm)
-    return -(1.0 / beta) * u, u
+    problem.spectra  # raises RankDeficiencyError before any division
+    r = min(A.rows, A.cols)
+    w, Q = A.ata_eig
+    w, Q = w[-r:], Q[:, -r:]
+    return -(1.0 / beta) * spmv(A, Q @ ((Q.T @ g) / w))
 
 
 def init_vr_state(problem: ProblemSpec, config: SolverConfig) -> VRState:
@@ -319,9 +320,9 @@ def init_vr_state(problem: ProblemSpec, config: SolverConfig) -> VRState:
     g0 = problem.f.full_grad(x0)
     snapshot = Snapshot(x0, g0)
     if isinstance(config.schedule, DecayingTheta):
-        lam0, warm = np.zeros(d2), None
+        lam0 = np.zeros(d2)
     else:
-        lam0, warm = _constant_theta_dual(problem, config.beta, g0)
+        lam0 = _constant_theta_dual(problem, config.beta, g0)
     return VRState(
         z=x0.copy(),
         x=x0.copy(),
@@ -332,7 +333,6 @@ def init_vr_state(problem: ProblemSpec, config: SolverConfig) -> VRState:
         lambda_tilde=lam0.copy(),
         theta=theta0,
         grad_evals=problem.f.n,
-        aat_warm=warm,
     )
 
 
@@ -401,7 +401,7 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
         state.lambda_tilde = lam.copy()
         state.theta = theta_next(theta)
     else:
-        state.lambda_tilde, state.aat_warm = _constant_theta_dual(problem, beta, g_new, state.aat_warm)
+        state.lambda_tilde = _constant_theta_dual(problem, beta, g_new)
     state.epoch += 1
     state.sup_z, state.sup_lambda = _sup(abs_z), _sup(abs_lam)
     _require_finite(x_tilde, y_tilde, state.lambda_tilde)
@@ -508,11 +508,11 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
 
     The x-update keeps the exact quadratic penalty (identity proximal
     metric) and solves (I/eta_k + beta A^T A) x = rhs through the
-    eigendecomposition of A^T A, which the problem keeps; y and lambda
+    eigendecomposition of A^T A, which A keeps; y and lambda
     update as in the batch solver.
     """
     f, A, reg, beta, eta = problem.f, problem.A, problem.reg, config.beta, config.eta
-    w, Q = problem.ata_eig
+    w, Q = A.ata_eig
     first = state.grad_evals + 1
     sampler = BatchSampler(f.n, 1, config.seed)
     plan = f.batch_plan(sampler.draw(0, np.arange(first, first + config.m)))

@@ -83,6 +83,23 @@ def quadratic_problem(centers, q=1.0, lambda1=0.0, A=None) -> ProblemSpec:
     return ProblemSpec(f, Regularizer(lambda1), A)
 
 
+# Penalty matrices whose Gram matrix on the smaller side is singular: a wide
+# A with two equal rows (rows 0 and 2), and a tall A with two equal columns
+# (columns 0 and 2).
+RANK_DEFICIENT_WIDE = np.array([
+    [1.0, 2.0, 0.0, -1.0],
+    [0.5, 0.0, 3.0, 1.0],
+    [1.0, 2.0, 0.0, -1.0],
+])
+RANK_DEFICIENT_TALL = np.array([
+    [1.0, 0.5, 1.0],
+    [2.0, -1.0, 2.0],
+    [0.0, 3.0, 0.0],
+    [-1.0, 1.0, -1.0],
+    [0.5, 0.0, 0.5],
+])
+
+
 def tiny_dataset(n=6, dim=4, seed=0, density=0.8) -> Dataset:
     """Small dense-ish random dataset with +-1 labels."""
     rng = np.random.default_rng(seed)

@@ -383,7 +383,7 @@ def test_criterion_10_rate_parameter_formulas():
         if eigs.min() < 1e-6 * eigs.max():
             continue
         checked += 1
-        sc = compute_spectral_constants(A, tol=1e-12)
+        sc = compute_spectral_constants(A)
         ata_dense = float(np.linalg.eigvalsh(dense.T @ dense).max())
         min_dense = float(eigs.min())
         mu = rng.uniform(0.005, 0.2)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sadmm.errors import ConfigError
+from sadmm.errors import ConfigError, RankDeficiencyError
 from sadmm.harness import run_solver
 from sadmm.linalg import SparseMatrixCSR, compute_spectral_constants, spmv
 from sadmm.losses import LossKind, LossObjective
@@ -31,7 +31,7 @@ from sadmm.solvers import (
 )
 from sadmm.vr import delta_b
 
-from helpers import quadratic_problem, tiny_dataset
+from helpers import RANK_DEFICIENT_TALL, RANK_DEFICIENT_WIDE, quadratic_problem, tiny_dataset
 
 
 def logistic_problem(n=40, dim=6, seed=0, lambda1=0.01, lambda2=0.01):
@@ -850,17 +850,47 @@ class TestEpochReplayOracle:
         assert np.any(y_t_prev != 0.0)
 
 
+def _constant_theta_problem(dense_A, beta=0.7):
+    """An l2-logistic problem on penalty matrix dense_A, and an svrg config."""
+    A = SparseMatrixCSR.from_dense(dense_A)
+    data = tiny_dataset(n=30, dim=A.cols, seed=A.rows)
+    problem = ProblemSpec(LossObjective(LossKind.l2_logistic(0.05), data), Regularizer(0.01), A)
+    cfg = SolverConfig(m=1, eta=1.0 / (4.0 * problem.f.smoothness), beta=beta,
+                       schedule=ConstantTheta(1.0))
+    return problem, cfg
+
+
 def test_dual_solve_matches_pseudo_inverse():
     # the dual epoch variable equals -(1/beta) pinv(A^T) grad f, tall or wide
-    from sadmm.linalg import solve_aat
-
     rng = np.random.default_rng(60)
-    for shape in ((9, 4), (4, 9)):
-        A = SparseMatrixCSR.from_dense(rng.standard_normal(shape))
-        g = rng.standard_normal(shape[1])
-        u = solve_aat(A, spmv(A, g), tol=1e-13)
-        expected = np.linalg.pinv(A.to_dense().T) @ g
-        assert np.allclose(u, expected, atol=1e-9)
+    for shape in ((9, 4), (4, 9), (25, 20), (20, 25)):
+        problem, cfg = _constant_theta_problem(rng.standard_normal(shape))
+        g = problem.f.full_grad(np.zeros(problem.d1))
+        expected = -(1.0 / cfg.beta) * np.linalg.pinv(problem.A.to_dense().T) @ g
+        lam = init_vr_state(problem, cfg).lambda_tilde
+        assert np.max(np.abs(lam - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_one_eigendecomposition_serves_spectra_dual_and_stoc(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+    problem, cfg = _constant_theta_problem(np.random.default_rng(61).standard_normal((7, 5)))
+    vr_admm_epoch(init_vr_state(problem, cfg), problem, cfg)
+    stoc_admm_chunk(init_stoc_state(problem), problem, dataclasses.replace(cfg, m=3))
+    w = problem.A.ata_eig[0]
+    assert compute_spectral_constants(problem.A) == problem.spectra
+    assert (problem.spectra.ata_norm, problem.spectra.aat_min_eig) == (w[-1], w[0])
+    assert calls == [(5, 5)]
+
+
+def test_constant_theta_dual_refuses_a_rank_deficient_a():
+    # (A^T)^+ divides by the top min(rows, cols) eigenvalues of A^T A, so a
+    # zero among them must raise before the division
+    for dense_A in (RANK_DEFICIENT_WIDE, RANK_DEFICIENT_TALL):
+        problem, cfg = _constant_theta_problem(dense_A)
+        with pytest.raises(RankDeficiencyError):
+            init_vr_state(problem, cfg)
 
 
 def test_constant_step_vr_decays_geometrically_on_strongly_convex():

@@ -36,7 +36,9 @@ It prints SHA-256 digests of
 - the penalty matrix A = [G; I] of build_graph_matrix at thresholds 0.3,
   0.5, 0.8, 0.9 and 0.99 on the smallbatch-2k and largebatch-a9a instances
   and on a 64 x 9 instance of correlated dense features, and of
-  graph_matrix on an empty and a mixed-sign edge list.
+  graph_matrix on an empty and a mixed-sign edge list, each followed by a
+  line with the repr of its ||A^T A|| and smallest Gram eigenvalue from
+  compute_spectral_constants.
 
 It imports sadmm from this checkout's src/ and the instances from
 perfbench/, which it only reads; the reference cache lives in a temporary
@@ -70,7 +72,7 @@ import sadmm.metrics
 import workloads as wl
 from sadmm.datasets import make_classification
 from sadmm.errors import ConfigError, ConvergenceError
-from sadmm.linalg import SparseMatrixCSR
+from sadmm.linalg import SparseMatrixCSR, compute_spectral_constants
 from sadmm.losses import Dataset, LossKind, LossObjective
 from sadmm.problem import ProblemSpec
 from sadmm.prox import Regularizer
@@ -301,9 +303,15 @@ def matrix_digest(A) -> str:
     return h.hexdigest()
 
 
+def print_spectra(label, A) -> None:
+    sc = compute_spectral_constants(A)
+    print(f"spectra {label} {sc.ata_norm!r} {sc.aat_min_eig!r}", flush=True)
+
+
 def graph_digests():
     """build_graph_matrix on the traced instances and a correlated one, and
-    graph_matrix on two fixed edge lists."""
+    graph_matrix on two fixed edge lists, with the spectral constants of
+    each."""
     datasets = {}
     for name in TRACED:
         inst = wl.WORKLOADS[name].instance
@@ -322,14 +330,17 @@ def graph_digests():
             total.update(digest.encode())
             edges = A.rows - A.cols
             print(f"graph {name} threshold={threshold} edges={edges} {digest}", flush=True)
+            print_spectra(f"{name} threshold={threshold}", A)
     edge_lists = {
         "empty": (),
         "mixed-sign": ((0, 3, 0.9), (1, 2, -0.95), (2, 4, 0.3), (0, 1, -1e-3)),
     }
     for name, edges in edge_lists.items():
-        digest = matrix_digest(sadmm.harness.graph_matrix(sadmm.harness.GraphSpec(edges), 5))
+        A = sadmm.harness.graph_matrix(sadmm.harness.GraphSpec(edges), 5)
+        digest = matrix_digest(A)
         total.update(digest.encode())
         print(f"graph edge list {name} {digest}", flush=True)
+        print_spectra(f"edge list {name}", A)
     print(f"graphs {total.hexdigest()}")
 
 

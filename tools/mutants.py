@@ -148,13 +148,25 @@ MUTANTS = (
         "tests/test_solvers.py::TestRateFormulas::test_optimal_theta_full_batch_formula",
     ),
     Mutant(
-        "spectral-tol-check-passes-nan",
+        "sigma-min-read-from-the-zero-eigenvalues",
         "linalg.py",
-        'if not 0 < tol < np.inf:\n        raise ValueError("tol must be finite and > 0")\n'
-        "    if A.nnz == 0:",
-        'if tol <= 0:\n        raise ValueError("tol must be finite and > 0")\n'
-        "    if A.nnz == 0:",
-        "tests/test_harness.py::test_non_finite_settings_are_refused[spectral-tol-nan]",
+        "sigma_min = float(w[max(A.cols - A.rows, 0)])",
+        "sigma_min = float(w[0])",
+        "tests/test_linalg.py::TestSpectral::test_min_eig_wide",
+    ),
+    Mutant(
+        "dual-over-all-eigenpairs",
+        "solvers.py",
+        "r = min(A.rows, A.cols)",
+        "r = A.cols",
+        "tests/test_solvers.py::test_dual_solve_matches_pseudo_inverse",
+    ),
+    Mutant(
+        "dual-without-rank-check",
+        "solvers.py",
+        "    problem.spectra  # raises RankDeficiencyError before any division\n",
+        "",
+        "tests/test_solvers.py::test_constant_theta_dual_refuses_a_rank_deficient_a",
     ),
     Mutant(
         "solve-aat-nan-residual-passes",
