@@ -311,7 +311,7 @@ def resolve_solver_config(problem: ProblemSpec, cfg: ExperimentConfig, seed: int
     n = problem.f.n
     L = problem.f.smoothness
     mu = problem.f.strong_convexity
-    b = cfg.b
+    b = 1 if cfg.solver == "stoc" else cfg.b  # stoc samples one row per step
     if cfg.solver in VR_SCHEDULES:
         m = cfg.m if cfg.m is not None else max(1, (2 * n) // b)
     elif cfg.solver == "stoc":
@@ -463,6 +463,8 @@ def run_solver(
         epoch_fn = batch_admm_epoch
         point = lambda st: (st.x, st.y)
     elif solver == "stoc":
+        if config.b != 1:
+            raise ConfigError(f"solver 'stoc' samples one row per step, not b = {config.b}")
         state = init_stoc_state(problem)
         epoch_fn = stoc_admm_chunk
         point = lambda st: (st.x_bar, st.y_bar)
@@ -624,6 +626,7 @@ def grid_search_eta_beta(
             etas = [1.0 / (2.5 * L), 1.0 / (4.0 * L), 1.0 / (8.0 * L), 1.0 / (16.0 * L)]
     if betas is None:
         betas = [0.01, 0.1, 1.0, 10.0]
+    etas = etas[:1] if solver == "batch" else etas  # batch ADMM reads no step size
     best = (float("inf"), None, None)
     for eta in etas:
         for beta in betas:

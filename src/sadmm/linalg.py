@@ -2,17 +2,16 @@
 
 Everything the solvers need from the penalty matrix A lives here: CSR
 matrix-vector products, the eigendecomposition of A^T A that each matrix
-caches (the source of the spectral norm of A^T A, the smallest Gram
-eigenvalue, the stoc x-update and the pseudo-inverse dual initialization),
-and a conjugate-gradient solve against A A^T. All operations are pure
-functions of immutable inputs and safe to call concurrently.
+caches (the source of ||A^T A||, the smallest Gram eigenvalue, the stoc
+x-update and the pseudo-inverse dual), and a CG solve against A A^T. All
+operations are pure functions of immutable inputs, safe to call concurrently.
 
-Every product with A or A^T in this module goes through spmv and spmv_t,
-which call the C loops of scipy's own CSR product on A's arrays: csr_matvec
-for A x, and csc_matvec on the same arrays (the CSC form of A^T) for A^T y.
-So the results equal A.csr @ x and A.csr_t @ y bit for bit: each output
-entry is summed from 0.0 in increasing storage order (a column's nonzeros
-appear in increasing row order in row-major storage).
+The CSR kernels are scipy's own C loops on A's arrays: a new matrix's row
+order is checked by csr_has_canonical_format (the scan behind scipy's
+has_canonical_format), A x is csr_matvec, and A^T y is csc_matvec on the
+same arrays (the CSC form of A^T). So spmv and spmv_t equal A.csr @ x and
+A.csr_t @ y bit for bit: each output entry is summed from 0.0 in increasing
+storage order (a column's nonzeros appear in increasing row order).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import scipy.sparse.linalg
 # after Python work that costs more than a small product; calling them
 # directly skips it. They read x without bounds checks and add into their
 # output, so callers check the length of x and pass a fresh np.zeros.
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_has_canonical_format, csr_matvec
 
 from .errors import (
     ConvergenceError,
@@ -73,16 +72,9 @@ class SparseMatrixCSR:
             raise MatrixFormatError("col_indices and values length mismatch")
         if len(idx) and (idx.min() < 0 or idx.max() >= self.cols):
             raise MatrixFormatError("column index out of range")
-        # strictly increasing columns within each row
-        if len(idx) > 1:
-            d = np.diff(idx)
-            # positions in d that straddle a row boundary are exempt
-            row_starts = off[1:-1]
-            row_starts = row_starts[(row_starts > 0) & (row_starts < len(idx))]
-            interior = np.ones(len(d), dtype=bool)
-            interior[row_starts - 1] = False
-            if np.any(d[interior] <= 0):
-                raise MatrixFormatError("column indices must be strictly increasing within a row")
+        # the checks above keep this scan's unchecked reads inside off and idx
+        if not csr_has_canonical_format(len(off) - 1, off, idx):
+            raise MatrixFormatError("column indices must be strictly increasing within a row")
         if np.any(val == 0.0) or not np.all(np.isfinite(val)):
             raise MatrixFormatError("stored values must be nonzero and finite")
 
@@ -121,9 +113,9 @@ class SparseMatrixCSR:
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseMatrixCSR":
+        """Copy of mat, rows sorted and repeats summed (both by sum_duplicates), zeros dropped."""
         m = scipy.sparse.csr_matrix(mat).copy()
         m.sum_duplicates()
-        m.sort_indices()
         m.eliminate_zeros()
         return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data)
 

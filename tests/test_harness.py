@@ -31,7 +31,7 @@ from sadmm.harness import (
     write_trace_csv,
 )
 from sadmm.linalg import compute_spectral_constants, solve_aat
-from sadmm.losses import LossKind
+from sadmm.losses import LossKind, LossObjective
 from sadmm.metrics import (
     CSV_HEADER,
     GAP_FLOOR,
@@ -40,6 +40,7 @@ from sadmm.metrics import (
     compute_reference,
     kkt_residuals,
 )
+from sadmm.problem import ProblemSpec
 from sadmm.prox import Regularizer
 from sadmm.solvers import (
     ConstantTheta,
@@ -775,6 +776,24 @@ def test_svrg_refuses_a_numeric_theta_other_than_one(monkeypatch):
     assert len(run_solver(problem, "svrg", one)) == 2
 
 
+def test_stoc_resolves_and_runs_one_sample_per_step(monkeypatch):
+    # stoc samples one row per step whatever cfg.b says, so its resolved
+    # config says b = 1, and run_solver refuses any other b before any step
+    cfg = small_cfg(solver="stoc", b=20, epochs=1)
+    problem, *_ = assemble_problem(cfg)
+    config = resolve_solver_config(problem, cfg, seed=0)
+    assert config.b == 1
+    assert len(run_solver(problem, "stoc", config)) == 2
+
+    def no_init(*args):
+        raise AssertionError("the solver state was built")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sadmm.harness, "init_stoc_state", no_init)
+        with pytest.raises(ConfigError, match="'stoc' samples one row per step, not b = 20"):
+            run_solver(problem, "stoc", dataclasses.replace(config, b=20))
+
+
 def test_median_summary_rejects_mismatched():
     rec = TraceRecord(0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
@@ -807,6 +826,58 @@ class TestGridSearch:
         monkeypatch.setattr(sadmm.harness, "run_solver", buggy)
         with pytest.raises(TypeError):
             grid_search_eta_beta(problem, cfg, ref, etas=etas, betas=[1.0], epochs=1)
+
+    @pytest.mark.parametrize("solver, runs", [("batch", 4), ("svrg", 16)])
+    def test_default_grid_runs_each_distinct_trial_once(self, monkeypatch, solver, runs):
+        # batch ADMM reads no step size, so it sweeps beta at the first eta;
+        # that is the pair the full 4 x 4 grid picked, its ties going to the
+        # first eta
+        cfg = small_cfg(solver=solver)
+        problem, *_ = assemble_problem(cfg)
+        ref = compute_reference(problem, tol=1e-8)
+        real, calls = sadmm.harness.run_solver, []
+
+        def counted(problem, solver, config, **kw):
+            calls.append((config.eta, config.beta))
+            return real(problem, solver, config, **kw)
+
+        monkeypatch.setattr(sadmm.harness, "run_solver", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eta, beta = grid_search_eta_beta(problem, cfg, ref, epochs=1)
+        assert len(calls) == len(set(calls)) == runs
+        if solver == "batch":
+            L = problem.f.smoothness
+            assert eta == 1.0 / (2.5 * L)
+            full = []
+            for eta_i in (1.0 / (2.5 * L), 1.0 / (4.0 * L), 1.0 / (8.0 * L), 1.0 / (16.0 * L)):
+                for beta_j in (0.01, 0.1, 1.0, 10.0):
+                    config = resolve_solver_config(
+                        problem, dataclasses.replace(cfg, eta=eta_i, beta=beta_j, epochs=1), 0
+                    )
+                    full.append((real(problem, "batch", config, ref=ref)[-1].objective_gap,
+                                 eta_i, beta_j))
+            best = min(full, key=lambda t: t[0])  # min keeps the first of equal gaps
+            assert (eta, beta) == best[1:]
+
+    def test_skips_a_point_whose_run_diverges(self, caplog):
+        # gamma = 1e-300 scales the x-update by eta / gamma: the iterates
+        # overflow in the first epoch, and the grid logs and skips the point
+        data = make_classification(300, 10, seed=1)
+        A = build_graph_matrix(data, 0.9)
+        problem = ProblemSpec(LossObjective(LossKind.logistic(), data), Regularizer(1e-3), A)
+        L = problem.f.smoothness
+        config = SolverConfig(m=60, eta=1.0 / (4.0 * L), beta=1e3, b=5, gamma=1e-300, epochs=1)
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
+            run_solver(problem, "svrg", config)
+        cfg = ExperimentConfig(problem="fused_lasso", lambda1=1e-3, solver="svrg", m=60, b=5,
+                               gamma=1e-300)
+        ref = compute_reference(problem, tol=1e-8)
+        with np.errstate(all="ignore"), caplog.at_level(logging.INFO, logger="sadmm.harness"):
+            with pytest.raises(ConfigError, match="no grid point"):
+                grid_search_eta_beta(problem, cfg, ref, etas=[1.0 / (4.0 * L)], betas=[1e3],
+                                     epochs=1)
+        assert "grid point eta=0.25 beta=1e+03 failed: solver diverged" in caplog.text
 
     def test_skips_an_eta_the_momentum_bound_refuses(self):
         cfg = small_cfg(solver="asvrg_sc")

@@ -47,10 +47,21 @@ class TestCSRInvariants:
             SparseMatrixCSR(1, 2, [0, 1], [2], [1.0])
 
     def test_columns_strictly_increasing_within_row(self):
-        with pytest.raises(MatrixFormatError):
-            SparseMatrixCSR(1, 3, [0, 2], [1, 1], [1.0, 2.0])
-        # decreasing across a row boundary is fine
-        SparseMatrixCSR(2, 3, [0, 2, 3], [0, 2, 0], [1.0, 2.0, 3.0])
+        for rows, offsets, cols in (
+            (1, [0, 2], [1, 1]),  # a repeated column
+            (2, [0, 2, 4], [0, 1, 2, 2]),  # a repeated column at a row's end
+            (1, [0, 3], [0, 2, 1]),  # an unsorted single row
+            (4, [0, 2, 2, 4, 4], [0, 2, 2, 1]),  # an unsorted row after an empty one
+        ):
+            with pytest.raises(MatrixFormatError, match="strictly increasing within a row"):
+                SparseMatrixCSR(rows, 3, offsets, cols, np.ones(len(cols)))
+        for rows, offsets, cols in (
+            (2, [0, 2, 3], [0, 2, 0]),  # a decrease across a row boundary
+            (5, [0, 2, 2, 2, 3, 3], [0, 2, 1]),  # empty rows between nonempty ones
+            (3, [0, 2, 2, 3], [1, 2, 0]),  # a decrease across a boundary after an empty row
+        ):
+            A = SparseMatrixCSR(rows, 3, offsets, cols, np.ones(len(cols)))
+            assert A.to_dense().sum() == len(cols)
 
     def test_no_stored_zeros(self):
         with pytest.raises(MatrixFormatError):
@@ -61,6 +72,10 @@ class TestCSRInvariants:
         A = SparseMatrixCSR.from_scipy(coo)
         assert A.nnz == 1  # duplicates summed, explicit zero dropped
         assert A.to_dense()[0, 1] == 3.0
+        # an unsorted row with no repeats is sorted too
+        unsorted = scipy.sparse.csr_matrix(([1.0, 2.0, 3.0], [2, 0, 1], [0, 3]), shape=(1, 3))
+        A = SparseMatrixCSR.from_scipy(unsorted)
+        assert A.col_indices.tolist() == [0, 1, 2] and A.values.tolist() == [2.0, 3.0, 1.0]
 
 
 class TestSpmv:
@@ -203,6 +218,10 @@ class TestSpectral:
     def test_min_eig_wide(self):
         A = SparseMatrixCSR.from_dense([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         assert compute_spectral_constants(A).aat_min_eig == pytest.approx(1.0, rel=1e-6)
+
+    def test_all_zero_matrix_refused(self):
+        with pytest.raises(MatrixFormatError, match="all-zero"):
+            compute_spectral_constants(SparseMatrixCSR.from_dense(np.zeros((3, 2))))
 
     def test_rank_deficiency_detected(self):
         for A in (

@@ -40,6 +40,27 @@ class TestComputeReference:
         assert np.allclose(ref.x_star, centers.mean(axis=0), atol=1e-8)
         assert np.allclose(ref.lambda_star, 0.0, atol=1e-8)
 
+    def test_without_l1_the_polish_solves_the_unconstrained_problem(self, monkeypatch):
+        # lambda1 = 0: the polish skips the sign patterns and its one Newton
+        # solve certifies with every dual zero
+        data = make_classification(300, 10, seed=1)
+        reg, A = Regularizer(0.0), build_graph_matrix(data, 0.9)
+        problem = ProblemSpec(LossObjective(LossKind.l2_logistic(0.01), data), reg, A)
+        attempts = []
+
+        def recorded_polish(*args):
+            attempts.append(_polish(*args))
+            return attempts[-1]
+
+        monkeypatch.setattr(sadmm.metrics, "_polish", recorded_polish)
+        ref = compute_reference(problem, tol=1e-10)
+        assert len(attempts) == 1
+        (x, y, lam), solved = attempts[0]
+        assert solved == set() and not lam.any()
+        assert ref.x_star.tobytes() == x.tobytes() and ref.y_star.tobytes() == y.tobytes()
+        assert not ref.lambda_star.any()
+        assert ref.kkt_residual <= 1e-15
+
     def test_kkt_residuals_certified(self):
         problem = logistic_problem()
         ref = compute_reference(problem, tol=1e-10)

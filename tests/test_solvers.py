@@ -4,10 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from sadmm.datasets import make_classification
 from sadmm.errors import ConfigError, RankDeficiencyError
-from sadmm.harness import run_solver
-from sadmm.linalg import SparseMatrixCSR, compute_spectral_constants, spmv
+from sadmm.harness import build_graph_matrix, run_solver
+from sadmm.linalg import SparseMatrixCSR, compute_spectral_constants, spmv, spmv_t
 from sadmm.losses import LossKind, LossObjective
 from sadmm.metrics import compute_reference
 from sadmm.problem import ProblemSpec
@@ -17,6 +19,7 @@ from sadmm.solvers import (
     DecayingTheta,
     RateParams,
     SolverConfig,
+    _minimize_x_subproblem,
     batch_admm_epoch,
     beta_star,
     gamma_min,
@@ -231,6 +234,25 @@ class TestBatchAdmm:
         assert np.linalg.norm(state.y - y0) <= 1e-10
         assert np.linalg.norm(state.lam - l0) <= 1e-10
 
+    def test_x_subproblem_backtracks_from_far_away(self, monkeypatch):
+        # a small penalty and a far start: full Newton steps overshoot, so
+        # the line search evaluates phi more than once per step, and the
+        # solve still reaches its tolerance
+        data = make_classification(300, 10, seed=1)
+        f, A = LossObjective(LossKind.logistic(), data), build_graph_matrix(data, 0.9)
+        x0 = 100.0 * np.random.default_rng(0).standard_normal(A.cols)
+        zero, beta, gtol = np.zeros(A.rows), 1e-4, 1e-10
+        real_cg, steps = scipy.sparse.linalg.cg, []
+
+        def counted_cg(*args, **kw):
+            steps.append(1)
+            return real_cg(*args, **kw)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "cg", counted_cg)
+        x, n_grads = _minimize_x_subproblem(f, A, beta, zero, zero, x0, gtol)
+        assert n_grads > len(steps) + 1
+        assert np.linalg.norm(f.full_grad(x) + beta * spmv_t(A, spmv(A, x))) <= gtol
+
     def test_dual_update_identity(self):
         problem = logistic_problem(n=20, dim=4, seed=6)
         config = SolverConfig(m=1, eta=1.0, beta=0.7)
@@ -297,7 +319,6 @@ class TestStocReplay:
     single-sample sampler for every draw, compared bitwise."""
 
     def test_chunks_match_straight_line_loop(self):
-        from sadmm.linalg import spmv_t
         from sadmm.prox import y_update
         from sadmm.vr import BatchSampler
 
@@ -433,7 +454,7 @@ class TestLayerBoundaries:
         import sadmm.harness
 
         problem = vr_problem(seed=3)
-        cfg = vr_config(problem, b=2, m=3, epochs=2)
+        cfg = vr_config(problem, b=1 if solver == "stoc" else 2, m=3, epochs=2)
         ref = compute_reference(problem, tol=1e-8)
         counts = {
             attr: self._count(monkeypatch, sadmm.harness, attr)
@@ -1009,8 +1030,8 @@ class TestFiniteIterates:
             "batch": ConstantTheta(1.0),
             "stoc": ConstantTheta(1.0),
         }[solver]
-        cfg = SolverConfig(m=6, eta=1.0 / (8 * L), beta=0.5, b=2, schedule=sched,
-                           epochs=4, seed=0)
+        cfg = SolverConfig(m=6, eta=1.0 / (8 * L), beta=0.5, b=1 if solver == "stoc" else 2,
+                           schedule=sched, epochs=4, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             recs = run_solver(problem, solver, cfg)

@@ -361,6 +361,41 @@ MUTANTS = (
         ' if solver == "svrg" else vr_admm_epoch',
         "tests/test_acceptance.py::test_criterion_04_degeneracy_equivalences",
     ),
+    Mutant(
+        "csr-row-order-check-negated",
+        "linalg.py",
+        "if not csr_has_canonical_format(len(off) - 1, off, idx):",
+        "if csr_has_canonical_format(len(off) - 1, off, idx):",
+        "tests/test_linalg.py::TestCSRInvariants::test_columns_strictly_increasing_within_row",
+    ),
+    Mutant(
+        "non-finite-iterates-pass",
+        "solvers.py",
+        'raise ConvergenceError("solver diverged: non-finite iterate")',
+        "pass",
+        "tests/test_harness.py::TestGridSearch::test_skips_a_point_whose_run_diverges",
+    ),
+    Mutant(
+        "grid-sweeps-eta-for-batch",
+        "harness.py",
+        'etas = etas[:1] if solver == "batch" else etas',
+        "etas = list(etas)",
+        "tests/test_harness.py::TestGridSearch::test_default_grid_runs_each_distinct_trial_once[batch-4]",
+    ),
+    Mutant(
+        "stoc-resolves-the-configured-b",
+        "harness.py",
+        'b = 1 if cfg.solver == "stoc" else cfg.b',
+        "b = cfg.b",
+        "tests/test_harness.py::test_stoc_resolves_and_runs_one_sample_per_step",
+    ),
+    Mutant(
+        "stoc-runs-any-b",
+        "harness.py",
+        "if config.b != 1:",
+        "if False:",
+        "tests/test_harness.py::test_stoc_resolves_and_runs_one_sample_per_step",
+    ),
 )
 
 
