@@ -311,7 +311,7 @@ def resolve_solver_config(problem: ProblemSpec, cfg: ExperimentConfig, seed: int
     n = problem.f.n
     L = problem.f.smoothness
     mu = problem.f.strong_convexity
-    b = 1 if cfg.solver == "stoc" else cfg.b  # stoc samples one row per step
+    b = 1 if cfg.solver in ("stoc", "batch") else cfg.b  # stoc takes one row; batch reads no b
     if cfg.solver in VR_SCHEDULES:
         m = cfg.m if cfg.m is not None else max(1, (2 * n) // b)
     elif cfg.solver == "stoc":
@@ -615,9 +615,8 @@ def grid_search_eta_beta(
     etas=None,
     betas=None,
     epochs: int = 4,
-    seed: int = 0,
 ) -> tuple[float, float]:
-    """Pick (eta, beta) minimizing the final objective gap of a short cfg.solver run."""
+    """Pick (eta, beta) minimizing the final objective gap of a short cfg.solver run at seed 0."""
     solver, L = cfg.solver, problem.f.smoothness
     if etas is None:
         if solver == "stoc":
@@ -632,7 +631,7 @@ def grid_search_eta_beta(
         for beta in betas:
             trial = replace(cfg, eta=eta, beta=beta, epochs=epochs)
             try:
-                config = resolve_solver_config(problem, trial, seed)
+                config = resolve_solver_config(problem, trial, 0)
                 recs = run_solver(problem, solver, config, ref=ref)
             except (ConfigError, ConvergenceError, FloatingPointError) as exc:
                 # invalid or diverging settings are skipped; anything else is a bug

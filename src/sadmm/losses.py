@@ -54,8 +54,8 @@ class LossKind:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if not 0 <= self.lambda2 < np.inf:
             raise ValueError("lambda2 must be finite and >= 0")
-        if not 0 < self.huber_width < np.inf:
-            raise ValueError("huber_width must be finite and > 0")
+        if not 0 < self.huber_width < 1e150:  # keeps (2w)^2 finite
+            raise ValueError("huber_width must be finite, > 0 and below 1e150")
 
     @classmethod
     def logistic(cls) -> "LossKind":
@@ -109,12 +109,9 @@ def _loss_of_margin(kind: LossKind, t: np.ndarray) -> np.ndarray:
         # log(1 + exp(-t)), overflow-safe for any margin
         return np.logaddexp(0.0, -t)
     w = kind.huber_width
-    out = np.zeros_like(t)
-    quad = (t < 1.0) & (t >= 1.0 - 2.0 * w)
-    lin = t < 1.0 - 2.0 * w
-    out[quad] = (1.0 - t[quad]) ** 2 / (4.0 * w)
-    out[lin] = 1.0 - t[lin] - w
-    return out
+    # the clip and the width's cap keep u * u finite; a NaN margin is 0
+    u = 1.0 - np.clip(t, 1.0 - 2.0 * w, 1.0)
+    return np.where(t < 1.0, np.where(t < 1.0 - 2.0 * w, 1.0 - t - w, u * u / (4.0 * w)), 0.0)
 
 
 def _dloss_of_margin(kind: LossKind, t: np.ndarray) -> np.ndarray:
@@ -122,12 +119,8 @@ def _dloss_of_margin(kind: LossKind, t: np.ndarray) -> np.ndarray:
         # -sigmoid(-t), computed in log space to avoid overflow
         return -np.exp(-np.logaddexp(0.0, t))
     w = kind.huber_width
-    out = np.zeros_like(t)
-    quad = (t < 1.0) & (t >= 1.0 - 2.0 * w)
-    lin = t < 1.0 - 2.0 * w
-    out[quad] = -(1.0 - t[quad]) / (2.0 * w)
-    out[lin] = -1.0
-    return out
+    u = 1.0 - np.clip(t, 1.0 - 2.0 * w, 1.0)
+    return np.where(t < 1.0, np.where(t < 1.0 - 2.0 * w, -1.0, -u / (2.0 * w)), 0.0)
 
 
 def _d2loss_of_margin(kind: LossKind, t: np.ndarray) -> np.ndarray:
@@ -135,9 +128,7 @@ def _d2loss_of_margin(kind: LossKind, t: np.ndarray) -> np.ndarray:
         s = np.exp(-np.logaddexp(0.0, t))  # sigmoid(-t)
         return s * (1.0 - s)
     w = kind.huber_width
-    out = np.zeros_like(t)
-    out[(t < 1.0) & (t >= 1.0 - 2.0 * w)] = 1.0 / (2.0 * w)
-    return out
+    return np.where((t >= 1.0 - 2.0 * w) & (t < 1.0), 1.0 / (2.0 * w), 0.0)
 
 
 class BatchPlan:

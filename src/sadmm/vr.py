@@ -67,15 +67,16 @@ class BatchSampler:
     sampler must not be shared between threads.
 
     draw(epoch, ks) with a 1-D integer array ks returns one row per k, each
-    equal to the scalar draw. When b = 1, or when b(b-1) < n in the
-    rejection branch, it evaluates Philox4x64-10 for all rows at once in
-    uint64 arithmetic and applies numpy's bounded (Lemire) step to the
-    32-bit halves of its words; a row that numpy would retry (a Lemire
-    rejection, or a tuple with a repeat) is drawn by the scalar path. The
-    bound keeps those retries rare: a tuple repeats with probability about
-    b(b-1)/2n, and larger b spends more time on them than the scalar loop
-    costs. Every other branch, and n >= 2**32, takes the scalar path row
-    by row.
+    equal to the scalar draw. When b(b-1) < n in the rejection branch (the
+    scalar rule for b = 1 and other small b; numpy's choice draws the rest),
+    it evaluates Philox4x64-10 for all rows at once in uint64 arithmetic
+    and applies numpy's bounded (Lemire) step to the 32-bit halves of its
+    words; a row that numpy would retry (a Lemire rejection, or a tuple
+    with a repeat) is drawn by the scalar path. The bound keeps those
+    retries rare: a tuple repeats with probability about b(b-1)/2n, and
+    larger b spends more time on them than the scalar loop costs. The
+    choice branch, and n >= 2**32, take the scalar path row by row; at
+    b = n it returns every index without drawing.
 
     Returned indices are sorted, which makes batch-gradient reductions
     independent of the draw order (and makes b = n runs seed-independent).
@@ -92,16 +93,16 @@ class BatchSampler:
         # the fresh stream's state; draw rewrites the counter word that
         # holds (epoch << 32) | k, and the rest resets the output buffer
         self._start = self._bitgen.state
-        # rejection sampling beats the O(n) partial shuffle for small b;
-        # retrying the whole tuple keeps subsets exactly uniform. A tuple
-        # is distinct with probability about exp(-b(b-1)/2n), so the
-        # second bound keeps the expected tries below e^2
-        self._rejects = b * 16 < n and b * (b - 1) < 4 * n
+        # rejection beats the O(n) partial shuffle for small b, and b = 1 takes
+        # it at any n to stay on the bulk path; retrying the whole tuple keeps
+        # subsets exactly uniform. A tuple is distinct with probability about
+        # exp(-b(b-1)/2n), so the second bound keeps the expected tries below e^2
+        self._rejects = b == 1 or (b * 16 < n and b * (b - 1) < 4 * n)
         # tuples asked of one integers call in the rejection branch: about
         # the expected number of tries. Philox's stream runs on across
         # calls, so the draw is the same as one tuple per call
         self._tries = math.ceil(math.exp(b * (b - 1) / (2 * n))) if self._rejects else 1
-        self._bulk = n < 1 << 32 and (b == 1 < n or (self._rejects and b * (b - 1) < n))
+        self._bulk = n < 1 << 32 and self._rejects and b * (b - 1) < n
         # the bulk path's ten round keys: the key, bumped once per round
         rounds = np.arange(10, dtype=np.uint64)[:, None]
         self._round_keys = (self._start["state"]["key"] + rounds * _PHILOX_W)[:, :, None, None]
@@ -133,9 +134,6 @@ class BatchSampler:
         self._start["state"]["counter"][2] = (epoch << 32) | k
         self._bitgen.state = self._start
         rng = self._rng
-        if self.b == 1:
-            # the scalar draw takes the same value as size=1, at lower cost
-            return np.array([rng.integers(self.n)])
         if self._rejects:
             while True:
                 idx = rng.integers(self.n, size=(self._tries, self.b))

@@ -275,7 +275,7 @@ def test_criterion_07_solver_ordering_at_equal_passes():
         warnings.simplefilter("ignore")
         for solver, sched in (("svrg", ConstantTheta(1.0)), ("asvrg_gc", DecayingTheta())):
             eta, beta = grid_search_eta_beta(
-                problem, dataclasses.replace(base_cfg, solver=solver), ref, epochs=epochs_vr, seed=0
+                problem, dataclasses.replace(base_cfg, solver=solver), ref, epochs=epochs_vr
             )
             gaps = []
             for seed in range(5):

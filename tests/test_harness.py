@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sadmm.datasets import make_classification
+from sadmm.datasets import make_classification, train_test_split, write_libsvm
 import sadmm.harness
 from sadmm.errors import ConfigError, ConvergenceError, DataFormatError
 from sadmm.harness import (
@@ -593,6 +593,41 @@ class TestRunExperiment:
         write({k: np.append(v, 0.0) for k, v in triple.items()})
         assert_recomputed()
 
+    def test_failed_save_leaves_no_file(self, tmp_path, monkeypatch):
+        problem, _test = assemble_problem(small_cfg())
+        f = problem.f
+
+        def full_disk(*args, **kw):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez", full_disk)
+        with pytest.raises(OSError, match="no space"):
+            get_reference(problem, f.kind, f.data, tol=1e-10, beta=0.1, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("split", ["test-fraction", "test-file"])
+    def test_libsvm_files_trace_as_the_synthetic_set(self, tmp_path, split):
+        # write_libsvm writes each value's repr, so the files read back as
+        # the synthetic set (or its split), and the traces match
+        synth = small_cfg(output_dir=str(tmp_path / "synth"), solver="svrg", epochs=2)
+        full = make_classification(synth.synth_n, synth.synth_d, seed=synth.synth_seed)
+        if split == "test-fraction":
+            files = {"dataset": full}
+        else:
+            train, test = train_test_split(full, synth.test_fraction, synth.split_seed)
+            files = {"dataset": train, "test_dataset": test}
+        for name, data in files.items():
+            write_libsvm(tmp_path / f"{name}.libsvm", data)
+            files[name] = str(tmp_path / f"{name}.libsvm")
+        from_files = dataclasses.replace(synth, output_dir=str(tmp_path / "files"), **files)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            traces = [read_trace_csv(run_experiment(c)["traces"][0]) for c in (synth, from_files)]
+        synth_rows, file_rows = ([dataclasses.replace(r, wall_seconds=0.0) for r in t]
+                                 for t in traces)
+        assert np.isfinite(file_rows[-1].test_loss)
+        assert file_rows == synth_rows
+
     def test_reference_refuses_a_loss_other_than_the_problems(self, tmp_path):
         # the key is read from problem.f, so a reference cannot be filed
         # under another loss's key
@@ -792,6 +827,19 @@ def test_stoc_resolves_and_runs_one_sample_per_step(monkeypatch):
         mp.setattr(sadmm.harness, "init_stoc_state", no_init)
         with pytest.raises(ConfigError, match="'stoc' samples one row per step, not b = 20"):
             run_solver(problem, "stoc", dataclasses.replace(config, b=20))
+
+
+def test_batch_resolves_one_sample_and_traces_as_at_any_b():
+    # batch ADMM reads no batch size: its resolved config says b = 1, as
+    # stoc's does, and a run at the configured b traces the same rows
+    cfg = small_cfg(solver="batch", b=20, epochs=2)
+    problem, *_ = assemble_problem(cfg)
+    config = resolve_solver_config(problem, cfg, seed=0)
+    assert config.b == 1
+    rows = [[dataclasses.replace(r, wall_seconds=0.0).to_row()
+             for r in run_solver(problem, "batch", c)]
+            for c in (config, dataclasses.replace(config, b=20))]
+    assert rows[0] == rows[1]
 
 
 def test_median_summary_rejects_mismatched():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sadmm.losses import (
     LossObjective,
     _d2loss_of_margin,
     _dloss_of_margin,
+    _loss_of_margin,
 )
 from sadmm.problem import ProblemSpec
 from sadmm.prox import Regularizer
@@ -34,6 +36,9 @@ class TestTypes:
             LossKind.l2_logistic(-1.0)
         with pytest.raises(ValueError):
             LossKind.huberized_hinge(0.0, 0.0)
+        # above the cap the clipped square (2w)^2 of the linear piece overflows
+        with pytest.raises(ValueError, match="below 1e150"):
+            LossKind.huberized_hinge(0.0, 1e150)
 
 
 class TestLossValue:
@@ -71,6 +76,37 @@ class TestLossValue:
         assert f.value(np.array([-1.0])) == pytest.approx(1.0 + 1.0 - w)
         # quadratic region: t = 0.5, value (1-t)^2/(4w)
         assert f.value(np.array([0.5])) == pytest.approx(0.25 / (4 * w))
+
+
+def masked_huber_pieces(t, w):
+    """The huberized hinge's value and two derivatives at the margins t,
+    each written into zeros through the masks of its two breakpoints."""
+    quad, lin = (t < 1.0) & (t >= 1.0 - 2.0 * w), t < 1.0 - 2.0 * w
+    value, d1, d2 = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+    value[quad] = (1.0 - t[quad]) ** 2 / (4.0 * w)
+    value[lin] = 1.0 - t[lin] - w
+    d1[quad] = -(1.0 - t[quad]) / (2.0 * w)
+    d1[lin] = -1.0
+    d2[quad] = 1.0 / (2.0 * w)
+    return value, d1, d2
+
+
+@pytest.mark.parametrize("w", [1e-3, 0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 9.9e149])
+def test_huber_pieces_equal_the_masked_transcription_bitwise(w):
+    # both breakpoints and their neighbours, signed zeros, infinities, NaN
+    # and margins whose square overflows; no piece may warn
+    kind = LossKind.huberized_hinge(0.0, w)
+    edges = np.array([1.0 - 2.0 * w, 1.0])
+    t = np.concatenate([
+        np.random.default_rng(11).normal(1.0 - w, 4.0 * w + 1.0, size=100_000),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [piece(kind, t) for piece in (_loss_of_margin, _dloss_of_margin, _d2loss_of_margin)]
+    for g, want in zip(got, masked_huber_pieces(t, w)):
+        assert g.dtype == np.float64 and g.tobytes() == want.tobytes()
 
 
 class TestGradients:

@@ -5,6 +5,7 @@ import pytest
 
 import sadmm.metrics
 from sadmm.datasets import make_classification
+from sadmm.errors import ConvergenceError
 from sadmm.harness import build_graph_matrix
 from sadmm.linalg import SparseMatrixCSR, spmv
 from sadmm.losses import LossKind, LossObjective
@@ -60,6 +61,17 @@ class TestComputeReference:
         assert ref.x_star.tobytes() == x.tobytes() and ref.y_star.tobytes() == y.tobytes()
         assert not ref.lambda_star.any()
         assert ref.kkt_residual <= 1e-15
+
+    def test_stall_raises_with_the_last_iterate(self, monkeypatch):
+        # two batch iterations leave the KKT residual near 9e-2
+        data = make_classification(300, 10, seed=1)
+        A = build_graph_matrix(data, 0.9)
+        problem = ProblemSpec(LossObjective(LossKind.logistic(), data), Regularizer(1e-3), A)
+        monkeypatch.setattr(sadmm.metrics, "REFERENCE_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match="stalled at KKT residual 9.1") as err:
+            compute_reference(problem, tol=1e-10)
+        x = err.value.best_estimate
+        assert x.shape == (problem.d1,) and np.isfinite(x).all() and x.any()
 
     def test_kkt_residuals_certified(self):
         problem = logistic_problem()

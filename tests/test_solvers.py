@@ -1,13 +1,15 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import sadmm.solvers
 from sadmm.datasets import make_classification
-from sadmm.errors import ConfigError, RankDeficiencyError
+from sadmm.errors import ConfigError, ConvergenceError, RankDeficiencyError
 from sadmm.harness import build_graph_matrix, run_solver
 from sadmm.linalg import SparseMatrixCSR, compute_spectral_constants, spmv, spmv_t
 from sadmm.losses import LossKind, LossObjective
@@ -252,6 +254,19 @@ class TestBatchAdmm:
         x, n_grads = _minimize_x_subproblem(f, A, beta, zero, zero, x0, gtol)
         assert n_grads > len(steps) + 1
         assert np.linalg.norm(f.full_grad(x) + beta * spmv_t(A, spmv(A, x))) <= gtol
+
+    def test_x_subproblem_stall_raises_with_its_last_iterate(self, monkeypatch):
+        # one Newton step from a far start leaves the gradient norm near
+        # 1e-1, far above the stall bound; the default budget converges
+        data = make_classification(300, 10, seed=1)
+        f, A = LossObjective(LossKind.logistic(), data), build_graph_matrix(data, 0.9)
+        zero, x0 = np.zeros(A.rows), np.full(A.cols, 50.0)
+        _minimize_x_subproblem(f, A, 1.0, zero, zero, x0, 1e-10)
+        monkeypatch.setattr(sadmm.solvers, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="Newton stalled at gradient norm") as err:
+            _minimize_x_subproblem(f, A, 1.0, zero, zero, x0, 1e-10)
+        x = err.value.best_estimate
+        assert x.shape == x0.shape and np.isfinite(x).all() and not np.array_equal(x, x0)
 
     def test_dual_update_identity(self):
         problem = logistic_problem(n=20, dim=4, seed=6)
@@ -552,6 +567,27 @@ class TestVRConfigValidation:
             init_vr_state(problem, bad)
         ok = SolverConfig(m=5, eta=eta, beta=0.5, b=1, schedule=ConstantTheta(bound - 0.01))
         init_vr_state(problem, ok)
+
+    @pytest.mark.parametrize("schedule, message", [
+        ("constant", "unknown momentum schedule 'constant'"),
+        (ConstantTheta(1.5), "theta = 1.5 outside (0, 1]"),
+        (DecayingTheta(0.0), "theta = 0.0 outside (0, 1]"),
+        (DecayingTheta(math.nan), "theta = nan outside (0, 1]"),
+    ], ids=["not-a-schedule", "constant-above-one", "decaying-zero", "decaying-nan"])
+    def test_schedule_refusals(self, schedule, message):
+        problem = vr_problem()
+        cfg = dataclasses.replace(vr_config(problem), schedule=schedule)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            init_vr_state(problem, cfg)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("b", 0, "b must be >= 1"),
+        ("epochs", -1, "epochs must be >= 0"),
+        ("gamma", "min", "gamma must be a positive number or 'auto'"),
+    ], ids=["b-zero", "epochs-negative", "gamma-string"])
+    def test_solver_config_refusals(self, field, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SolverConfig(m=5, eta=0.1, beta=0.5, **{field: value})
 
     def test_theta_exactly_one_allowed(self):
         # the degenerate momentum-free mode must run even for b < n

@@ -58,7 +58,9 @@ class TestSampler:
 
     def test_full_batch_is_arange(self):
         s = BatchSampler(6, 6, seed=3)
+        s._rng = None  # a b = n run draws nothing at any step
         assert np.array_equal(s.draw(1, 1), np.arange(6))
+        assert s.draw(1, np.arange(3)).tobytes() == np.tile(np.arange(6), (3, 1)).tobytes()
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
@@ -98,10 +100,12 @@ def fresh_philox_draw(n, b, seed, epoch, k):
     return idx
 
 
-# one (n, b) per branch of draw: single sample, rejection (b*16 < n and
-# b(b-1) < 4n), choice (the last two also at b*16 < n), b = n
+# one (n, b) per branch of the transcription above: single sample (also at
+# n <= 16, where b*16 < n fails), rejection (b*16 < n and b(b-1) < 4n),
+# choice (the last two also at b*16 < n), b = n
 SAMPLER_BRANCHES = [
-    (2000, 1), (2000, 2), (2000, 20), (100, 50), (300, 256), (2000, 100), (32561, 1000), (12, 12)
+    (2000, 1), (16, 1), (2, 1), (2000, 2), (2000, 20), (100, 50), (300, 256), (2000, 100),
+    (32561, 1000), (12, 12)
 ]
 
 
@@ -180,7 +184,11 @@ class TestBulkDraw:
                 # unsigned counters give the same rows
                 assert s.draw(epoch, BULK_KS.astype(np.uint64)).tobytes() == rows.tobytes()
 
-    @pytest.mark.parametrize("n,b,lo,hi", [(2**31 + 11, 1, 0.3, 0.7), (2000, 20, 0.03, 0.2)])
+    # at n = 16 numpy's bounded step rejects no value and one sample cannot
+    # repeat, so every row is settled in bulk
+    @pytest.mark.parametrize(
+        "n,b,lo,hi", [(2**31 + 11, 1, 0.3, 0.7), (2000, 20, 0.03, 0.2), (16, 1, 0.0, 0.0)]
+    )
     def test_retried_rows_take_the_scalar_path(self, monkeypatch, n, b, lo, hi):
         s = BatchSampler(n, b, seed=41)
         ks = np.arange(1, 1001)

@@ -30,6 +30,9 @@ It prints SHA-256 digests of
   instance and two small ones;
 - metrics._constrained_newton called directly with an all-zero and an
   all-nonzero sign pattern;
+- BatchSampler's scalar and array draws at three seeds and three epochs
+  over a fixed (n, b) grid that reaches each rule of the draw, b = n and
+  b = 1 for every n <= 16 among them;
 - resolve_solver_config over 5 solvers x b in {1, 20} x 'auto' or a number
   for each of eta, beta and theta x m in {None, 50}, on a logistic and an
   l2-logistic instance.
@@ -76,6 +79,7 @@ from sadmm.linalg import SparseMatrixCSR, compute_spectral_constants
 from sadmm.losses import Dataset, LossKind, LossObjective
 from sadmm.problem import ProblemSpec
 from sadmm.prox import Regularizer
+from sadmm.vr import BatchSampler
 
 SOLVERS = ("svrg", "asvrg_sc", "asvrg_gc", "stoc", "batch")
 SEEDS = (0, 1, 2)
@@ -293,6 +297,29 @@ def newton_digest() -> str:
     return h.hexdigest()
 
 
+# frozen on purpose, so that the digest compares across commits; it reaches
+# the bulk, rejection and choice rules, b = n, and b = 1 at n <= 16
+DRAW_CASES = sorted(
+    {(2000, 1), (2000, 2), (2000, 20), (100, 50), (300, 256), (2000, 100), (32561, 1000)}
+    | {(n, b) for n in (2, 3, 2000, 32561, 2**31 + 11) for b in (1, 2, 3, 20, 256) if b <= n}
+    | {(n, b) for n in range(1, 17) for b in (1, n)}
+)
+DRAW_KS = np.array([0, 1, 2, 3, 199, 2**32 - 2, 2**32 - 1] + list(range(1000, 1050)))
+
+
+def draws_digest() -> str:
+    """Every array draw over DRAW_KS and every scalar draw of its ks."""
+    h = hashlib.sha256()
+    for n, b in DRAW_CASES:
+        for seed in (0, 7, 41):
+            sampler = BatchSampler(n, b, seed=seed)
+            for epoch in (0, 1, 2**32 - 1):
+                h.update(sampler.draw(epoch, DRAW_KS).tobytes())
+                for k in DRAW_KS.tolist():
+                    h.update(sampler.draw(epoch, k).tobytes())
+    return h.hexdigest()
+
+
 GRAPH_THRESHOLDS = (0.3, 0.5, 0.8, 0.9, 0.99)
 
 
@@ -376,6 +403,7 @@ def main() -> int:
     print(f"subset_grad batches {batch_table_digest()}", flush=True)
     print(f"constrained_newton patterns {newton_digest()}", flush=True)
     print(f"solver configs {config_grid_digest()}", flush=True)
+    print(f"draws {draws_digest()}", flush=True)
     graph_digests()
     reference_digests()
     with tempfile.TemporaryDirectory() as cache_dir:

@@ -262,6 +262,38 @@ MUTANTS = (
         "return idx[len(distinct) - 1 - distinct[::-1].argmax()]",
         "tests/test_vr.py::TestRejectionTries",
     ),
+    # choice draws arange(n) too, but at the cost of a shuffle every step
+    Mutant(
+        "full-batch-draws-by-choice",
+        "vr.py",
+        "        if self.b == self.n:\n            return np.arange(self.n)\n",
+        "",
+        "tests/test_vr.py::TestSampler::test_full_batch_is_arange",
+    ),
+    # at n <= 16 a one-sample draw falls to numpy's choice, which draws the
+    # same values as the rejection rule, but row by row: only the count of
+    # scalar draws sees it
+    Mutant(
+        "one-sample-draw-by-choice",
+        "vr.py",
+        "self._rejects = b == 1 or (b * 16 < n and b * (b - 1) < 4 * n)",
+        "self._rejects = b * 16 < n and b * (b - 1) < 4 * n",
+        "tests/test_vr.py::TestBulkDraw::test_retried_rows_take_the_scalar_path[16-1-0.0-0.0]",
+    ),
+    Mutant(
+        "huber-width-uncapped",
+        "losses.py",
+        "0 < self.huber_width < 1e150",
+        "0 < self.huber_width < np.inf",
+        "tests/test_losses.py::TestTypes::test_kind_validation",
+    ),
+    Mutant(
+        "huber-quadratic-piece-over-2w",
+        "losses.py",
+        "u * u / (4.0 * w)",
+        "u * u / (2.0 * w)",
+        "tests/test_losses.py::test_huber_pieces_equal_the_masked_transcription_bitwise",
+    ),
     Mutant(
         "vr-gradient-plan-without-snapshot",
         "vr.py",
@@ -369,6 +401,21 @@ MUTANTS = (
         "tests/test_linalg.py::TestCSRInvariants::test_columns_strictly_increasing_within_row",
     ),
     Mutant(
+        "newton-stall-never-raises",
+        "solvers.py",
+        "if gn > max(100.0 * gtol, 1e-6 * (1.0 + gn0)):",
+        "if False:",
+        "tests/test_solvers.py::TestBatchAdmm::test_x_subproblem_stall_raises_with_its_last_iterate",
+    ),
+    # the loop's last iterate is returned as the reference
+    Mutant(
+        "reference-stall-returns",
+        "metrics.py",
+        '    else:\n        raise ConvergenceError(\n            f"reference solve stalled',
+        '    if False:\n        raise ConvergenceError(\n            f"reference solve stalled',
+        "tests/test_metrics.py::TestComputeReference::test_stall_raises_with_the_last_iterate",
+    ),
+    Mutant(
         "non-finite-iterates-pass",
         "solvers.py",
         'raise ConvergenceError("solver diverged: non-finite iterate")',
@@ -385,9 +432,16 @@ MUTANTS = (
     Mutant(
         "stoc-resolves-the-configured-b",
         "harness.py",
-        'b = 1 if cfg.solver == "stoc" else cfg.b',
-        "b = cfg.b",
+        'cfg.solver in ("stoc", "batch")',
+        'cfg.solver in ("batch",)',
         "tests/test_harness.py::test_stoc_resolves_and_runs_one_sample_per_step",
+    ),
+    Mutant(
+        "batch-resolves-the-configured-b",
+        "harness.py",
+        'cfg.solver in ("stoc", "batch")',
+        'cfg.solver in ("stoc",)',
+        "tests/test_harness.py::test_batch_resolves_one_sample_and_traces_as_at_any_b",
     ),
     Mutant(
         "stoc-runs-any-b",
