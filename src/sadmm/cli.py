@@ -62,10 +62,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        overrides = {
-            key: getattr(args, key)
-            for key in ("solver", "seeds", "epochs", "output_dir", "eta", "beta", "gamma", "theta")
-        }
+        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         cfg = config_from_file(args.config, overrides)
         result = run_experiment(cfg)
         print(f"reference objective: {result['reference_objective']!r}")

@@ -14,7 +14,7 @@ import tempfile
 import time
 import typing
 import zipfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -551,18 +551,10 @@ def read_trace_csv(path) -> list[TraceRecord]:
 
 def median_summary(traces: list[list[TraceRecord]]) -> list[TraceRecord]:
     """Per-epoch medians across seeds (all traces must share epoch counts)."""
-    lengths = {len(t) for t in traces}
-    if len(lengths) != 1:
+    if len({len(t) for t in traces}) != 1:
         raise ValueError("traces have differing lengths")
-    out = []
-    names = [f.name for f in fields(TraceRecord)]
-    for rows in zip(*traces):
-        vals = {
-            name: (rows[0].epoch if name == "epoch" else float(np.median([getattr(r, name) for r in rows])))
-            for name in names
-        }
-        out.append(TraceRecord(**vals))
-    return out
+    medians = np.median([[astuple(r) for r in t] for t in traces], axis=0)
+    return [TraceRecord(r.epoch, *map(float, row[1:])) for r, row in zip(traces[0], medians)]
 
 
 def problem_and_reference(cfg: ExperimentConfig) -> tuple[ProblemSpec, Dataset, ReferenceSolution]:
@@ -581,16 +573,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     problem, test, ref = problem_and_reference(cfg)
 
-    def one_seed(seed: int):
+    paths, traces = [], []
+    for seed in cfg.seeds:
         config = resolve_solver_config(problem, cfg, seed)
-        recs = run_solver(problem, cfg.solver, config, ref=ref, test=test, kind=problem.f.kind)
-        path = out_dir / f"{cfg.problem}_{cfg.solver}_seed{seed}.csv"
-        write_trace_csv(path, recs)
-        return path, recs
-
-    results = [one_seed(s) for s in cfg.seeds]
-    paths = [p for p, _ in results]
-    summary = median_summary([r for _, r in results])
+        traces.append(run_solver(problem, cfg.solver, config, ref=ref, test=test, kind=problem.f.kind))
+        paths.append(out_dir / f"{cfg.problem}_{cfg.solver}_seed{seed}.csv")
+        write_trace_csv(paths[-1], traces[-1])
+    summary = median_summary(traces)
     summary_path = out_dir / f"{cfg.problem}_{cfg.solver}_summary.csv"
     write_trace_csv(summary_path, summary)
     meta_path = out_dir / f"{cfg.problem}_{cfg.solver}_meta.txt"
@@ -633,7 +622,7 @@ def grid_search_eta_beta(
             try:
                 config = resolve_solver_config(problem, trial, 0)
                 recs = run_solver(problem, solver, config, ref=ref)
-            except (ConfigError, ConvergenceError, FloatingPointError) as exc:
+            except (ConfigError, ConvergenceError) as exc:
                 # invalid or diverging settings are skipped; anything else is a bug
                 logger.info("grid point eta=%.3g beta=%.3g failed: %s", eta, beta, exc)
                 continue

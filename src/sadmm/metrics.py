@@ -154,13 +154,9 @@ def _polish(problem: ProblemSpec, x0, y0, lam0, beta: float, failed):
             return None, solved
         solved.add(pattern.tobytes())
         x, nu, y, beta_lam = _constrained_newton(problem, pattern, x, nu)
-        zero_set = np.where(pattern == 0.0)[0]
-        support = np.where(pattern != 0.0)[0]
-        new_pattern = pattern.copy()
-        flipped = support[np.sign(y[support]) != pattern[support]]
-        new_pattern[flipped] = 0.0
-        released = zero_set[np.abs(beta_lam[zero_set]) > lam1]
-        new_pattern[released] = np.sign(beta_lam[released])
+        new_pattern = np.where(np.sign(y) == pattern, pattern, 0.0)
+        released = (pattern == 0.0) & (np.abs(beta_lam) > lam1)
+        new_pattern = np.where(released, np.sign(beta_lam), new_pattern)
         if new_pattern.tobytes() in solved:
             break
         pattern = new_pattern
@@ -191,7 +187,7 @@ def compute_reference(
     kkt = np.inf
     failed = set()
     for it in range(1, REFERENCE_MAX_ITER + 1):
-        inner = float(np.clip(1e-3 * kkt, inner_floor, 1e-6)) if np.isfinite(kkt) else 1e-6
+        inner = float(np.clip(1e-3 * kkt, inner_floor, 1e-6))
         config = SolverConfig(m=1, eta=1.0, beta=beta, inner_tol=inner, epochs=0)
         batch_admm_epoch(state, problem, config)
         x, y, lam = state.x, state.y, state.lam

@@ -48,7 +48,4 @@ def y_update(reg: Regularizer, Az, lambda_dual, beta: float) -> np.ndarray:
         raise ValueError("beta must be > 0")
     Az = as_vector(Az, name="Az")
     lam = as_vector(lambda_dual, len(Az), "lambda_dual")
-    point = Az + lam
-    if reg.lambda1 == 0.0:
-        return point
-    return soft_threshold(point, reg.lambda1 / beta)
+    return soft_threshold(Az + lam, reg.lambda1 / beta)

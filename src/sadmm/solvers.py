@@ -449,15 +449,13 @@ def _minimize_x_subproblem(f, A, beta, y, lam, x0, gtol):
         # accept on Armijo decrease, or on gradient-norm contraction once
         # objective differences are at the rounding floor (pure Newton regime)
         t = 1.0
-        accepted = False
         while t >= 1e-10:
             xn = x + t * step_dir
             fn, gnew = value_grad(xn)
             if fn <= fx + 1e-4 * t * slope or float(np.linalg.norm(gnew)) <= 0.9 * gn:
-                accepted = True
                 break
             t *= 0.25
-        if not accepted:
+        else:  # no trial step accepted
             break
         x, fx, g = xn, fn, gnew
     gn = float(np.linalg.norm(g))
@@ -541,25 +539,28 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
 
 
 def warn_if_outside_rate_regime(problem: ProblemSpec, config: SolverConfig) -> float | None:
-    """Compute rho for a strongly convex constant-theta run at the
-    schedule's theta and warn when rho >= 1 or the supplied gamma undercuts
-    gamma_min; the run proceeds either way. None when the problem is not
-    strongly convex or theta decays: the geometric rate does not apply."""
-    if problem.f.strong_convexity <= 0 or isinstance(config.schedule, DecayingTheta):
+    """For a constant-theta run, warn when the supplied gamma undercuts
+    gamma_min at the schedule's theta and, on a strongly convex problem,
+    compute rho there and warn when rho >= 1; the run proceeds either way.
+    None when the problem is not strongly convex or theta decays: the
+    geometric rate does not apply. A decaying schedule is not checked at
+    all: gamma_min grows as theta decays, so any fixed gamma would trip it."""
+    if isinstance(config.schedule, DecayingTheta):
         return None
     theta = float(config.schedule.theta)
-    params = RateParams.from_problem(problem)
-    rho = rho_rate(theta, params, config)
-    if rho >= 1.0:
-        warnings.warn(
-            f"config outside the geometric-rate regime (rho = {rho:.4f} >= 1)", RuntimeWarning
-        )
     if not isinstance(config.gamma, str):
-        gmin = gamma_min(config.eta, config.beta, theta, params.ata_norm)
+        gmin = gamma_min(config.eta, config.beta, theta, problem.spectra.ata_norm)
         if config.gamma < gmin - 1e-12:
             warnings.warn(
                 f"gamma = {config.gamma} is below gamma_min = {gmin:.4f}; "
                 "the proximal metric is not >= identity",
                 RuntimeWarning,
             )
+    if problem.f.strong_convexity <= 0:
+        return None
+    rho = rho_rate(theta, RateParams.from_problem(problem), config)
+    if rho >= 1.0:
+        warnings.warn(
+            f"config outside the geometric-rate regime (rho = {rho:.4f} >= 1)", RuntimeWarning
+        )
     return rho

@@ -96,6 +96,15 @@ class TestParseLibsvm:
         path.write_text("3 1:0.5\n")
         with pytest.raises(DataFormatError, match=":1:"):
             parse_libsvm(path)
+        path.write_text("+1 1:0.5\nyes 1:0.5\n")
+        with pytest.raises(DataFormatError, match=":2: bad label 'yes'"):
+            parse_libsvm(path)
+
+    def test_index_below_one_reports_line(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("+1 1:0.5\n-1 0:1.0\n")
+        with pytest.raises(DataFormatError, match=":2: feature index 0 must be >= 1"):
+            parse_libsvm(path)
 
     def test_explicit_zeros_dropped(self, tmp_path):
         path = tmp_path / "d.txt"
@@ -170,8 +179,21 @@ class TestSplit:
         with pytest.raises(ValueError):
             train_test_split(data, 0.0, seed=0)
 
+    @pytest.mark.parametrize("fraction", [0.01, 0.99])
+    def test_split_leaving_an_empty_part_refused(self, fraction):
+        # 10 rows: 0.01 rounds to no test rows, 0.99 to no training rows
+        data = make_classification(10, 4, seed=0)
+        with pytest.raises(ValueError, match="empty part"):
+            train_test_split(data, fraction, seed=0)
+
 
 class TestMakeClassification:
+    def test_dim_too_small_for_the_pairs_refused(self):
+        # 2 correlated and 2 duplicated pairs need 8 features
+        with pytest.raises(ValueError, match="dim too small"):
+            make_classification(20, 7, n_correlated_pairs=2, duplicate_pairs=2)
+        assert make_classification(20, 8, n_correlated_pairs=2, duplicate_pairs=2).dim == 8
+
     def test_shapes_and_labels(self):
         data = make_classification(100, 20, seed=5)
         assert data.n == 100 and data.dim == 20

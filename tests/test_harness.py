@@ -224,6 +224,14 @@ class TestGraph:
         path.write_text("0 1\n")
         with pytest.raises(DataFormatError, match=":1:"):
             load_graph(path)
+        path.write_text("0 3 0.91\n1 two 0.5\n")
+        with pytest.raises(DataFormatError, match=":2: invalid literal"):
+            load_graph(path)
+
+    def test_graph_file_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("# i j weight\n0 3 0.91\n\n   \n1 2 -0.95\n")
+        assert load_graph(path) == GraphSpec(((0, 3, 0.91), (1, 2, -0.95)))
 
     def test_threshold_validation(self):
         data = make_classification(30, 4, seed=7)
@@ -262,6 +270,12 @@ CONFIG_LINES = {
 
 
 class TestConfigFile:
+    def test_override_that_cannot_be_coerced_is_refused(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("problem = gg_logistic\n")
+        with pytest.raises(ConfigError, match="epochs: invalid literal"):
+            config_from_file(path, {"epochs": "many"})
+
     def test_every_field_parses_by_its_type(self, tmp_path):
         assert set(CONFIG_LINES) == {f.name for f in dataclasses.fields(ExperimentConfig)}
         path = tmp_path / "cfg.txt"
@@ -842,10 +856,45 @@ def test_batch_resolves_one_sample_and_traces_as_at_any_b():
     assert rows[0] == rows[1]
 
 
+def test_unknown_solver_is_refused():
+    problem, *_ = assemble_problem(small_cfg())
+    config = SolverConfig(m=5, eta=0.1, beta=1.0, epochs=1)
+    with pytest.raises(ConfigError, match="unknown solver 'admm'"):
+        run_solver(problem, "admm", config)
+
+
 def test_median_summary_rejects_mismatched():
     rec = TraceRecord(0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         median_summary([[rec], [rec, rec]])
+
+
+def test_median_summary_takes_each_fields_median():
+    # three seeds whose mean and median differ in every float field; the
+    # epoch is the first trace's
+    traces = [
+        [TraceRecord(e, *(v * (e + 1) + i for i in range(11))) for e in range(3)]
+        for v in (1.0, 10.0, 2.0)
+    ]
+    summary = median_summary(traces)
+    assert [r.epoch for r in summary] == [0, 1, 2]
+    for e, r in enumerate(summary):
+        values = dataclasses.astuple(r)[1:]
+        assert values == tuple(2.0 * (e + 1) + i for i in range(11))
+        assert all(type(v) is float for v in values)
+    # bit for bit the per-field median over odd and even seed counts, with
+    # values spread over 600 decades and a NaN column
+    rng = np.random.default_rng(0)
+    names = [f.name for f in dataclasses.fields(TraceRecord)][1:]
+    for seeds in (2, 3, 4, 5):
+        traces = [
+            [TraceRecord(e, *rng.standard_normal(10) * 10.0 ** rng.integers(-300, 300, 10),
+                         math.nan) for e in range(4)]
+            for _ in range(seeds)
+        ]
+        for rows, r in zip(zip(*traces), median_summary(traces)):
+            expected = [float(np.median([getattr(row, name) for row in rows])) for name in names]
+            assert np.array(dataclasses.astuple(r)[1:]).tobytes() == np.array(expected).tobytes()
 
 
 class TestGridSearch:
@@ -907,6 +956,25 @@ class TestGridSearch:
                                  eta_i, beta_j))
             best = min(full, key=lambda t: t[0])  # min keeps the first of equal gaps
             assert (eta, beta) == best[1:]
+
+    def test_default_stoc_grid(self, monkeypatch):
+        # stoc's step decays as eta / sqrt(k), so its default grid starts
+        # at 16/L; a grid whose every point is refused ends in ConfigError
+        cfg = small_cfg(solver="stoc")
+        problem, *_ = assemble_problem(cfg)
+        calls = []
+
+        def refused(problem, solver, config, **kw):
+            calls.append((solver, config.eta, config.beta))
+            raise ConfigError("refused")
+
+        monkeypatch.setattr(sadmm.harness, "run_solver", refused)
+        with pytest.raises(ConfigError, match="no grid point"):
+            grid_search_eta_beta(problem, cfg, None, epochs=1)
+        L = problem.f.smoothness
+        assert calls == [("stoc", eta, beta)
+                         for eta in (16.0 / L, 8.0 / L, 4.0 / L, 1.0 / L)
+                         for beta in (0.01, 0.1, 1.0, 10.0)]
 
     def test_skips_a_point_whose_run_diverges(self, caplog):
         # gamma = 1e-300 scales the x-update by eta / gamma: the iterates

@@ -38,6 +38,14 @@ class TestCSRInvariants:
         with pytest.raises(MatrixFormatError):
             SparseMatrixCSR(2, 2, [0, 1], [0], [1.0])
 
+    def test_negative_dimension(self):
+        with pytest.raises(MatrixFormatError, match="negative dimension"):
+            SparseMatrixCSR(1, -1, [0, 0], [], [])
+
+    def test_column_value_length_mismatch(self):
+        with pytest.raises(MatrixFormatError, match="length mismatch"):
+            SparseMatrixCSR(1, 2, [0, 1], [0, 1], [1.0])
+
     def test_decreasing_offsets(self):
         with pytest.raises(MatrixFormatError):
             SparseMatrixCSR(2, 2, [0, 2, 1], [0, 1], [1.0, 2.0])
@@ -92,6 +100,10 @@ class TestSpmv:
         A = random_sparse(4, 3, seed=0)
         assert np.all(spmv(A, np.zeros(3)) == 0.0)
         assert np.all(spmv_t(A, np.zeros(4)) == 0.0)
+
+    def test_matrix_operand_refused(self):
+        with pytest.raises(DimensionError, match=r"x must be 1-D, got shape \(2, 1\)"):
+            spmv(SparseMatrixCSR.identity(2), np.ones((2, 1)))
 
     def test_dimension_mismatch(self):
         A = random_sparse(4, 3, seed=1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sadmm.datasets import make_classification
-from sadmm.errors import DimensionError
+from sadmm.errors import DataFormatError, DimensionError
 from sadmm.linalg import SparseMatrixCSR
 from sadmm.losses import (
     LOGISTIC,
@@ -28,6 +28,22 @@ class TestTypes:
     def test_norms_cached(self):
         data = dataset_from_rows([{0: 3.0, 2: 4.0}], [1], dim=3)
         assert data.norms_sq[0] == pytest.approx(25.0)
+
+    def test_label_count_must_match_the_rows(self):
+        features = SparseMatrixCSR.identity(3)
+        with pytest.raises(DimensionError, match="labels length"):
+            Dataset(features, [1.0, -1.0])
+
+    def test_labels_must_be_plus_or_minus_one(self):
+        features = SparseMatrixCSR.identity(3)
+        for bad in (0.0, 2.0, np.nan):
+            with pytest.raises(DataFormatError, match="labels must be"):
+                Dataset(features, [1.0, bad, -1.0])
+
+    def test_problem_refuses_a_penalty_of_another_width(self):
+        f = LossObjective(LossKind.logistic(), tiny_dataset(n=5, dim=4, seed=0))
+        with pytest.raises(ValueError, match="A has 3 columns but the smooth objective dimension is 4"):
+            ProblemSpec(f, Regularizer(0.1), SparseMatrixCSR.identity(3))
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):

@@ -230,6 +230,25 @@ class TestPolish:
         x_last, _nu, y_last, beta_lam = outputs[-1]
         assert x is x_last and y is y_last and np.array_equal(lam, beta_lam / 0.5)
 
+    def test_only_zero_components_are_released(self, monkeypatch):
+        # a support sign follows y alone: a support multiplier past lambda1
+        # (-2 lambda1 on the one support component, whose y keeps its sign)
+        # releases nothing, so the pattern settles after one solve
+        problem = logistic_problem()  # d2 = 8
+        lam1, calls = problem.reg.lambda1, []
+
+        def fake_newton(_problem, pattern, x0, _nu0):
+            calls.append(pattern.tobytes())
+            on = pattern != 0.0
+            beta_lam = np.where(on, -2.0 * lam1 * pattern, 0.5 * lam1)
+            return np.asarray(x0).copy(), beta_lam[~on], pattern.copy(), beta_lam
+
+        monkeypatch.setattr(sadmm.metrics, "_constrained_newton", fake_newton)
+        x0, lam0 = np.zeros(problem.d1), np.zeros(problem.d2)
+        candidate, solved = _polish(problem, x0, _E[0].copy(), lam0, 0.5, set())
+        assert candidate is not None
+        assert calls == [_E[0].tobytes()] and solved == set(calls)
+
     @pytest.mark.parametrize("k", [0, 2], ids=["starts-on-failed", "reaches-failed"])
     def test_attempt_ends_before_a_failed_pattern(self, monkeypatch, k):
         # P0 -> P1 -> P2 -> P3 -> P4 settles; with P_k failed the attempt

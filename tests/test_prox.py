@@ -37,6 +37,18 @@ class TestYUpdate:
         out = y_update(Regularizer(0.0), Az, lam, beta=2.0)
         assert np.array_equal(out, Az + lam)
 
+    def test_no_regularizer_is_the_point_bitwise(self):
+        # the soft threshold at tau = 0 returns every nonzero point, the
+        # subnormal and infinite ones included, bit for bit; a zero comes
+        # back as +0.0 at every lambda1, a -0.0 point included
+        Az = np.array([1e-320, -1e-320, 1e300, -3.5, np.inf, -np.inf, 0.0, -0.0, 0.0])
+        lam = np.array([0.0, 0.0, 1e300, 1.25, 1.0, 1.0, 0.0, -0.0, -0.0])
+        for lam1 in (0.0, 1e-5):
+            out = y_update(Regularizer(lam1), Az, lam, beta=1.0)
+            if lam1 == 0.0:
+                assert out[:6].tobytes() == (Az + lam)[:6].tobytes()
+            assert out[6:].tobytes() == np.zeros(3).tobytes()
+
     def test_hand_case(self):
         # threshold lambda1/beta = 1 applied to (2, 0.5, -3)
         out = y_update(Regularizer(2.0), np.array([2.0, 0.5, -3.0]), np.zeros(3), beta=2.0)

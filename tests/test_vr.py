@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sadmm.errors import DimensionError
 from sadmm.losses import LossKind, LossObjective
 from sadmm.vr import BatchSampler, Snapshot, delta_b, variance_bound_rhs, vr_gradient
 
@@ -275,6 +276,16 @@ class TestVRGradient:
                                  ([False, True], "bool")):
                 with pytest.raises(TypeError, match=dtype):
                     vr_gradient(snap, f, np.ones(f.dim), batch)
+
+    def test_empty_batch_refused(self):
+        f = make_objective()
+        snap = Snapshot(np.zeros(f.dim), f.full_grad(np.zeros(f.dim)))
+        with pytest.raises(ValueError, match="empty batch"):
+            vr_gradient(snap, f, np.zeros(f.dim), [])
+
+    def test_snapshot_shapes_must_match(self):
+        with pytest.raises(DimensionError, match="equal shape"):
+            Snapshot(np.zeros(3), np.zeros(4))
 
     def test_stale_snapshot_dimension(self):
         f = make_objective(dim=4)

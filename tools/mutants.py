@@ -450,6 +450,56 @@ MUTANTS = (
         "if False:",
         "tests/test_harness.py::test_stoc_resolves_and_runs_one_sample_per_step",
     ),
+    Mutant(
+        "polish-keeps-the-flipped-signs",
+        "metrics.py",
+        "np.sign(y) == pattern",
+        "np.sign(y) != pattern",
+        "tests/test_metrics.py::TestPolish::test_attempt_ends_at_a_solved_pattern[settled]",
+    ),
+    Mutant(
+        "polish-releases-support-components",
+        "metrics.py",
+        "released = (pattern == 0.0) & (np.abs(beta_lam) > lam1)",
+        "released = np.abs(beta_lam) > lam1",
+        "tests/test_metrics.py::TestPolish::test_only_zero_components_are_released",
+    ),
+    Mutant(
+        "y-update-without-threshold",
+        "prox.py",
+        "return soft_threshold(Az + lam, reg.lambda1 / beta)",
+        "return Az + lam",
+        "tests/test_prox.py::TestYUpdate::test_hand_case",
+    ),
+    Mutant(
+        "median-summary-takes-the-mean",
+        "harness.py",
+        "medians = np.median(",
+        "medians = np.mean(",
+        "tests/test_harness.py::test_median_summary_takes_each_fields_median",
+    ),
+    Mutant(
+        "gamma-check-only-when-strongly-convex",
+        "solvers.py",
+        "    if isinstance(config.schedule, DecayingTheta):\n        return None\n    theta = float(",
+        "    if problem.f.strong_convexity <= 0 or isinstance(config.schedule, DecayingTheta):\n"
+        "        return None\n    theta = float(",
+        "tests/test_solvers.py::TestRateRegimeWarnings::test_general_convex_gamma_below_floor_warns",
+    ),
+    Mutant(
+        "newton-steps-on-after-a-failed-line-search",
+        "solvers.py",
+        "        else:  # no trial step accepted\n            break\n        x, fx, g = xn, fn, gnew",
+        "        x, fx, g = xn, fn, gnew",
+        "tests/test_solvers.py::TestBatchAdmm::test_x_subproblem_stops_at_a_failed_line_search",
+    ),
+    Mutant(
+        "optimal-theta-sc-halves-eta",
+        "solvers.py",
+        "eta = 1.0 / (params.L * alpha)",
+        "eta = 0.5 / (params.L * alpha)",
+        "tests/test_solvers.py::test_asvrg_sc_per_epoch_contraction_on_criterion_05_instance",
+    ),
 )
 
 
