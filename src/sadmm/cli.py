@@ -104,8 +104,6 @@ def main(argv=None) -> int:
         print(f"omega = {sc.ata_norm / sc.aat_min_eig!r}")
         return 0
 
-    return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

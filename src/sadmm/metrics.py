@@ -84,15 +84,11 @@ def kkt_residuals(problem: ProblemSpec, x, y, lam, beta: float) -> tuple[float, 
 def _constrained_newton(problem: ProblemSpec, sign_pattern, x0, nu0):
     """Newton on  min f(x) + lambda1 * s^T (Ax)_S  s.t. (Ax)_Z = 0,
     where Z is the zero set of sign_pattern. Returns (x, nu, y, beta*lam)."""
-    A_sp = problem.A.csr
     lam1 = problem.reg.lambda1
-    d1, d2 = problem.d1, problem.d2
     zero_set = np.where(sign_pattern == 0.0)[0]
-    support = np.where(sign_pattern != 0.0)[0]
-    signs = sign_pattern[support]
     nz = len(zero_set)
-    AZ = A_sp[zero_set].toarray()
-    g_pen = lam1 * (A_sp[support].T @ signs)
+    AZ = problem.A.csr[zero_set].toarray()
+    g_pen = lam1 * spmv_t(problem.A, sign_pattern)
     x = np.asarray(x0, dtype=np.float64).copy()
     nu = np.asarray(nu0, dtype=np.float64).copy()
     for _ in range(POLISH_NEWTON_STEPS):
@@ -108,12 +104,11 @@ def _constrained_newton(problem: ProblemSpec, sign_pattern, x0, nu0):
             sol = np.linalg.solve(M, rhs)
         except np.linalg.LinAlgError:
             sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-        x = x + sol[:d1]
-        nu = sol[d1:]
-    beta_lam = np.zeros(d2)
-    beta_lam[support] = lam1 * signs
+        x = x + sol[: problem.d1]
+        nu = sol[problem.d1 :]
+    beta_lam = lam1 * sign_pattern
     beta_lam[zero_set] = nu
-    y = np.asarray(A_sp @ x)
+    y = spmv(problem.A, x)
     y[zero_set] = 0.0
     return x, nu, y, beta_lam
 
@@ -190,29 +185,24 @@ def compute_reference(
         inner = float(np.clip(1e-3 * kkt, inner_floor, 1e-6))
         config = SolverConfig(m=1, eta=1.0, beta=beta, inner_tol=inner, epochs=0)
         batch_admm_epoch(state, problem, config)
-        x, y, lam = state.x, state.y, state.lam
-        kkt = max(kkt_residuals(problem, x, y, lam, beta))
+        kkt = max(kkt_residuals(problem, state.x, state.y, state.lam, beta))
         if kkt <= tol:
-            break
+            return ReferenceSolution.at(problem, state.x, state.y, state.lam, beta, tol)
         if kkt <= 1e-2 and it % 25 == 0:
             try:
                 candidate, solved = _polish(problem, state.x, state.y, state.lam, beta, failed)
             except np.linalg.LinAlgError:
                 continue
             if candidate is not None:
-                xp, yp, lp = candidate
-                kkt_p = max(kkt_residuals(problem, xp, yp, lp, beta))
-                if kkt_p <= tol:
-                    x, y, lam, kkt = xp, yp, lp, kkt_p
-                    break
+                ref = ReferenceSolution.at(problem, *candidate, beta, tol)
+                if ref.kkt_residual <= tol:
+                    return ref
             failed |= solved
-    else:
-        raise ConvergenceError(
-            f"reference solve stalled at KKT residual {kkt:.3e} "
-            f"after {REFERENCE_MAX_ITER} iterations",
-            best_estimate=state.x,
-        )
-    return ReferenceSolution.at(problem, x, y, lam, beta, tol)
+    raise ConvergenceError(
+        f"reference solve stalled at KKT residual {kkt:.3e} "
+        f"after {REFERENCE_MAX_ITER} iterations",
+        best_estimate=state.x,
+    )
 
 
 def p_criterion(x, y, ref: ReferenceSolution, problem: ProblemSpec) -> float:

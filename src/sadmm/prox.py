@@ -25,8 +25,6 @@ class Regularizer:
 
 
 def h_value(reg: Regularizer, y) -> float:
-    if reg.lambda1 == 0.0:
-        return 0.0
     return reg.lambda1 * float(np.abs(np.asarray(y, dtype=np.float64)).sum())
 
 

@@ -7,7 +7,7 @@ import sadmm.metrics
 from sadmm.datasets import make_classification
 from sadmm.errors import ConvergenceError
 from sadmm.harness import build_graph_matrix
-from sadmm.linalg import SparseMatrixCSR, spmv
+from sadmm.linalg import SparseMatrixCSR, spmv, spmv_t
 from sadmm.losses import LossKind, LossObjective
 from sadmm.metrics import (
     GAP_FLOOR,
@@ -296,6 +296,40 @@ class TestPolish:
         assert [len(a) for a in attempts] == solves
         assert attempts[0][1:] == [np.zeros(8).tobytes(), _E[0].tobytes()]
         assert all(a == attempts[0] for a in attempts if a)
+
+
+class TestConstrainedNewton:
+    def test_solves_the_stationarity_of_its_pattern(self):
+        # the Newton solve on the pattern s with zero set Z lands on
+        # grad f(x) + A^T (beta lam) = 0 with beta lam = lambda1 s off Z,
+        # the multipliers nu on Z, and (Ax)_Z = 0
+        problem = logistic_problem()  # d2 = 8: two graph rows, then I
+        lam1 = problem.reg.lambda1
+        pattern = np.array([1.0, -1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0])
+        zero = pattern == 0.0
+        x, nu, y, beta_lam = sadmm.metrics._constrained_newton(
+            problem, pattern, np.zeros(problem.d1), np.zeros(3)
+        )
+        assert beta_lam[~zero].tobytes() == (lam1 * pattern[~zero]).tobytes()
+        assert beta_lam[zero].tobytes() == nu.tobytes()
+        Ax = spmv(problem.A, x)
+        assert y[~zero].tobytes() == Ax[~zero].tobytes() and not y[zero].any()
+        assert np.abs(Ax[zero]).max() <= 1e-14
+        assert np.linalg.norm(problem.f.full_grad(x) + spmv_t(problem.A, beta_lam)) <= 1e-13
+
+    def test_pattern_products_equal_the_support_row_gathers(self):
+        # A^T s through spmv_t equals the product of the support rows alone
+        # bit for bit: a zero-set row adds +-0.0 terms, which leave a nonzero
+        # sum unchanged and a zero sum at +0.0
+        A = _criterion_07_problem().A
+        rng = np.random.default_rng(5)
+        for density in (0.0, 0.1, 0.5, 1.0):
+            pattern = np.sign(rng.standard_normal(A.rows)) * (rng.random(A.rows) < density)
+            support = np.where(pattern != 0.0)[0]
+            gathered = A.csr[support].T @ pattern[support]
+            assert spmv_t(A, pattern).tobytes() == gathered.tobytes()
+        x = rng.standard_normal(A.cols)
+        assert spmv(A, x).tobytes() == np.asarray(A.csr @ x).tobytes()
 
 
 def test_reference_forms_margins_once_per_point(monkeypatch):

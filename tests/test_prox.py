@@ -116,5 +116,8 @@ def test_non_expansiveness(u, seed, tau):
 
 
 def test_h_value():
-    assert h_value(Regularizer(0.0), np.array([1.0, -2.0])) == 0.0
+    # lambda1 = 0 gives +0.0 for every finite y, as 0.0 * sum |y| does
+    for y in ([1.0, -2.0], [-0.0, 1e300, -1e300], [5e-324]):
+        h = h_value(Regularizer(0.0), np.array(y))
+        assert h == 0.0 and np.copysign(1.0, h) == 1.0
     assert h_value(Regularizer(0.5), np.array([1.0, -2.0])) == pytest.approx(1.5)

@@ -255,6 +255,37 @@ class TestBatchAdmm:
         assert n_grads > len(steps) + 1
         assert np.linalg.norm(f.full_grad(x) + beta * spmv_t(A, spmv(A, x))) <= gtol
 
+    def test_x_subproblem_falls_back_to_steepest_descent(self, monkeypatch):
+        # CG hands back the ascent direction +grad once: the step falls back
+        # to -grad (the first trial point is x0 - grad), and the solve still
+        # reaches the minimiser that the unpatched solve finds
+        data = make_classification(300, 10, seed=1)
+        f, A = LossObjective(LossKind.logistic(), data), build_graph_matrix(data, 0.9)
+        zero, x0, gtol = np.zeros(A.rows), np.full(A.cols, 0.5), 1e-10
+        x_ref, _n = _minimize_x_subproblem(f, A, 1.0, zero, zero, x0, gtol)
+        real_cg, rhs, points = scipy.sparse.linalg.cg, [], []
+
+        def ascent_once(op, b, **kw):
+            rhs.append(b)
+            return (-b, 0) if len(rhs) == 1 else real_cg(op, b, **kw)
+
+        class Recorded:
+            def value(self, x):
+                points.append(x.copy())
+                return f.value(x)
+
+            def full_grad(self, x):
+                return f.full_grad(x)
+
+            def hess_vec(self, x, v):
+                return f.hess_vec(x, v)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "cg", ascent_once)
+        x, _n = _minimize_x_subproblem(Recorded(), A, 1.0, zero, zero, x0, gtol)
+        assert points[1].tobytes() == (x0 + rhs[0]).tobytes()  # x0 - grad phi(x0)
+        assert np.linalg.norm(f.full_grad(x) + spmv_t(A, spmv(A, x))) <= gtol
+        assert np.linalg.norm(x - x_ref) <= 1e-10
+
     def test_x_subproblem_stall_raises_with_its_last_iterate(self, monkeypatch):
         # one Newton step from a far start leaves the gradient norm near
         # 1e-1, far above the stall bound; the default budget converges
@@ -1070,6 +1101,40 @@ def test_asvrg_sc_per_epoch_contraction_on_criterion_05_instance():
         s = next((k for k, r in enumerate(ratios) if r < 1e-10), len(ratios)) - 1
         factors.append(ratios[s] ** (1.0 / s))
     assert float(np.median(factors)) <= 0.25
+
+
+def test_criterion_06_slopes_stay_in_their_bands():
+    # criterion 06's instance, config and seeds. It asks only for a momentum
+    # slope <= -1.5 and a baseline slope 0.3 above it; this pins both fitted
+    # slopes of the median P + feasibility curves near their measured values,
+    # asvrg_gc -1.839 and svrg -0.219. Measured under two mutants that
+    # criterion 06 passes: theta_0 at half the batch-size bound moves the
+    # momentum slope to -1.913, and a constant-theta epoch that carries z
+    # over instead of restarting it at the snapshot moves the baseline slope
+    # to -0.336.
+    data = make_classification(
+        1000, 50, seed=11, n_correlated_pairs=4, duplicate_pairs=4,
+        heavy_row_fraction=0.05, heavy_row_factor=10.0,
+    )
+    A = build_graph_matrix(data, 0.9)
+    problem = ProblemSpec(LossObjective(LossKind.logistic(), data), Regularizer(1e-5), A)
+    ref = compute_reference(problem, tol=1e-10)
+    eta, T = 1.0 / (8.0 * problem.f.smoothness), 64
+    fit = np.arange(4, T + 1)
+    slopes = {}
+    for solver, schedule in (("asvrg_gc", DecayingTheta()), ("svrg", ConstantTheta(1.0))):
+        curves = []
+        for seed in range(5):
+            cfg = SolverConfig(m=200, eta=eta, beta=1.0, b=10, gamma=1.0, epochs=T, seed=seed,
+                               schedule=schedule)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                recs = run_solver(problem, solver, cfg, ref=ref)
+            curves.append([max(r.p_criterion + r.constraint_violation, 1e-14) for r in recs])
+        curve = np.median(np.array(curves), axis=0)
+        slopes[solver] = float(np.polyfit(np.log(fit), np.log(curve[fit]), 1)[0])
+    assert abs(slopes["asvrg_gc"] - (-1.84)) <= 0.04, slopes
+    assert abs(slopes["svrg"] - (-0.22)) <= 0.04, slopes
 
 
 class TestRateRegimeWarnings:

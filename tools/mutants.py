@@ -411,8 +411,9 @@ MUTANTS = (
     Mutant(
         "reference-stall-returns",
         "metrics.py",
-        '    else:\n        raise ConvergenceError(\n            f"reference solve stalled',
-        '    if False:\n        raise ConvergenceError(\n            f"reference solve stalled',
+        '    raise ConvergenceError(\n        f"reference solve stalled',
+        "    return ReferenceSolution.at(problem, state.x, state.y, state.lam, beta, tol)\n"
+        '    raise ConvergenceError(\n        f"reference solve stalled',
         "tests/test_metrics.py::TestComputeReference::test_stall_raises_with_the_last_iterate",
     ),
     Mutant(
@@ -499,6 +500,50 @@ MUTANTS = (
         "eta = 1.0 / (params.L * alpha)",
         "eta = 0.5 / (params.L * alpha)",
         "tests/test_solvers.py::test_asvrg_sc_per_epoch_contraction_on_criterion_05_instance",
+    ),
+    # the polish's Newton solve reads the signs of its pattern
+    Mutant(
+        "polish-penalty-drops-the-signs",
+        "metrics.py",
+        "g_pen = lam1 * spmv_t(problem.A, sign_pattern)",
+        "g_pen = lam1 * spmv_t(problem.A, np.abs(sign_pattern))",
+        "tests/test_metrics.py::TestConstrainedNewton::test_solves_the_stationarity_of_its_pattern",
+    ),
+    Mutant(
+        "polish-multipliers-drop-the-signs",
+        "metrics.py",
+        "beta_lam = lam1 * sign_pattern",
+        "beta_lam = lam1 * np.abs(sign_pattern)",
+        "tests/test_metrics.py::TestConstrainedNewton::test_solves_the_stationarity_of_its_pattern",
+    ),
+    Mutant(
+        "reference-accepts-an-uncertified-candidate",
+        "metrics.py",
+        "                if ref.kkt_residual <= tol:\n                    return ref",
+        "                return ref",
+        "tests/test_metrics.py::TestPolish::test_failed_attempts_stop_later_ones[kkt-failure]",
+    ),
+    Mutant(
+        "x-subproblem-fallback-ascends",
+        "solvers.py",
+        "step_dir = -g",
+        "step_dir = g",
+        "tests/test_solvers.py::TestBatchAdmm::test_x_subproblem_falls_back_to_steepest_descent",
+    ),
+    # criterion 06 passes under both: its slopes move, but not past its thresholds
+    Mutant(
+        "decaying-theta0-halved",
+        "solvers.py",
+        "theta = bound if sched.theta0 is None else float(sched.theta0)",
+        "theta = 0.5 * bound if sched.theta0 is None else float(sched.theta0)",
+        "tests/test_solvers.py::test_criterion_06_slopes_stay_in_their_bands",
+    ),
+    Mutant(
+        "constant-theta-epoch-carries-z",
+        "solvers.py",
+        "z, x = x_snap.copy(), x_snap.copy()",
+        "z, x = state.z.copy(), state.z.copy()",
+        "tests/test_solvers.py::test_criterion_06_slopes_stay_in_their_bands",
     ),
 )
 
