@@ -14,8 +14,8 @@ Hessian-vector product, the dense Hessian, and the smoothness constant L.
 Full-data quantities go through scipy's CSR products. Each of them is a
 function of the n margins b_i a_i^T x, so LossObjective forms the margins
 once per point: it keeps one memo of the last x it saw, which holds the
-margins and fills in the value, the loss derivatives, the curvatures and
-the full gradient the first time a caller asks for each.
+margins and fills in the value and loss derivatives (one logaddexp pass
+per logistic point), curvatures and full gradient when first asked for.
 
 A mini-batch gradient and its difference between two points (the
 variance-reduced estimator's core) are one kernel, BatchPlan.grad. A plan
@@ -198,7 +198,8 @@ class _PointMemo:
     The margins t = b * (X x) are formed once, when the memo is made; the
     mean loss, the loss derivatives, the curvatures / n and the loss part
     of the full gradient are derived from them the first time a caller
-    reads each.
+    reads each. The logistic mean loss and derivatives share one logaddexp
+    pass: numpy forms logaddexp(0, y) as max(0, y) + log1p(e^-|y|).
     """
 
     def __init__(self, kind: LossKind, data: Dataset, x: np.ndarray, key: bytes):
@@ -208,11 +209,20 @@ class _PointMemo:
 
     @cached_property
     def mean_loss(self) -> float:
+        if self.kind.kind == LOGISTIC:
+            return self._logistic[0]
         return float(np.mean(_loss_of_margin(self.kind, self.margins)))
 
     @cached_property
     def dloss(self) -> np.ndarray:
+        if self.kind.kind == LOGISTIC:
+            return self._logistic[1]
         return _dloss_of_margin(self.kind, self.margins)
+
+    @cached_property
+    def _logistic(self) -> tuple[float, np.ndarray]:
+        t, tail = self.margins, np.logaddexp(0.0, -np.abs(self.margins))
+        return float(np.mean(np.maximum(-t, 0.0) + tail)), -np.exp(-(np.maximum(t, 0.0) + tail))
 
     @cached_property
     def curvature(self) -> np.ndarray:

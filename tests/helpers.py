@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
+from sadmm.harness import run_solver
 from sadmm.linalg import SparseMatrixCSR
 from sadmm.losses import Dataset, LossKind, LossObjective
 from sadmm.problem import ProblemSpec
 from sadmm.prox import Regularizer
+from sadmm.solvers import ConstantTheta, DecayingTheta, SolverConfig
 
 
 class QuadraticObjective:
@@ -137,3 +141,29 @@ ALL_KINDS = [
 
 def loss_objective(kind: LossKind, data: Dataset) -> LossObjective:
     return LossObjective(kind, data)
+
+
+def criterion_06_curves(problem, ref, beta, gamma) -> dict:
+    """Criterion 06's median P + feasibility curves, by solver: asvrg_gc
+    (decaying theta) and svrg, each over seeds 0-4 at b = 10, m = 200, 64
+    epochs and eta = 1/(8L), at the given beta and gamma, warnings
+    silenced."""
+    eta = 1.0 / (8.0 * problem.f.smoothness)
+    curves = {}
+    for solver, schedule in (("asvrg_gc", DecayingTheta()), ("svrg", ConstantTheta(1.0))):
+        per_seed = []
+        for seed in range(5):
+            cfg = SolverConfig(m=200, eta=eta, beta=beta, b=10, gamma=gamma, epochs=64,
+                               seed=seed, schedule=schedule)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                recs = run_solver(problem, solver, cfg, ref=ref)
+            per_seed.append([max(r.p_criterion + r.constraint_violation, 1e-14) for r in recs])
+        curves[solver] = np.median(np.array(per_seed), axis=0)
+    return curves
+
+
+def criterion_06_slope(curve) -> float:
+    """The log-log slope of a criterion-06 curve, fitted over rows 4-64."""
+    fit = np.arange(4, len(curve))
+    return float(np.polyfit(np.log(fit), np.log(curve[fit]), 1)[0])

@@ -34,7 +34,7 @@ from sadmm.solvers import (
 )
 from sadmm.vr import Snapshot, variance_bound_rhs, vr_gradient
 
-from helpers import tiny_dataset
+from helpers import criterion_06_slope, tiny_dataset
 
 
 def report(num, name, ok, detail=""):
@@ -192,48 +192,11 @@ def test_criterion_05_geometric_rate():
     )
 
 
-@pytest.fixture(scope="module")
-def general_convex_instance():
-    # duplicated columns remove strong convexity; a few heavy rows push the
-    # worst-case per-sample smoothness far above the typical curvature, so
-    # valid constant steps are small and the order separation is measurable
-    data = make_classification(
-        1000, 50, seed=11, n_correlated_pairs=4, duplicate_pairs=4,
-        heavy_row_fraction=0.05, heavy_row_factor=10.0,
-    )
-    A = build_graph_matrix(data, 0.9)
-    problem = ProblemSpec(LossObjective(LossKind.logistic(), data), Regularizer(1e-5), A)
-    ref = compute_reference(problem, tol=1e-10)
-    return problem, ref
-
-
-def _median_error_curve(problem, ref, solver, schedule, eta, beta, b, m, T, seeds):
-    curves = []
-    for seed in seeds:
-        cfg = SolverConfig(
-            m=m, eta=eta, beta=beta, b=b, gamma=1.0, epochs=T, seed=seed, schedule=schedule
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            recs = run_solver(problem, solver, cfg, ref=ref)
-        curves.append([max(r.p_criterion + r.constraint_violation, 1e-14) for r in recs])
-    return np.median(np.array(curves), axis=0)
-
-
-def test_criterion_06_sublinear_order(general_convex_instance):
-    problem, ref = general_convex_instance
-    L = problem.f.smoothness
-    b, m, T = 10, 200, 64
-    eta = 1.0 / (8.0 * L)
-    seeds = range(5)
-    fit = np.arange(4, T + 1)
-
-    def slope(curve):
-        return float(np.polyfit(np.log(fit), np.log(curve[fit]), 1)[0])
-
-    gc = _median_error_curve(problem, ref, "asvrg_gc", DecayingTheta(), eta, 1.0, b, m, T, seeds)
-    sv = _median_error_curve(problem, ref, "svrg", ConstantTheta(1.0), eta, 1.0, b, m, T, seeds)
-    s_gc, s_sv = slope(gc), slope(sv)
+def test_criterion_06_sublinear_order(criterion_06_preset_curves):
+    # the instance and curves are the session fixtures of conftest.py: b = 10,
+    # m = 200, T = 64, eta = 1/(8L), beta = gamma = 1, seeds 0-4
+    curves = criterion_06_preset_curves
+    s_gc, s_sv = criterion_06_slope(curves["asvrg_gc"]), criterion_06_slope(curves["svrg"])
     ok = s_gc <= -1.5 and s_sv >= s_gc + 0.3
     report(
         6,

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import sadmm.losses
 from sadmm.datasets import make_classification
 from sadmm.errors import DataFormatError, DimensionError
 from sadmm.linalg import SparseMatrixCSR
@@ -123,6 +124,51 @@ def test_huber_pieces_equal_the_masked_transcription_bitwise(w):
         got = [piece(kind, t) for piece in (_loss_of_margin, _dloss_of_margin, _d2loss_of_margin)]
     for g, want in zip(got, masked_huber_pieces(t, w)):
         assert g.dtype == np.float64 and g.tobytes() == want.tobytes()
+
+
+LOGISTIC_KINDS = [k for k in ALL_KINDS if k.kind == LOGISTIC]
+
+
+@pytest.mark.parametrize("kind", LOGISTIC_KINDS, ids=lambda k: f"l2={k.lambda2}")
+def test_logistic_memo_pieces_equal_two_logaddexp_passes_bitwise(kind, monkeypatch):
+    # the memo forms the losses and their derivatives from one tail
+    # log1p(e^-|t|); both must equal the two logaddexp passes byte for byte,
+    # at margins of every scale and at signed zeros, subnormals, the
+    # overflow and underflow edges of exp and infinities. A NaN margin gives
+    # NaN; its sign bit follows numpy's loop for the last elements
+    rng = np.random.default_rng(12)
+    scales = 10.0 ** rng.uniform(-300.0, 10.0, size=100_000)
+    edges = np.array([0.0, 5e-324, 709.8, 745.2, 1e308, np.inf])
+    t = np.concatenate([
+        np.where(rng.random(100_000) < 0.5, -scales, scales),
+        40.0 * rng.standard_normal(20_000), edges, -edges, [np.nan],
+    ])
+    averaged = []
+
+    class NumpyRecordingMeans:
+        # sadmm.losses' numpy, whose mean records the losses it averages
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def mean(self, a):
+            averaged.append(a)
+            return np.mean(a)
+
+    monkeypatch.setattr(sadmm.losses, "np", NumpyRecordingMeans())
+    # so that _at(t) holds the memo of the margins t
+    monkeypatch.setattr(sadmm.losses, "_margins", lambda data, x: x.copy())
+    memo = LossObjective(kind, tiny_dataset(n=3, dim=2, seed=0))._at(t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # logaddexp warns on the NaN
+        dloss = memo.dloss  # forms the mean loss in the same pass
+        want_dloss, want_loss = -np.exp(-np.logaddexp(0.0, t)), np.logaddexp(0.0, -t)
+        assert want_dloss.tobytes() == _dloss_of_margin(kind, t).tobytes()
+        assert want_loss.tobytes() == _loss_of_margin(kind, t).tobytes()
+    assert len(averaged) == 1 and np.isnan(memo.mean_loss)
+    nan = np.isnan(t)
+    for got, want in ((dloss, want_dloss), (averaged[0], want_loss)):
+        assert got.dtype == np.float64 and got[~nan].tobytes() == want[~nan].tobytes()
+        assert np.array_equal(np.isnan(got), nan)
 
 
 class TestGradients:

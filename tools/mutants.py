@@ -295,6 +295,36 @@ MUTANTS = (
         "tests/test_losses.py::test_huber_pieces_equal_the_masked_transcription_bitwise",
     ),
     Mutant(
+        "logistic-loss-takes-max-of-t",
+        "losses.py",
+        "np.mean(np.maximum(-t, 0.0) + tail)",
+        "np.mean(np.maximum(t, 0.0) + tail)",
+        "tests/test_losses.py::test_logistic_memo_pieces_equal_two_logaddexp_passes_bitwise",
+    ),
+    Mutant(
+        "logistic-dloss-takes-max-of-minus-t",
+        "losses.py",
+        "-np.exp(-(np.maximum(t, 0.0) + tail))",
+        "-np.exp(-(np.maximum(-t, 0.0) + tail))",
+        "tests/test_losses.py::test_logistic_memo_pieces_equal_two_logaddexp_passes_bitwise",
+    ),
+    Mutant(
+        "logistic-tail-without-abs",
+        "losses.py",
+        "np.logaddexp(0.0, -np.abs(self.margins))",
+        "np.logaddexp(0.0, -self.margins)",
+        "tests/test_losses.py::test_logistic_memo_pieces_equal_two_logaddexp_passes_bitwise",
+    ),
+    # numpy's SIMD log1p(exp) is faster than logaddexp's libm calls, but not
+    # the same bits
+    Mutant(
+        "logistic-tail-by-log1p-of-exp",
+        "losses.py",
+        "np.logaddexp(0.0, -np.abs(self.margins))",
+        "np.log1p(np.exp(-np.abs(self.margins)))",
+        "tests/test_losses.py::test_logistic_memo_pieces_equal_two_logaddexp_passes_bitwise",
+    ),
+    Mutant(
         "vr-gradient-plan-without-snapshot",
         "vr.py",
         "f.batch_plan([batch], snap.x_tilde)",
@@ -544,6 +574,20 @@ MUTANTS = (
         "z, x = x_snap.copy(), x_snap.copy()",
         "z, x = state.z.copy(), state.z.copy()",
         "tests/test_solvers.py::test_criterion_06_slopes_stay_in_their_bands",
+    ),
+    Mutant(
+        "decaying-theta0-halved-in-regime",
+        "solvers.py",
+        "theta = bound if sched.theta0 is None else float(sched.theta0)",
+        "theta = 0.5 * bound if sched.theta0 is None else float(sched.theta0)",
+        "tests/test_solvers.py::test_criterion_06_holds_inside_the_rate_regime",
+    ),
+    Mutant(
+        "constant-theta-step-without-theta",
+        "solvers.py",
+        "scale = config.eta / (gamma * theta)",
+        "scale = config.eta / gamma",
+        "tests/test_solvers.py::test_constant_theta_moves_x_as_theta_one_while_the_clip_is_saturated",
     ),
 )
 
