@@ -72,11 +72,8 @@ def kkt_residuals(problem: ProblemSpec, x, y, lam, beta: float) -> tuple[float, 
     r_x = float(np.linalg.norm(problem.f.full_grad(x) + beta * spmv_t(problem.A, lam)))
     g = beta * lam
     lam1 = problem.reg.lambda1
-    on = y != 0.0
-    viol = np.zeros_like(y)
-    viol[on] = np.abs(g[on] - lam1 * np.sign(y[on]))
-    viol[~on] = np.maximum(np.abs(g[~on]) - lam1, 0.0)
-    r_y = float(viol.max()) if len(viol) else 0.0
+    viol = np.where(y != 0.0, np.abs(g - lam1 * np.sign(y)), np.maximum(np.abs(g) - lam1, 0.0))
+    r_y = float(viol.max(initial=0.0))
     r_feas = float(np.linalg.norm(spmv(problem.A, x) - y))
     return r_x, r_y, r_feas
 

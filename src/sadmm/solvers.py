@@ -138,7 +138,7 @@ class VRState(BatchState):
 
 
 def _sup(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if len(v) else 0.0
+    return float(np.abs(v).max(initial=0.0))
 
 
 def _require_finite(*vecs):
@@ -359,10 +359,9 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
         z = state.z
         x = (1.0 - theta) * x_snap + theta * z
     else:
-        # plain copies: the theta-mix of x_snap with itself need not round to x_snap
-        z, x = x_snap.copy(), x_snap.copy()
-    y = state.y_tilde.copy()
-    lam = state.lambda_tilde.copy()
+        # x_snap itself: the theta-mix of x_snap with itself need not round to x_snap
+        z = x = x_snap
+    lam = state.lambda_tilde  # no copies: the loop rebinds z, x, lam and sets y first
 
     sampler = BatchSampler(f.n, config.b, config.seed)
     epoch = state.epoch + 1
@@ -373,7 +372,7 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
     scale = config.eta / (gamma * theta)
     snap_share = (1.0 - theta) * x_snap
     sum_x = np.zeros_like(x)
-    sum_y = np.zeros_like(y)
+    sum_y = np.zeros_like(lam)
     Az = spmv(A, z)
     # running elementwise maxima of |z| and |lambda|: one sup per trace row
     abs_z, abs_lam = np.abs(z), np.abs(lam)
@@ -514,7 +513,7 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
     first = state.grad_evals + 1
     sampler = BatchSampler(f.n, 1, config.seed)
     plan = f.batch_plan(sampler.draw(0, np.arange(first, first + config.m)))
-    x, y, lam, Ax = state.x, state.y, state.lam, spmv(A, state.x)
+    x, lam, Ax = state.x, state.lam, spmv(A, state.x)
     x_bar, y_bar = state.x_bar, state.y_bar
     beta_w = beta * w
     abs_x, abs_lam = np.abs(x), np.abs(lam)

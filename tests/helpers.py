@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -11,7 +12,14 @@ from sadmm.linalg import SparseMatrixCSR
 from sadmm.losses import Dataset, LossKind, LossObjective
 from sadmm.problem import ProblemSpec
 from sadmm.prox import Regularizer
-from sadmm.solvers import ConstantTheta, DecayingTheta, SolverConfig
+from sadmm.solvers import (
+    ConstantTheta,
+    DecayingTheta,
+    RateParams,
+    SolverConfig,
+    beta_star,
+    optimal_theta_sc,
+)
 
 
 class QuadraticObjective:
@@ -141,6 +149,20 @@ ALL_KINDS = [
 
 def loss_objective(kind: LossKind, data: Dataset) -> LossObjective:
     return LossObjective(kind, data)
+
+
+def criterion_05_config(problem) -> SolverConfig:
+    """Criterion 05's asvrg_sc config: b = 10, m = max(2n/b, floor(1.6 (2
+    kappa + 2 sqrt(kappa omega))) + 1), theta* and eta from optimal_theta_sc,
+    beta*, gamma = auto, 20 epochs and seed 0. It reads f and A only, so a
+    problem that differs in lambda1 gets the same config."""
+    params = RateParams.from_problem(problem)
+    n, b = problem.f.n, 10
+    floor = 2.0 * params.kappa + 2.0 * math.sqrt(params.kappa * params.omega)
+    m = max((2 * n) // b, int(1.6 * floor) + 1)
+    theta, _alpha, eta = optimal_theta_sc(m, b, n, params)
+    return SolverConfig(m=m, eta=eta, beta=beta_star(params), b=b, gamma="auto", epochs=20,
+                        seed=0, schedule=ConstantTheta(theta))
 
 
 def criterion_06_curves(problem, ref, beta, gamma) -> dict:

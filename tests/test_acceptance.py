@@ -159,29 +159,14 @@ def test_criterion_04_degeneracy_equivalences(degeneracy_problem):
     )
 
 
-def test_criterion_05_geometric_rate():
-    data = make_classification(1000, 50, seed=7)
-    A = build_graph_matrix(data, 0.9)
-    problem = ProblemSpec(LossObjective(LossKind.l2_logistic(1e-2), data), Regularizer(1e-5), A)
-    ref = compute_reference(problem, tol=1e-10)
-    params = RateParams.from_problem(problem)
-    n = problem.f.n
-    b = 10
-    floor = 2.0 * params.kappa + 2.0 * math.sqrt(params.kappa * params.omega)
-    m = max((2 * n) // b, int(1.6 * floor) + 1)
-    theta, _alpha, eta = optimal_theta_sc(m, b, n, params)
-    bstar = beta_star(params)
-    config = SolverConfig(
-        m=m, eta=eta, beta=bstar, b=b, gamma="auto", epochs=20, seed=0,
-        schedule=ConstantTheta(theta),
-    )
-    rho = rho_rate(theta, params, config)
+def test_criterion_05_geometric_rate(strongly_convex_instance, criterion_05_traces):
+    # the instance, config (b = 10, m, theta*, eta, beta*, gamma = auto, T =
+    # 20) and asvrg_sc traces at seeds 0-9 are the session fixtures of
+    # conftest.py
+    problem, _ref, config = strongly_convex_instance
+    rho = rho_rate(config.schedule.theta, RateParams.from_problem(problem), config)
     assert rho < 1.0
-    ratios = []
-    for seed in range(10):
-        cfg = dataclasses.replace(config, seed=seed)
-        recs = run_solver(problem, "asvrg_sc", cfg, ref=ref)
-        ratios.append(recs[-1].p_criterion / recs[0].p_criterion)
+    ratios = [recs[-1].p_criterion / recs[0].p_criterion for recs in criterion_05_traces]
     med = float(np.median(ratios))
     bound = rho**20 * 1.5
     report(

@@ -704,6 +704,29 @@ class TestDegeneracyThroughHarness:
         assert col(r_svrg) == col(r_sc)
 
 
+@pytest.mark.parametrize("solver", ["batch", "stoc", "svrg", "asvrg_sc", "asvrg_gc"])
+def test_a_run_is_a_prefix_of_a_longer_run(solver):
+    # a T-epoch run is the first T + 1 rows of a 2T-epoch run: every field but
+    # wall_seconds, compared byte for byte (== on records is false wherever a
+    # column is NaN). Criterion 05's equal-step test reads a 10-epoch
+    # asvrg_sc arm as rows 0-10 of the 20-epoch session traces on the
+    # strength of it
+    cfg = small_cfg(solver=solver)
+    problem, test = assemble_problem(cfg)
+    config = resolve_solver_config(problem, cfg, seed=0)
+    ref = compute_reference(problem, tol=1e-10)
+    fields = [f.name for f in dataclasses.fields(TraceRecord) if f.name != "wall_seconds"]
+
+    def rows(epochs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            recs = run_solver(problem, solver, dataclasses.replace(config, epochs=epochs),
+                              ref=ref, test=test)
+        return [[np.asarray(getattr(r, k)).tobytes() for k in fields] for r in recs]
+
+    assert rows(3) == rows(6)[:4]
+
+
 def test_resolve_solver_config_defaults():
     cfg = small_cfg(solver="svrg", m=None)
     problem, *_ = assemble_problem(cfg)

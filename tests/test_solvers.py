@@ -1041,7 +1041,8 @@ def test_constant_step_vr_decays_geometrically_on_strongly_convex():
     assert np.median(ratios) < 1.0
 
 
-def test_strongly_convex_momentum_gains_nothing_over_theta_one_at_equal_step():
+def test_strongly_convex_momentum_gains_nothing_over_theta_one_at_equal_step(
+        strongly_convex_instance, criterion_05_traces):
     # criterion 05's instance at equal passes (10 rows, 86.8 passes), median
     # objective gaps over 5 seeds. The paper's constant weight theta* = 0.61
     # does not beat theta = 1 (svrg) at the same (eta, beta*): by the
@@ -1052,34 +1053,22 @@ def test_strongly_convex_momentum_gains_nothing_over_theta_one_at_equal_step():
     # Both beat svrg at the default eta = 1/(8L) by about 10^4 at row 10, so
     # the gain over the default comes from the step size. Measured gaps at
     # rows 5 and 10: asvrg_sc 2.2e-5, 8.8e-9; svrg 1.7e-5, 5.4e-9; svrg at
-    # 1/(8L) 2.2e-3, 7.9e-5.
-    from sadmm.datasets import make_classification
-    from sadmm.harness import build_graph_matrix
-
-    data = make_classification(1000, 50, seed=7)
-    A = build_graph_matrix(data, 0.9)
-    problem = ProblemSpec(LossObjective(LossKind.l2_logistic(1e-2), data), Regularizer(1e-5), A)
-    ref = compute_reference(problem, tol=1e-10)
-    params = RateParams.from_problem(problem)
-    n, b = problem.f.n, 10
-    floor = 2.0 * params.kappa + 2.0 * math.sqrt(params.kappa * params.omega)
-    m = max((2 * n) // b, int(1.6 * floor) + 1)
-    theta, _alpha, eta = optimal_theta_sc(m, b, n, params)
-    assert m == 379 and theta < 1.0
-    runs = {
-        "asvrg_sc": ("asvrg_sc", theta, eta),
-        "svrg": ("svrg", 1.0, eta),
-        "svrg_default_eta": ("svrg", 1.0, 1.0 / (8.0 * problem.f.smoothness)),
-    }
-    gaps = {}
-    for name, (solver, th, step) in runs.items():
+    # 1/(8L) 2.2e-3, 7.9e-5. The asvrg_sc arm is rows 0-10 of criterion 05's
+    # 20-epoch traces at seeds 0-4, which a 10-epoch run repeats byte for byte
+    # (test_harness.py::test_a_run_is_a_prefix_of_a_longer_run).
+    problem, ref, config = strongly_convex_instance
+    assert config.m == 379 and config.schedule.theta < 1.0
+    per_seed = [[r.objective_gap for r in recs[:11]] for recs in criterion_05_traces[:5]]
+    gaps = {"asvrg_sc": np.median(np.array(per_seed), axis=0)}
+    default_eta = 1.0 / (8.0 * problem.f.smoothness)
+    for name, step in (("svrg", config.eta), ("svrg_default_eta", default_eta)):
         per_seed = []
         for seed in range(5):
-            cfg = SolverConfig(m=m, eta=step, beta=beta_star(params), b=b,
-                               gamma="auto", epochs=10, seed=seed, schedule=ConstantTheta(th))
+            cfg = dataclasses.replace(config, eta=step, epochs=10, seed=seed,
+                                      schedule=ConstantTheta(1.0))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                recs = run_solver(problem, solver, cfg, ref=ref)
+                recs = run_solver(problem, "svrg", cfg, ref=ref)
             per_seed.append([r.objective_gap for r in recs])
         gaps[name] = np.median(np.array(per_seed), axis=0)
     sc, sv, slow = gaps["asvrg_sc"], gaps["svrg"], gaps["svrg_default_eta"]
@@ -1087,7 +1076,7 @@ def test_strongly_convex_momentum_gains_nothing_over_theta_one_at_equal_step():
     assert slow[10] >= 1e3 * max(sc[10], sv[10])
 
 
-def test_constant_theta_moves_x_as_theta_one_while_the_clip_is_saturated():
+def test_constant_theta_moves_x_as_theta_one_while_the_clip_is_saturated(strongly_convex_instance):
     # a constant-theta epoch sets x_k = (1 - theta) x_snap + theta z_k, so
     # x_k - x_{k-1} = -(eta/gamma) [g_k + beta A^T c_k] with c_k =
     # clip(A z_{k-1} + lambda_{k-1}, +-lambda1/beta). Where every entry is
@@ -1097,23 +1086,16 @@ def test_constant_theta_moves_x_as_theta_one_while_the_clip_is_saturated():
     # at lambda1 = 1e-2 only 11 % of the entries are clipped and x~ moves
     # apart (2.1e-6). Criterion 05's instance, eta, beta*, gamma = 2.2, 8
     # epochs, seed 0
-    data = make_classification(1000, 50, seed=7)
-    A = build_graph_matrix(data, 0.9)
-    f = LossObjective(LossKind.l2_logistic(1e-2), data)
-    params = RateParams.from_problem(ProblemSpec(f, Regularizer(0.0), A))
-    n, b = f.n, 10
-    floor = 2.0 * params.kappa + 2.0 * math.sqrt(params.kappa * params.omega)
-    m = max((2 * n) // b, int(1.6 * floor) + 1)
-    theta_star, _alpha, eta = optimal_theta_sc(m, b, n, params)
-    assert m == 379 and theta_star < 0.61
+    problem, _ref, config = strongly_convex_instance
+    theta_star = config.schedule.theta
+    assert config.m == 379 and theta_star < 0.61
 
     def x_tilde(lambda1, theta):
-        problem = ProblemSpec(f, Regularizer(lambda1), A)
-        cfg = SolverConfig(m=m, eta=eta, beta=beta_star(params), b=b, gamma=2.2, epochs=8,
-                           seed=0, schedule=ConstantTheta(theta))
-        state = init_vr_state(problem, cfg)
+        lambda_problem = ProblemSpec(problem.f, Regularizer(lambda1), problem.A)
+        cfg = dataclasses.replace(config, gamma=2.2, epochs=8, schedule=ConstantTheta(theta))
+        state = init_vr_state(lambda_problem, cfg)
         for _ in range(cfg.epochs):
-            vr_admm_epoch(state, problem, cfg)
+            vr_admm_epoch(state, lambda_problem, cfg)
         return state.snapshot.x_tilde
 
     def gap(lambda1):
@@ -1123,27 +1105,16 @@ def test_constant_theta_moves_x_as_theta_one_while_the_clip_is_saturated():
     assert gap(1e-2) > 1e-7
 
 
-def test_asvrg_sc_per_epoch_contraction_on_criterion_05_instance():
-    # criterion 05's instance, config and seeds. Its P20/P0 test passes by
-    # ten orders of magnitude, since P/P0 reaches the reference's floor by
-    # row 15; this pins the rate itself: the per-epoch factor
+def test_asvrg_sc_per_epoch_contraction_on_criterion_05_instance(criterion_05_traces):
+    # criterion 05's instance, config and seeds, whose traces this test reads
+    # from the session fixture criterion 05 also reads. Its P20/P0 test
+    # passes by ten orders of magnitude, since P/P0 reaches the reference's
+    # floor by row 15; this pins the rate itself: the per-epoch factor
     # (P_s/P_0)^(1/s) at the last row s before P/P_0 falls below 1e-10.
     # Measured: median 0.207 over the 10 seeds (0.206-0.207, s = 14 for
     # each); at eta/2 it is 0.408 (s = 20), which the bound refuses.
-    data = make_classification(1000, 50, seed=7)
-    A = build_graph_matrix(data, 0.9)
-    problem = ProblemSpec(LossObjective(LossKind.l2_logistic(1e-2), data), Regularizer(1e-5), A)
-    ref = compute_reference(problem, tol=1e-10)
-    params = RateParams.from_problem(problem)
-    n, b = problem.f.n, 10
-    floor = 2.0 * params.kappa + 2.0 * math.sqrt(params.kappa * params.omega)
-    m = max((2 * n) // b, int(1.6 * floor) + 1)
-    theta, _alpha, eta = optimal_theta_sc(m, b, n, params)
-    config = SolverConfig(m=m, eta=eta, beta=beta_star(params), b=b, gamma="auto", epochs=20,
-                          schedule=ConstantTheta(theta))
     factors = []
-    for seed in range(10):
-        recs = run_solver(problem, "asvrg_sc", dataclasses.replace(config, seed=seed), ref=ref)
+    for recs in criterion_05_traces:
         ratios = [r.p_criterion / recs[0].p_criterion for r in recs]
         s = next((k for k, r in enumerate(ratios) if r < 1e-10), len(ratios)) - 1
         factors.append(ratios[s] ** (1.0 / s))

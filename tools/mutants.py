@@ -409,8 +409,8 @@ MUTANTS = (
     Mutant(
         "constant-theta-z-restarts-from-last-z",
         "solvers.py",
-        "z, x = x_snap.copy(), x_snap.copy()",
-        "z, x = state.z.copy(), x_snap.copy()",
+        "        z = x = x_snap",
+        "        z, x = state.z, x_snap",
         "tests/test_solvers.py::TestEpochReplayOracle",
     ),
     # the byte-identity half of criterion 04 catches a run_solver that
@@ -571,8 +571,8 @@ MUTANTS = (
     Mutant(
         "constant-theta-epoch-carries-z",
         "solvers.py",
-        "z, x = x_snap.copy(), x_snap.copy()",
-        "z, x = state.z.copy(), state.z.copy()",
+        "        z = x = x_snap",
+        "        z = x = state.z",
         "tests/test_solvers.py::test_criterion_06_slopes_stay_in_their_bands",
     ),
     Mutant(
@@ -588,6 +588,17 @@ MUTANTS = (
         "scale = config.eta / (gamma * theta)",
         "scale = config.eta / gamma",
         "tests/test_solvers.py::test_constant_theta_moves_x_as_theta_one_while_the_clip_is_saturated",
+    ),
+    # criterion 05, its contraction pin, the equal-step test and the
+    # constant-theta identity test all pass under it: each run still draws
+    # from one fixed seed, but a 10-epoch run is no longer the prefix of a
+    # 20-epoch one
+    Mutant(
+        "vr-sampler-seed-reads-the-epoch-count",
+        "solvers.py",
+        "sampler = BatchSampler(f.n, config.b, config.seed)",
+        "sampler = BatchSampler(f.n, config.b, config.seed + config.epochs)",
+        "tests/test_harness.py::test_a_run_is_a_prefix_of_a_longer_run",
     ),
 )
 
