@@ -22,7 +22,7 @@ import scipy.sparse
 
 from .datasets import make_classification, parse_libsvm, train_test_split
 from .errors import ConfigError, ConvergenceError, DataFormatError
-from .linalg import SparseMatrixCSR, spmv
+from .linalg import SparseMatrixCSR, gram, spmv
 from .losses import Dataset, LossKind, LossObjective
 from .metrics import (
     CSV_HEADER,
@@ -92,10 +92,8 @@ def build_graph_spec(data: Dataset, threshold: float) -> GraphSpec:
     exceeds the threshold. Constant features are skipped with a warning."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError("threshold must be in (0, 1)")
-    X = data.features.csr
-    n = data.n
-    mu = np.asarray(X.mean(axis=0)).ravel()
-    second = (X.T @ X).toarray() / n
+    mu = np.asarray(data.features.csr.mean(axis=0)).ravel()
+    second = gram(data.features) / data.n
     cov = second - np.outer(mu, mu)
     var = np.clip(np.diag(cov), 0.0, None)
     # E[x^2] - mu^2 leaves rounding noise of order eps * E[x^2], so a constant

@@ -12,6 +12,10 @@ has_canonical_format), A x is csr_matvec, and A^T y is csc_matvec on the
 same arrays (the CSC form of A^T). So spmv and spmv_t equal A.csr @ x and
 A.csr_t @ y bit for bit: each output entry is summed from 0.0 in increasing
 storage order (a column's nonzeros appear in increasing row order).
+
+gram(M) is the dense M^T M of A or of a dataset's features: the csr_matmat
+call of scipy's M.csr.T @ M.csr, into a cols x cols buffer, without scipy's
+symbolic sizing pass.
 """
 
 from __future__ import annotations
@@ -24,11 +28,19 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-# scipy's `csr @ x` dispatches to these loops (_compressed._matmul_vector)
-# after Python work that costs more than a small product; calling them
-# directly skips it. They read x without bounds checks and add into their
-# output, so callers check the length of x and pass a fresh np.zeros.
-from scipy.sparse._sparsetools import csc_matvec, csr_has_canonical_format, csr_matvec
+# scipy's CSR products dispatch to these loops (_compressed._matmul_vector,
+# _matmul_multivector, _matmul_sparse) after Python work that costs more
+# than a small product; calling them directly skips it. They read their
+# inputs without bounds checks, and the products add into their output, so
+# callers check the shapes and pass fresh zeros.
+from scipy.sparse._sparsetools import (
+    csc_matvec,
+    csr_has_canonical_format,
+    csr_matmat,
+    csr_matvec,
+    csr_matvecs,
+    csr_todense,
+)
 
 from .errors import (
     ConvergenceError,
@@ -102,7 +114,7 @@ class SparseMatrixCSR:
     def ata_eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and orthonormal eigenvectors of A^T A,
         formed once per matrix: every spectral quantity reads them."""
-        w, Q = np.linalg.eigh((self.csr.T @ self.csr).toarray())
+        w, Q = np.linalg.eigh(gram(self))
         # Q lives as long as the matrix, so it gets its own anonymous map: in
         # the malloc heap it splits the free space later large arrays reuse
         # (largebatch-a9a, a fresh instance per round, peaked 182-184 MB, not 166)
@@ -155,6 +167,27 @@ def spmv_t(A: SparseMatrixCSR, y) -> np.ndarray:
     Aty = np.zeros(A.cols)
     csc_matvec(A.cols, A.rows, A.row_offsets, A.col_indices, A.values, y, Aty)
     return Aty
+
+
+def gram(M: SparseMatrixCSR) -> np.ndarray:
+    """The dense M^T M, bit for bit (M.csr.T @ M.csr).toarray(): scipy runs
+    csr_matmat on the same arrays (M's CSC arrays, which are those of M^T
+    in CSR) and reads the result out transposed, which changes no bit, as
+    each entry sums commuting products in the same order. No row exceeds
+    cols entries.
+
+    The CSC form is made and dropped here, not taken from the cached csr_t:
+    filling a dataset's csr_t at every benchmark set-up raised
+    largebatch-a9a's peak RSS from 167 to 194 MB."""
+    t, c = M.csr.tocsc(), M.csr
+    n = M.cols
+    # the loop widens its index inputs to one type and writes its output in it
+    idx = np.result_type(t.indptr, t.indices, c.indptr, c.indices)
+    cp, cj, cx = np.empty(n + 1, dtype=idx), np.empty(n * n, dtype=idx), np.empty(n * n)
+    csr_matmat(n, n, t.indptr, t.indices, t.data, c.indptr, c.indices, c.data, cp, cj, cx)
+    G = np.zeros((n, n))
+    csr_todense(n, n, cp, cj, cx, G)
+    return G
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,14 @@ and LossObjective(kind, data) is the one entry point to the loss math: the
 value, the full gradient, the mini-batch gradients (a batch plan), the
 Hessian-vector product, the dense Hessian, and the smoothness constant L.
 
-Full-data quantities go through scipy's CSR products. Each of them is a
-function of the n margins b_i a_i^T x, so LossObjective forms the margins
-once per point: it keeps one memo of the last x it saw, which holds the
-margins and fills in the value and loss derivatives (one logaddexp pass
-per logistic point), curvatures and full gradient when first asked for.
+Full-data quantities call the loops behind scipy's CSR product
+(csr_matvec, csr_matvecs) on the features' csr and its cached transpose
+csr_t, along whose rows X^T u gathers (csc_matvec on X's arrays would
+scatter, which is slower). Each is a function of the n margins b_i a_i^T x,
+so LossObjective forms the margins once per point: it keeps one memo of
+the last x it saw, which holds the margins and fills in the value and loss
+derivatives (one logaddexp pass per logistic point), curvatures and full
+gradient when first asked for.
 
 A mini-batch gradient and its difference between two points (the
 variance-reduced estimator's core) are one kernel, BatchPlan.grad. A plan
@@ -35,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataFormatError, DimensionError
-from .linalg import SparseMatrixCSR, as_vector, csc_matvec, csr_matvec
+from .linalg import SparseMatrixCSR, as_vector, csc_matvec, csr_matvec, csr_matvecs
 
 LOGISTIC = "logistic"
 HUBERIZED_HINGE = "huberized_hinge"
@@ -99,9 +102,20 @@ class Dataset:
         return self.features.cols
 
 
+def _product(m, x: np.ndarray) -> np.ndarray:
+    """m @ x, bit for bit, for a scipy CSR m and a float64 vector or
+    C-ordered block x of m.shape[1] rows, which callers check first."""
+    out = np.zeros(m.shape[:1] + x.shape[1:])
+    if x.ndim == 1:
+        csr_matvec(*m.shape, m.indptr, m.indices, m.data, x, out)
+    else:
+        csr_matvecs(*m.shape, x.shape[1], m.indptr, m.indices, m.data, x.ravel(), out.ravel())
+    return out
+
+
 def _margins(data: Dataset, x: np.ndarray) -> np.ndarray:
     # t_i = b_i a_i^T x
-    return data.labels * (data.features.csr @ x)
+    return data.labels * _product(data.features.csr, x)
 
 
 def _loss_of_margin(kind: LossKind, t: np.ndarray) -> np.ndarray:
@@ -236,7 +250,7 @@ class _PointMemo:
     @cached_property
     def loss_grad(self) -> np.ndarray:
         data = self.data
-        return data.features.csr_t @ (self.dloss * data.labels / data.n)
+        return _product(data.features.csr_t, self.dloss * data.labels / data.n)
 
 
 class LossObjective:
@@ -353,7 +367,8 @@ class LossObjective:
         kind, data = self.kind, self.data
         x = as_vector(x, data.dim, "x")
         v = as_vector(v, data.dim, "v")
-        hv = data.features.csr_t @ (self._at(x).curvature * (data.features.csr @ v))
+        X = data.features
+        hv = _product(X.csr_t, self._at(x).curvature * _product(X.csr, v))
         if kind.lambda2 > 0:
             hv = hv + kind.lambda2 * v
         return hv
@@ -370,7 +385,7 @@ class LossObjective:
         kind, data = self.kind, self.data
         x = as_vector(x, data.dim, "x")
         coef = self._at(x).curvature
-        H = data.features.csr_t @ (coef[:, None] * self._dense_features)
+        H = _product(data.features.csr_t, coef[:, None] * self._dense_features)
         if kind.lambda2 > 0:
             H[np.diag_indices_from(H)] += kind.lambda2
         return 0.5 * (H + H.T)

@@ -538,17 +538,23 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
 
 
 def warn_if_outside_rate_regime(problem: ProblemSpec, config: SolverConfig) -> float | None:
-    """For a constant-theta run, warn when the supplied gamma undercuts
-    gamma_min at the schedule's theta and, on a strongly convex problem,
-    compute rho there and warn when rho >= 1; the run proceeds either way.
-    None when the problem is not strongly convex or theta decays: the
-    geometric rate does not apply. A decaying schedule is not checked at
-    all: gamma_min grows as theta decays, so any fixed gamma would trip it."""
+    """Warn once when a numeric gamma undercuts gamma_min, where the
+    proximal metric G = gamma I - (eta beta/theta) A^T A is not >= I; the
+    run proceeds either way. A constant theta is checked at its value and,
+    on a strongly convex problem, rho is returned, with a warning when
+    rho >= 1. A decaying theta raises gamma_min every epoch: the check steps
+    theta_next over the run's epochs and names the first epoch below
+    gamma_min and the first where G is indefinite (gamma < eta beta
+    ||A^T A|| / theta). None for a decaying theta or a problem that is not
+    strongly convex: the geometric rate does not apply."""
+    ata_norm = problem.spectra.ata_norm
     if isinstance(config.schedule, DecayingTheta):
+        if not isinstance(config.gamma, str):
+            _warn_decaying_regime(config, _initial_theta(problem, config), ata_norm)
         return None
     theta = float(config.schedule.theta)
     if not isinstance(config.gamma, str):
-        gmin = gamma_min(config.eta, config.beta, theta, problem.spectra.ata_norm)
+        gmin = gamma_min(config.eta, config.beta, theta, ata_norm)
         if config.gamma < gmin - 1e-12:
             warnings.warn(
                 f"gamma = {config.gamma} is below gamma_min = {gmin:.4f}; "
@@ -563,3 +569,22 @@ def warn_if_outside_rate_regime(problem: ProblemSpec, config: SolverConfig) -> f
             f"config outside the geometric-rate regime (rho = {rho:.4f} >= 1)", RuntimeWarning
         )
     return rho
+
+
+def _warn_decaying_regime(config: SolverConfig, theta: float, ata_norm: float) -> None:
+    gamma, pull = config.gamma, config.eta * config.beta * ata_norm
+    below = indefinite = None
+    for epoch in range(1, config.epochs + 1):
+        if below is None and gamma < gamma_min(config.eta, config.beta, theta, ata_norm) - 1e-12:
+            below = epoch
+        if gamma < pull / theta:
+            indefinite = epoch
+            break
+        theta = theta_next(theta)
+    if below is not None:
+        where = f"from epoch {indefinite}" if indefinite else f"in none of the {config.epochs} epochs"
+        warnings.warn(
+            f"gamma = {gamma} is below gamma_min from epoch {below} of the decaying "
+            f"schedule; the proximal metric is not >= identity, and it is indefinite {where}",
+            RuntimeWarning,
+        )

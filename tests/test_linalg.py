@@ -6,16 +6,18 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sadmm.datasets import make_classification
 from sadmm.errors import (
     ConvergenceError,
     DimensionError,
     MatrixFormatError,
     RankDeficiencyError,
 )
-from sadmm.harness import GraphSpec, graph_matrix
+from sadmm.harness import GraphSpec, build_graph_matrix, graph_matrix
 from sadmm.linalg import (
     SparseMatrixCSR,
     compute_spectral_constants,
+    gram,
     solve_aat,
     spmv,
     spmv_t,
@@ -157,14 +159,7 @@ class TestSpmvEqualsScipy:
             assert_equals_scipy(A, signed_zero_vector(3, rng), signed_zero_vector(3, rng))
 
     def test_four_clique_graph(self):
-        # A = [G; I] for four 10-cliques over 60 features: 180 edge rows, 240 x 60
-        edges = tuple(
-            (b + i, b + j, 0.95 if (i + j) % 3 else -0.9)
-            for b in range(0, 40, 10)
-            for i in range(10)
-            for j in range(i + 1, 10)
-        )
-        A = graph_matrix(GraphSpec(edges), 60)
+        A = four_clique_matrix()
         assert A.shape == (240, 60)
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -174,6 +169,86 @@ class TestSpmvEqualsScipy:
     def test_no_stored_nonzero(self):
         A = SparseMatrixCSR(3, 2, [0, 0, 0, 0], [], [])
         assert_equals_scipy(A, np.ones(2), np.ones(3))
+
+
+def assert_gram_equals_scipy(M):
+    """gram against scipy's sparse product and dense read-out, bit for bit."""
+    G = gram(M)
+    assert G.shape == (M.cols, M.cols) and G.dtype == np.float64
+    assert G.tobytes() == (M.csr.T @ M.csr).toarray().tobytes()
+
+
+def with_int64_csr(M):
+    """A copy of M whose cached scipy form holds int64 indices (scipy
+    narrows the indices of a small matrix to int32, also in its CSC copy)."""
+    out = SparseMatrixCSR(M.rows, M.cols, M.row_offsets, M.col_indices, M.values)
+    m = M.csr.copy()
+    m.indptr, m.indices = m.indptr.astype(np.int64), m.indices.astype(np.int64)
+    out.__dict__["csr"] = m  # where cached_property keeps its value
+    assert out.csr.indices.dtype == out.csr.indptr.dtype == np.int64
+    assert out.csr.tocsc().indices.dtype == np.int32
+    return out
+
+
+def four_clique_matrix():
+    # A = [G; I] for four 10-cliques over 60 features: 180 edge rows, 240 x 60
+    edges = tuple(
+        (b + i, b + j, 0.95 if (i + j) % 3 else -0.9)
+        for b in range(0, 40, 10)
+        for i in range(10)
+        for j in range(i + 1, 10)
+    )
+    return graph_matrix(GraphSpec(edges), 60)
+
+
+class TestGramEqualsScipy:
+    def test_criterion_07_features(self):
+        assert_gram_equals_scipy(make_classification(2000, 60, seed=23, label_noise=0.3).features)
+
+    def test_a9a_density_features(self):
+        assert_gram_equals_scipy(make_classification(4000, 123, seed=1, density=0.11).features)
+
+    def test_empty_rows_and_zero_columns(self):
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((9, 7)) * (rng.random((9, 7)) < 0.6)
+        X[[0, 4, 8]] = 0.0
+        X[:, [2, 6]] = 0.0
+        X[1, 0] = 1.0
+        assert_gram_equals_scipy(SparseMatrixCSR.from_dense(X))
+
+    def test_single_column(self):
+        rng = np.random.default_rng(15)
+        assert_gram_equals_scipy(random_sparse(40, 1, seed=15))
+        assert_gram_equals_scipy(SparseMatrixCSR.from_dense(rng.standard_normal((1, 1))))
+
+    def test_wide(self):
+        for seed in range(5):
+            assert_gram_equals_scipy(random_sparse(4, 11, seed=seed, density=0.7))
+
+    def test_penalty_matrices(self):
+        data = make_classification(2000, 60, seed=23, label_noise=0.3)
+        for A in (four_clique_matrix(), build_graph_matrix(data, 0.9), SparseMatrixCSR.identity(5)):
+            assert_gram_equals_scipy(A)
+            w, Q = np.linalg.eigh((A.csr.T @ A.csr).toarray())
+            assert A.ata_eig[0].tobytes() == w.tobytes()
+            assert A.ata_eig[1].tobytes() == Q.tobytes()
+
+    def test_no_stored_nonzero(self):
+        assert_gram_equals_scipy(SparseMatrixCSR(3, 2, [0, 0, 0, 0], [], []))
+        assert not gram(SparseMatrixCSR(3, 2, [0, 0, 0, 0], [], [])).any()
+
+    def test_int64_indices(self):
+        assert_gram_equals_scipy(with_int64_csr(random_sparse(30, 8, seed=16, density=0.4)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 25),
+        cols=st.integers(1, 25),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 10_000),
+    )
+    def test_random_shapes(self, rows, cols, density, seed):
+        assert_gram_equals_scipy(random_sparse(rows, cols, seed, density=density, ensure_nonzero=False))
 
 
 @settings(max_examples=100, deadline=None)

@@ -17,6 +17,7 @@ from sadmm.losses import (
     _d2loss_of_margin,
     _dloss_of_margin,
     _loss_of_margin,
+    _margins,
 )
 from sadmm.problem import ProblemSpec
 from sadmm.prox import Regularizer
@@ -569,6 +570,34 @@ def test_hessian_matches_hess_vec_columns(kind):
         got = f.hessian(x)
         assert got.shape == (dim, dim)
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")
+def test_full_data_products_equal_scipy_operators_bitwise(kind):
+    # the margins, the memo's loss gradient, hess_vec and hessian call the
+    # compiled loops directly; each must equal, byte for byte, its form with
+    # scipy's `@` on the features' CSR and cached transpose. The small
+    # instance has an empty row and an all-zero column
+    rng = np.random.default_rng(47)
+    X = rng.standard_normal((50, 8)) * (rng.random((50, 8)) < 0.5)
+    X[3], X[:, 5] = 0.0, 0.0
+    small = Dataset(SparseMatrixCSR.from_dense(X), rng.choice([-1.0, 1.0], size=50))
+    for data in (small, make_classification(2000, 60, seed=23, label_noise=0.3)):
+        F, Ft, lambda2 = data.features.csr, data.features.csr_t, kind.lambda2
+        f = LossObjective(kind, data)
+        for scale in (0.3, 3.0):
+            x, v = scale * rng.standard_normal((2, data.dim))
+            assert _margins(data, x).tobytes() == (data.labels * (F @ x)).tobytes()
+            memo = f._at(x)
+            grad = Ft @ (memo.dloss * data.labels / data.n)
+            assert memo.loss_grad.tobytes() == grad.tobytes()
+            hv = Ft @ (memo.curvature * (F @ v))
+            H = Ft @ (memo.curvature[:, None] * F.toarray())
+            if lambda2:
+                hv = hv + lambda2 * v
+                H[np.diag_indices_from(H)] += lambda2
+            assert f.hess_vec(x, v).tobytes() == hv.tobytes()
+            assert f.hessian(x).tobytes() == (0.5 * (H + H.T)).tobytes()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.kind}-l2={k.lambda2}")

@@ -1197,17 +1197,49 @@ class TestRateRegimeWarnings:
 
         assert warn_if_outside_rate_regime(problem, cfg) is None
 
-    def test_decaying_schedule_skips_rate_check(self):
-        # rho is the constant-theta contraction factor; m = 2 would put it >= 1
+    def test_decaying_schedule_warns_on_gamma_but_skips_rho(self):
+        # rho is the constant-theta contraction factor; m = 2 would put it >=
+        # 1, but a decaying run gets no rho. Its fixed gamma = 1 is below
+        # gamma_min = 1 + eta beta ||A^T A|| / theta at every theta, so the
+        # gamma check warns, once; at gamma = auto it is silent
         problem = vr_problem(seed=30)
         L = problem.f.smoothness
         cfg = SolverConfig(m=2, eta=1.0 / (8 * L), beta=0.5, b=2, gamma=1.0,
                            schedule=DecayingTheta())
         from sadmm.solvers import warn_if_outside_rate_regime
 
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert warn_if_outside_rate_regime(problem, cfg) is None
+        assert [str(w.message)[:46] for w in caught] == [
+            "gamma = 1.0 is below gamma_min from epoch 1 of"
+        ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert warn_if_outside_rate_regime(problem, cfg) is None
+            assert warn_if_outside_rate_regime(problem, dataclasses.replace(cfg, gamma="auto")) is None
+
+    def test_decaying_schedule_names_its_first_epochs_outside_the_regime(
+        self, general_convex_instance
+    ):
+        # criterion 06's preset config: gamma = 1 is below gamma_min from
+        # theta_0 = 0.9858 on, and G turns indefinite at epoch 4, whose
+        # theta_3 = 0.362 falls below eta beta ||A^T A|| = 0.375. At the
+        # in-regime test's beta = 0.01, gamma = 1 is still below gamma_min,
+        # but G stays positive definite over all 64 epochs
+        from sadmm.solvers import warn_if_outside_rate_regime
+
+        problem = general_convex_instance[0]
+        cfg = SolverConfig(m=200, eta=1.0 / (8.0 * problem.f.smoothness), beta=1.0, b=10,
+                           gamma=1.0, epochs=64, schedule=DecayingTheta())
+        for beta, tail in ((1.0, "indefinite from epoch 4"),
+                           (0.01, "indefinite in none of the 64 epochs")):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert warn_if_outside_rate_regime(problem, dataclasses.replace(cfg, beta=beta)) is None
+            assert len(caught) == 1 and caught[0].category is RuntimeWarning
+            message = str(caught[0].message)
+            assert message.startswith("gamma = 1.0 is below gamma_min from epoch 1 of"), message
+            assert message.endswith(tail), message
 
 
 class TestFiniteIterates:

@@ -36,11 +36,14 @@ It prints SHA-256 digests of
 - resolve_solver_config over 5 solvers x b in {1, 20} x 'auto' or a number
   for each of eta, beta and theta x m in {None, 50}, on a logistic and an
   l2-logistic instance.
-- the penalty matrix A = [G; I] of build_graph_matrix at thresholds 0.3,
-  0.5, 0.8, 0.9 and 0.99 on the smallbatch-2k and largebatch-a9a instances
-  and on a 64 x 9 instance of correlated dense features, and of
-  graph_matrix on an empty and a mixed-sign edge list, each followed by a
-  line with the repr of its ||A^T A|| and smallest Gram eigenvalue from
+- the edges of build_graph_spec, the repr of each weight included, at
+  thresholds 0.3, 0.5, 0.8, 0.9 and 0.99 on the smallbatch-2k and
+  largebatch-a9a instances and on a 64 x 9 instance of correlated dense
+  features, each followed by the penalty matrix A = [G; I] that
+  graph_matrix builds from them (A holds only the weights' signs, so the
+  edge line is what pins the feature Gram's bits), and A of graph_matrix on
+  an empty and a mixed-sign edge list; each A is followed by a line with
+  the repr of its ||A^T A|| and smallest Gram eigenvalue from
   compute_spectral_constants.
 
 It imports sadmm from this checkout's src/ and the instances from
@@ -335,10 +338,14 @@ def print_spectra(label, A) -> None:
     print(f"spectra {label} {sc.ata_norm!r} {sc.aat_min_eig!r}", flush=True)
 
 
+def edges_digest(spec) -> str:
+    return hashlib.sha256(repr(spec.edges).encode()).hexdigest()
+
+
 def graph_digests():
-    """build_graph_matrix on the traced instances and a correlated one, and
-    graph_matrix on two fixed edge lists, with the spectral constants of
-    each."""
+    """build_graph_spec and graph_matrix on the traced instances and a
+    correlated one, and graph_matrix on two fixed edge lists, with the
+    spectral constants of each matrix."""
     datasets = {}
     for name in TRACED:
         inst = wl.WORKLOADS[name].instance
@@ -352,7 +359,11 @@ def graph_digests():
     total = hashlib.sha256()
     for name, data in datasets.items():
         for threshold in GRAPH_THRESHOLDS:
-            A = sadmm.harness.build_graph_matrix(data, threshold)
+            spec = sadmm.harness.build_graph_spec(data, threshold)
+            digest = edges_digest(spec)
+            total.update(digest.encode())
+            print(f"graph edges {name} threshold={threshold} {digest}", flush=True)
+            A = sadmm.harness.graph_matrix(spec, data.dim)
             digest = matrix_digest(A)
             total.update(digest.encode())
             edges = A.rows - A.cols

@@ -512,9 +512,9 @@ MUTANTS = (
     Mutant(
         "gamma-check-only-when-strongly-convex",
         "solvers.py",
-        "    if isinstance(config.schedule, DecayingTheta):\n        return None\n    theta = float(",
-        "    if problem.f.strong_convexity <= 0 or isinstance(config.schedule, DecayingTheta):\n"
-        "        return None\n    theta = float(",
+        "    theta = float(config.schedule.theta)\n",
+        "    theta = float(config.schedule.theta)\n"
+        "    if problem.f.strong_convexity <= 0:\n        return None\n",
         "tests/test_solvers.py::TestRateRegimeWarnings::test_general_convex_gamma_below_floor_warns",
     ),
     Mutant(
@@ -599,6 +599,84 @@ MUTANTS = (
         "sampler = BatchSampler(f.n, config.b, config.seed)",
         "sampler = BatchSampler(f.n, config.b, config.seed + config.epochs)",
         "tests/test_harness.py::test_a_run_is_a_prefix_of_a_longer_run",
+    ),
+    Mutant(
+        "decaying-regime-epochs-counted-from-zero",
+        "solvers.py",
+        "for epoch in range(1, config.epochs + 1):",
+        "for epoch in range(config.epochs):",
+        "tests/test_solvers.py::TestRateRegimeWarnings::test_decaying_schedule_names_its_first_epochs_outside_the_regime",
+    ),
+    # the compiled-loop Gram and full-data products against their scipy forms
+    Mutant(
+        "gram-dense-read-out-one-row-short",
+        "linalg.py",
+        "csr_todense(n, n, cp, cj, cx, G)",
+        "csr_todense(n - 1, n, cp, cj, cx, G)",
+        "tests/test_linalg.py::TestGramEqualsScipy::test_criterion_07_features",
+    ),
+    Mutant(
+        "gram-dense-read-out-starts-at-one",
+        "linalg.py",
+        "G = np.zeros((n, n))",
+        "G = np.ones((n, n))",
+        "tests/test_linalg.py::TestGramEqualsScipy::test_criterion_07_features",
+    ),
+    Mutant(
+        "gram-index-dtype-of-csc-only",
+        "linalg.py",
+        "idx = np.result_type(t.indptr, t.indices, c.indptr, c.indices)",
+        "idx = t.indices.dtype",
+        "tests/test_linalg.py::TestGramEqualsScipy::test_int64_indices",
+    ),
+    Mutant(
+        "ata-eig-of-a-gram-one-ulp-off",
+        "linalg.py",
+        "w, Q = np.linalg.eigh(gram(self))",
+        "w, Q = np.linalg.eigh(gram(self) * (1 + 2**-52))",
+        "tests/test_linalg.py::TestGramEqualsScipy::test_penalty_matrices",
+    ),
+    Mutant(
+        "graph-second-moment-over-n-plus-one",
+        "harness.py",
+        "second = gram(data.features) / data.n",
+        "second = gram(data.features) / (data.n + 1)",
+        "tests/test_harness.py::TestGraph::test_edges_match_loop_transcription",
+    ),
+    Mutant(
+        "margins-without-labels",
+        "losses.py",
+        "return data.labels * _product(data.features.csr, x)",
+        "return _product(data.features.csr, x)",
+        "tests/test_losses.py::test_full_data_products_equal_scipy_operators_bitwise[logistic-l2=0.0]",
+    ),
+    Mutant(
+        "loss-grad-without-labels",
+        "losses.py",
+        "_product(data.features.csr_t, self.dloss * data.labels / data.n)",
+        "_product(data.features.csr_t, self.dloss / data.n)",
+        "tests/test_losses.py::test_full_data_products_equal_scipy_operators_bitwise[logistic-l2=0.0]",
+    ),
+    Mutant(
+        "hess-vec-inner-product-at-x",
+        "losses.py",
+        "_product(X.csr, v)",
+        "_product(X.csr, x)",
+        "tests/test_losses.py::test_full_data_products_equal_scipy_operators_bitwise[huberized_hinge-l2=0.0]",
+    ),
+    Mutant(
+        "product-output-starts-at-one",
+        "losses.py",
+        "out = np.zeros(m.shape[:1] + x.shape[1:])",
+        "out = np.ones(m.shape[:1] + x.shape[1:])",
+        "tests/test_losses.py::test_full_data_products_equal_scipy_operators_bitwise[logistic-l2=0.0]",
+    ),
+    Mutant(
+        "product-block-one-column-short",
+        "losses.py",
+        "csr_matvecs(*m.shape, x.shape[1], m.indptr",
+        "csr_matvecs(*m.shape, x.shape[1] - 1, m.indptr",
+        "tests/test_losses.py::test_full_data_products_equal_scipy_operators_bitwise[logistic-l2=0.01]",
     ),
 )
 
