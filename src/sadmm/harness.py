@@ -22,7 +22,7 @@ import scipy.sparse
 
 from .datasets import make_classification, parse_libsvm, train_test_split
 from .errors import ConfigError, ConvergenceError, DataFormatError
-from .linalg import SparseMatrixCSR, gram, spmv
+from .linalg import SparseMatrixCSR, gram, spmv, spmv_t
 from .losses import Dataset, LossKind, LossObjective
 from .metrics import (
     CSV_HEADER,
@@ -92,7 +92,9 @@ def build_graph_spec(data: Dataset, threshold: float) -> GraphSpec:
     exceeds the threshold. Constant features are skipped with a warning."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError("threshold must be in (0, 1)")
-    mu = np.asarray(data.features.csr.mean(axis=0)).ravel()
+    # the column means, bit for bit scipy's csr.mean(axis=0): the same products
+    # v * (1/n), summed in the same order, without scipy's scaled copy
+    mu = spmv_t(data.features, np.full(data.n, 1.0 / data.n))
     second = gram(data.features) / data.n
     cov = second - np.outer(mu, mu)
     var = np.clip(np.diag(cov), 0.0, None)

@@ -3,15 +3,20 @@
 Everything the solvers need from the penalty matrix A lives here: CSR
 matrix-vector products, the eigendecomposition of A^T A that each matrix
 caches (the source of ||A^T A||, the smallest Gram eigenvalue, the stoc
-x-update and the pseudo-inverse dual), and a CG solve against A A^T. All
-operations are pure functions of immutable inputs, safe to call concurrently.
+x-update and the pseudo-inverse dual), and conjugate gradients (cg), which
+solve_aat runs against A A^T and the batch x-subproblem against its Newton
+system. All operations are pure functions of immutable inputs, safe to call
+concurrently.
 
 The CSR kernels are scipy's own C loops on A's arrays: a new matrix's row
 order is checked by csr_has_canonical_format (the scan behind scipy's
 has_canonical_format), A x is csr_matvec, and A^T y is csc_matvec on the
 same arrays (the CSC form of A^T). So spmv and spmv_t equal A.csr @ x and
 A.csr_t @ y bit for bit: each output entry is summed from 0.0 in increasing
-storage order (a column's nonzeros appear in increasing row order).
+storage order (a column's nonzeros appear in increasing row order). spmv and
+spmv_t check their vector; the unchecked cores _spmv and _spmv_t serve the
+stochastic inner loops, which check theirs once at entry, and solve_aat's
+CG, whose vectors have the right length by construction.
 
 gram(M) is the dense M^T M of A or of a dataset's features: the csr_matmat
 call of scipy's M.csr.T @ M.csr, into a cols x cols buffer, without scipy's
@@ -26,7 +31,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 # scipy's CSR products dispatch to these loops (_compressed._matmul_vector,
 # _matmul_multivector, _matmul_sparse) after Python work that costs more
@@ -154,16 +158,24 @@ def as_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
 
 def spmv(A: SparseMatrixCSR, x) -> np.ndarray:
     """A @ x by scipy's csr_matvec, bit for bit A.csr @ x."""
-    x = as_vector(x, A.cols, "x")
-    Ax = np.zeros(A.rows)
-    csr_matvec(A.rows, A.cols, A.row_offsets, A.col_indices, A.values, x, Ax)
-    return Ax
+    return _spmv(A, as_vector(x, A.cols, "x"))
 
 
 def spmv_t(A: SparseMatrixCSR, y) -> np.ndarray:
     """A^T @ y by scipy's csc_matvec on A's CSR arrays, which are the CSC
     arrays of A^T; bit for bit A.csr_t @ y."""
-    y = as_vector(y, A.rows, "y")
+    return _spmv_t(A, as_vector(y, A.rows, "y"))
+
+
+def _spmv(A: SparseMatrixCSR, x: np.ndarray) -> np.ndarray:
+    """spmv without its check: x must be a float64 vector of length A.cols."""
+    Ax = np.zeros(A.rows)
+    csr_matvec(A.rows, A.cols, A.row_offsets, A.col_indices, A.values, x, Ax)
+    return Ax
+
+
+def _spmv_t(A: SparseMatrixCSR, y: np.ndarray) -> np.ndarray:
+    """spmv_t without its check: y must be a float64 vector of length A.rows."""
     Aty = np.zeros(A.cols)
     csc_matvec(A.cols, A.rows, A.row_offsets, A.col_indices, A.values, y, Aty)
     return Aty
@@ -224,6 +236,36 @@ def compute_spectral_constants(A: SparseMatrixCSR) -> SpectralConstants:
     return SpectralConstants(ata_norm=sigma_max, aat_min_eig=sigma_min)
 
 
+def cg(matvec, b: np.ndarray, rtol: float, maxiter: int) -> np.ndarray:
+    """Conjugate gradients on matvec(x) = b from x = 0, without a
+    preconditioner, stopped once ||r|| < rtol ||b|| or after maxiter steps.
+
+    The same arithmetic, in the same order, as scipy's sparse cg(op, b,
+    rtol=rtol, atol=0.0, maxiter=maxiter)[0] for a LinearOperator op of
+    matvec, so the two return the same bits; this form skips scipy's
+    per-call operator and system set-up."""
+    nb = np.linalg.norm(b)
+    if nb == 0.0:
+        return b.copy()  # as scipy, which returns b itself
+    atol = rtol * nb
+    x, r = np.zeros(len(b)), b.copy()
+    for i in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            break
+        rho = np.dot(r, r)
+        if i == 0:
+            p = r.copy()
+        else:
+            p *= rho / rho_prev
+            p += r
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x
+
+
 def solve_aat(A: SparseMatrixCSR, v, tol: float = 1e-12) -> np.ndarray:
     """Solve A A^T u = v by conjugate gradients.
 
@@ -238,10 +280,8 @@ def solve_aat(A: SparseMatrixCSR, v, tol: float = 1e-12) -> np.ndarray:
     nv = np.linalg.norm(v)
     if nv == 0.0:
         return np.zeros(A.rows)
-    aat = lambda w: spmv(A, spmv_t(A, w))
-    op = scipy.sparse.linalg.LinearOperator((A.rows, A.rows), matvec=aat, dtype=np.float64)
-    max_iter = max(20 * A.rows, 1000)
-    u, _ = scipy.sparse.linalg.cg(op, v, rtol=tol, atol=0.0, maxiter=max_iter)
+    aat = lambda w: _spmv(A, _spmv_t(A, w))
+    u = cg(aat, v, rtol=tol, maxiter=max(20 * A.rows, 1000))
     resid = np.linalg.norm(aat(u) - v)
     if not resid <= tol * nv:  # a NaN residual fails too
         raise ConvergenceError(
@@ -250,4 +290,3 @@ def solve_aat(A: SparseMatrixCSR, v, tol: float = 1e-12) -> np.ndarray:
             best_estimate=u,
         )
     return u
-

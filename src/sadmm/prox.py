@@ -32,7 +32,12 @@ def soft_threshold(v, tau: float) -> np.ndarray:
     """Componentwise sign(v) * max(|v| - tau, 0)."""
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    v = np.asarray(v, dtype=np.float64)
+    return _soft_threshold(np.asarray(v, dtype=np.float64), tau)
+
+
+def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
+    """soft_threshold without its checks, for loops that check v and tau
+    once at entry: v a float64 array and tau >= 0."""
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 

@@ -24,7 +24,10 @@ constant schedule at theta = 1, where x = z.
 The stochastic loops draw all their batches in one call when an epoch (or
 a stoc trace row) starts, since every draw is a pure function of (seed,
 epoch, k), and gather them once with f.batch_plan; each inner step then
-pays only for the gradient work that depends on its point.
+pays only for the gradient work that depends on its point. Each loop also
+checks its start vectors and forms the y-update's threshold lambda1/beta
+once, at entry, and its steps call the unchecked product and
+soft-threshold cores.
 """
 
 from __future__ import annotations
@@ -34,15 +37,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import ConfigError, ConvergenceError
-# nothing here calls solve_aat (the dual reads A.ata_eig) or vr_gradient
-# (vr_admm_epoch runs its batch-plan form); the names stay in this module,
-# where perfbench/tracing.py patches them
-from .linalg import solve_aat, spmv, spmv_t  # noqa: F401
+# perfbench/tracing.py patches solve_aat, spmv, spmv_t, y_update and
+# vr_gradient by name in this module. Nothing here calls solve_aat (the dual
+# reads A.ata_eig) or vr_gradient (vr_admm_epoch runs its batch-plan form),
+# and the stochastic loops call the unchecked cores _spmv, _spmv_t and
+# _soft_threshold, so the traced names see only the batch solver and the
+# constant-theta dual
+from .linalg import _spmv, _spmv_t, as_vector, cg, solve_aat, spmv, spmv_t  # noqa: F401
 from .problem import ProblemSpec
-from .prox import y_update
+from .prox import _soft_threshold, y_update
 from .vr import BatchSampler, Snapshot, delta_b, vr_gradient  # noqa: F401
 
 
@@ -351,17 +356,21 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
     """
     f, A, reg = problem.f, problem.A, problem.reg
     beta, m = config.beta, config.m
+    # the loop's compiled products read without bounds checks: its start
+    # vectors are checked here, once (the snapshot gradient has the
+    # snapshot's shape), and not copied, as the loop rebinds z, x and lam
+    z = as_vector(state.z, A.cols, "z")
+    x_snap = as_vector(state.snapshot.x_tilde, A.cols, "snapshot x")
+    lam = as_vector(state.lambda_tilde, A.rows, "lambda")
+    tau = reg.lambda1 / beta  # the y-update's threshold
     decaying = isinstance(config.schedule, DecayingTheta)
     theta = state.theta
     gamma = _resolve_gamma(config, theta, problem.spectra.ata_norm)
-    x_snap = state.snapshot.x_tilde
     if decaying:
-        z = state.z
         x = (1.0 - theta) * x_snap + theta * z
     else:
         # x_snap itself: the theta-mix of x_snap with itself need not round to x_snap
         z = x = x_snap
-    lam = state.lambda_tilde  # no copies: the loop rebinds z, x, lam and sets y first
 
     sampler = BatchSampler(f.n, config.b, config.seed)
     epoch = state.epoch + 1
@@ -373,15 +382,15 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
     snap_share = (1.0 - theta) * x_snap
     sum_x = np.zeros_like(x)
     sum_y = np.zeros_like(lam)
-    Az = spmv(A, z)
+    Az = _spmv(A, z)
     # running elementwise maxima of |z| and |lambda|: one sup per trace row
     abs_z, abs_lam = np.abs(z), np.abs(lam)
     for k in range(m):
-        y = y_update(reg, Az, lam, beta)
+        y = _soft_threshold(Az + lam, tau)  # y_update(reg, Az, lam, beta)
         g = plan.grad(k, x) + g_snap  # vr_gradient(state.snapshot, f, x, batch k)
-        z = z - scale * (g + beta * spmv_t(A, Az - y + lam))
+        z = z - scale * (g + beta * _spmv_t(A, Az - y + lam))
         x = snap_share + theta * z
-        Az = spmv(A, z)
+        Az = _spmv(A, z)
         lam = lam + (Az - y)
         sum_x += x
         sum_y += y
@@ -438,9 +447,8 @@ def _minimize_x_subproblem(f, A, beta, y, lam, x0, gtol):
         if gn <= gtol:
             return x, n_grads
         hessp = lambda v: f.hess_vec(x, v) + beta * spmv_t(A, spmv(A, v))
-        op = scipy.sparse.linalg.LinearOperator((d, d), matvec=hessp, dtype=np.float64)
         cg_tol = min(0.5, math.sqrt(gn))  # forcing sequence
-        step_dir, _ = scipy.sparse.linalg.cg(op, -g, rtol=cg_tol, atol=0.0, maxiter=10 * d)
+        step_dir = cg(hessp, -g, rtol=cg_tol, maxiter=10 * d)
         slope = float(g @ step_dir)
         if slope >= 0.0:
             step_dir = -g
@@ -509,21 +517,25 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
     update as in the batch solver.
     """
     f, A, reg, beta, eta = problem.f, problem.A, problem.reg, config.beta, config.eta
+    # x and lambda checked once, as in vr_admm_epoch
+    x = as_vector(state.x, A.cols, "x")
+    lam = as_vector(state.lam, A.rows, "lambda")
+    tau = reg.lambda1 / beta
     w, Q = A.ata_eig
     first = state.grad_evals + 1
     sampler = BatchSampler(f.n, 1, config.seed)
     plan = f.batch_plan(sampler.draw(0, np.arange(first, first + config.m)))
-    x, lam, Ax = state.x, state.lam, spmv(A, state.x)
+    Ax = _spmv(A, x)
     x_bar, y_bar = state.x_bar, state.y_bar
     beta_w = beta * w
     abs_x, abs_lam = np.abs(x), np.abs(lam)
     for k in range(first, first + config.m):
         eta_k = eta / math.sqrt(k)
-        y = y_update(reg, Ax, lam, beta)
+        y = _soft_threshold(Ax + lam, tau)
         g = plan.grad(k - first, x)
-        rhs = x / eta_k - g - beta * spmv_t(A, lam - y)
+        rhs = x / eta_k - g - beta * _spmv_t(A, lam - y)
         x = Q @ ((Q.T @ rhs) / (1.0 / eta_k + beta_w))
-        Ax = spmv(A, x)
+        Ax = _spmv(A, x)
         lam = lam + (Ax - y)
         x_bar += (x - x_bar) / k
         y_bar += (y - y_bar) / k

@@ -30,7 +30,7 @@ from sadmm.harness import (
     save_graph,
     write_trace_csv,
 )
-from sadmm.linalg import compute_spectral_constants, solve_aat
+from sadmm.linalg import compute_spectral_constants, solve_aat, spmv_t
 from sadmm.losses import LossKind, LossObjective
 from sadmm.metrics import (
     CSV_HEADER,
@@ -143,6 +143,37 @@ class TestGraph:
                     expected.append((i, j, float(corr[i, j])))
         assert {np.sign(w) for _, _, w in expected} == {-1.0, 1.0}
         assert build_graph_spec(data, threshold).edges == tuple(expected)
+
+    @pytest.mark.parametrize("case", ["criterion-07", "a9a-shape", "300x10", "empty-rows", "int64-indices"])
+    def test_feature_means_equal_scipy_mean_bitwise(self, monkeypatch, case):
+        # build_graph_spec takes the column means as X^T (1/n, ..., 1/n) on the
+        # compiled loop; they must equal scipy's X.mean(axis=0) byte for byte
+        if case == "criterion-07":
+            data = make_classification(2000, 60, seed=23, label_noise=0.3)
+        elif case == "a9a-shape":
+            data = make_classification(32561, 123, seed=1, density=0.11)
+        elif case == "300x10":
+            data = make_classification(300, 10, seed=1)
+        else:
+            rng = np.random.default_rng(9)
+            rows = [{j: float(rng.standard_normal()) for j in range(7) if rng.random() < 0.5}
+                    for _ in range(40)]
+            rows[0] = rows[17] = rows[-1] = {}
+            data = dataset_from_rows(rows, [1, -1] * 20, dim=7)
+        X = data.features.csr
+        if case == "int64-indices":
+            X = X.copy()
+            X.indptr, X.indices = X.indptr.astype(np.int64), X.indices.astype(np.int64)
+        means = []
+
+        def recorded(M, y):
+            means.append(spmv_t(M, y))
+            return means[-1]
+
+        monkeypatch.setattr(sadmm.harness, "spmv_t", recorded)
+        build_graph_spec(data, 0.5)
+        assert len(means) == 1
+        assert means[0].tobytes() == np.asarray(X.mean(axis=0)).ravel().tobytes()
 
     def test_stacked_matrix_full_column_rank(self):
         data = make_classification(300, 10, seed=6)

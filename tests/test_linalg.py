@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +15,10 @@ from sadmm.errors import (
     RankDeficiencyError,
 )
 from sadmm.harness import GraphSpec, build_graph_matrix, graph_matrix
+from sadmm.losses import LossKind, LossObjective
 from sadmm.linalg import (
     SparseMatrixCSR,
+    cg,
     compute_spectral_constants,
     gram,
     solve_aat,
@@ -394,3 +397,80 @@ class TestSolveAAT:
         u = solve_aat(A, v, tol=1e-12)
         dense = A.to_dense()
         assert np.linalg.norm(dense @ (dense.T @ u) - v) <= 1e-11 * np.linalg.norm(v)
+
+
+def scipy_cg(matvec, b, rtol, maxiter):
+    """The oracle cg replaces: scipy's CG from zero, no preconditioner, atol = 0."""
+    op = scipy.sparse.linalg.LinearOperator((len(b), len(b)), matvec=matvec, dtype=np.float64)
+    return scipy.sparse.linalg.cg(op, b, rtol=rtol, atol=0.0, maxiter=maxiter)
+
+
+def assert_cg_equals_scipy(matvec, b, rtol, maxiter):
+    """cg against scipy's cg, bit for bit; returns scipy's info."""
+    x, info = scipy_cg(matvec, b, rtol, maxiter)
+    got = cg(matvec, b, rtol=rtol, maxiter=maxiter)
+    assert got.dtype == np.float64 and got.shape == b.shape
+    assert got.tobytes() == x.tobytes()
+    return info
+
+
+def newton_operator(data, A, beta, seed):
+    """The batch x-subproblem's Newton system at a random point: the
+    operator v -> H(x) v + beta A^T A v, the right-hand side -grad phi(x)
+    at y = lambda = 0, and the forcing tolerance the solver gives CG."""
+    f = LossObjective(LossKind.logistic(), data)
+    x = np.random.default_rng(seed).standard_normal(A.cols)
+    g = f.full_grad(x) + beta * spmv_t(A, spmv(A, x))
+    matvec = lambda v: f.hess_vec(x, v) + beta * spmv_t(A, spmv(A, v))
+    return matvec, -g, min(0.5, math.sqrt(float(np.linalg.norm(g))))
+
+
+class TestCGEqualsScipy:
+    def test_criterion_07_newton_operator(self):
+        data = make_classification(2000, 60, seed=23, label_noise=0.3)
+        A = build_graph_matrix(data, 0.9)
+        for beta, seed in ((1.0, 0), (1e-3, 1), (1e-5, 2)):
+            matvec, b, rtol = newton_operator(data, A, beta, seed)
+            assert assert_cg_equals_scipy(matvec, b, rtol, 10 * A.cols) == 0
+            assert_cg_equals_scipy(matvec, b, 1e-10, 10 * A.cols)
+
+    def test_a9a_shaped_newton_operator(self):
+        data = make_classification(4000, 123, seed=1, density=0.11)
+        A = SparseMatrixCSR.identity(123)
+        for beta, seed in ((1.0, 3), (1e-4, 4)):
+            matvec, b, rtol = newton_operator(data, A, beta, seed)
+            assert_cg_equals_scipy(matvec, b, rtol, 10 * A.cols)
+            assert_cg_equals_scipy(matvec, b, 1e-10, 10 * A.cols)
+
+    def test_diagonal_operator(self):
+        # rtol = 1 takes one step: the stop test is strict, ||r|| < rtol ||b||
+        rng = np.random.default_rng(17)
+        w = np.logspace(0.0, 6.0, 50)
+        for rtol in (0.5, 1e-3, 1e-12, 1.0):
+            b = rng.standard_normal(50)
+            assert assert_cg_equals_scipy(lambda v: w * v, b, rtol, 500) == 0
+        assert cg(lambda v: w * v, b, rtol=1.0, maxiter=500).any()
+
+    def test_stops_at_maxiter(self):
+        rng = np.random.default_rng(18)
+        w = np.logspace(0.0, 8.0, 80)
+        for maxiter in (1, 2, 7):
+            b = rng.standard_normal(80)
+            assert assert_cg_equals_scipy(lambda v: w * v, b, 1e-14, maxiter) == maxiter
+
+    def test_zero_right_hand_side(self):
+        b = np.array([0.0, -0.0, 0.0])
+        assert_cg_equals_scipy(lambda v: 2.0 * v, b, 1e-8, 30)
+        assert cg(lambda v: 2.0 * v, b, rtol=1e-8, maxiter=30) is not b
+
+    def test_solve_aat_operator(self):
+        # solve_aat returns cg's iterate on A A^T, here against scipy's
+        data = make_classification(2000, 60, seed=23, label_noise=0.3)
+        rng = np.random.default_rng(19)
+        for A in (four_clique_matrix(), build_graph_matrix(data, 0.9), random_sparse(12, 20, seed=19)):
+            aat = lambda w: spmv(A, spmv_t(A, w))
+            v = spmv(A, rng.standard_normal(A.cols))  # in the range of A
+            x, info = scipy_cg(aat, v, 1e-12, max(20 * A.rows, 1000))
+            assert info == 0
+            assert solve_aat(A, v, tol=1e-12).tobytes() == x.tobytes()
+            assert_cg_equals_scipy(aat, v, 1e-6, max(20 * A.rows, 1000))

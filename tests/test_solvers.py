@@ -5,11 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 import sadmm.solvers
 from sadmm.datasets import make_classification
-from sadmm.errors import ConfigError, ConvergenceError, RankDeficiencyError
+from sadmm.errors import ConfigError, ConvergenceError, DimensionError, RankDeficiencyError
 from sadmm.harness import build_graph_matrix, run_solver
 from sadmm.linalg import SparseMatrixCSR, compute_spectral_constants, spmv, spmv_t
 from sadmm.losses import LossKind, LossObjective
@@ -34,7 +33,7 @@ from sadmm.solvers import (
     theta_next,
     vr_admm_epoch,
 )
-from sadmm.vr import delta_b
+from sadmm.vr import Snapshot, delta_b
 
 from helpers import (
     RANK_DEFICIENT_TALL,
@@ -251,13 +250,13 @@ class TestBatchAdmm:
         f, A = LossObjective(LossKind.logistic(), data), build_graph_matrix(data, 0.9)
         x0 = 100.0 * np.random.default_rng(0).standard_normal(A.cols)
         zero, beta, gtol = np.zeros(A.rows), 1e-4, 1e-10
-        real_cg, steps = scipy.sparse.linalg.cg, []
+        real_cg, steps = sadmm.solvers.cg, []
 
         def counted_cg(*args, **kw):
             steps.append(1)
             return real_cg(*args, **kw)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "cg", counted_cg)
+        monkeypatch.setattr(sadmm.solvers, "cg", counted_cg)
         x, n_grads = _minimize_x_subproblem(f, A, beta, zero, zero, x0, gtol)
         assert n_grads > len(steps) + 1
         assert np.linalg.norm(f.full_grad(x) + beta * spmv_t(A, spmv(A, x))) <= gtol
@@ -270,11 +269,11 @@ class TestBatchAdmm:
         f, A = LossObjective(LossKind.logistic(), data), build_graph_matrix(data, 0.9)
         zero, x0, gtol = np.zeros(A.rows), np.full(A.cols, 0.5), 1e-10
         x_ref, _n = _minimize_x_subproblem(f, A, 1.0, zero, zero, x0, gtol)
-        real_cg, rhs, points = scipy.sparse.linalg.cg, [], []
+        real_cg, rhs, points = sadmm.solvers.cg, [], []
 
         def ascent_once(op, b, **kw):
             rhs.append(b)
-            return (-b, 0) if len(rhs) == 1 else real_cg(op, b, **kw)
+            return -b if len(rhs) == 1 else real_cg(op, b, **kw)
 
         class Recorded:
             def value(self, x):
@@ -287,7 +286,7 @@ class TestBatchAdmm:
             def hess_vec(self, x, v):
                 return f.hess_vec(x, v)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "cg", ascent_once)
+        monkeypatch.setattr(sadmm.solvers, "cg", ascent_once)
         x, _n = _minimize_x_subproblem(Recorded(), A, 1.0, zero, zero, x0, gtol)
         assert points[1].tobytes() == (x0 + rhs[0]).tobytes()  # x0 - grad phi(x0)
         assert np.linalg.norm(f.full_grad(x) + spmv_t(A, spmv(A, x))) <= gtol
@@ -602,6 +601,61 @@ class TestLayerBoundaries:
 
 # ---------------------------------------------------------------------------
 # variance-reduced solvers
+
+
+class TestLoopEntryChecks:
+    """The stochastic loops check their start vectors once, at entry: one of
+    the wrong length is refused before any compiled product (which reads
+    without bounds checks) runs. Each bad vector is one entry too long, so
+    the products would read only its prefix and the spy alone sees them."""
+
+    @staticmethod
+    def _spy_compiled_products(monkeypatch):
+        import sadmm.linalg
+        import sadmm.losses
+
+        calls = []
+        for module in (sadmm.linalg, sadmm.losses):
+            for name in ("csr_matvec", "csc_matvec", "csr_matvecs"):
+                if hasattr(module, name):
+                    def spy(*args, _inner=getattr(module, name), _name=name):
+                        calls.append(_name)
+                        return _inner(*args)
+
+                    monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("vector", ["z", "x", "lambda"])
+    @pytest.mark.parametrize("schedule", [ConstantTheta(0.5), DecayingTheta()], ids=["constant", "decaying"])
+    def test_vr_epoch(self, monkeypatch, vector, schedule):
+        problem = vr_problem(seed=5)
+        cfg = dataclasses.replace(vr_config(problem, b=2, m=4), schedule=schedule)
+        state = init_vr_state(problem, cfg)
+        vr_admm_epoch(state, problem, cfg)  # a later epoch: every vector is carried
+        longer = lambda v: np.append(v, 1.0)
+        if vector == "z":
+            state.z = longer(state.z)
+        elif vector == "x":  # the epoch's x is formed from the snapshot point
+            snap = state.snapshot
+            state.snapshot = Snapshot(longer(snap.x_tilde), longer(snap.full_grad))
+        else:
+            state.lambda_tilde = longer(state.lambda_tilde)
+        calls = self._spy_compiled_products(monkeypatch)
+        with pytest.raises(DimensionError):
+            vr_admm_epoch(state, problem, cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("vector", ["x", "lam"])
+    def test_stoc_chunk(self, monkeypatch, vector):
+        problem = vr_problem(seed=5)
+        config = SolverConfig(m=5, eta=0.5, beta=0.5, seed=1)
+        state = init_stoc_state(problem)
+        stoc_admm_chunk(state, problem, config)
+        setattr(state, vector, np.append(getattr(state, vector), 1.0))
+        calls = self._spy_compiled_products(monkeypatch)
+        with pytest.raises(DimensionError):
+            stoc_admm_chunk(state, problem, config)
+        assert calls == []
 
 
 def vr_problem(seed=0, lambda1=0.01, lambda2=0.05, n=30, dim=5):

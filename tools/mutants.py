@@ -678,6 +678,56 @@ MUTANTS = (
         "csr_matvecs(*m.shape, x.shape[1] - 1, m.indptr",
         "tests/test_losses.py::test_full_data_products_equal_scipy_operators_bitwise[logistic-l2=0.01]",
     ),
+    # the in-module CG and the stochastic loops' one entry check
+    Mutant(
+        "cg-direction-aliases-the-residual",
+        "linalg.py",
+        "p = r.copy()",
+        "p = r",
+        "tests/test_linalg.py::TestCGEqualsScipy::test_diagonal_operator",
+    ),
+    Mutant(
+        "cg-stop-test-not-strict",
+        "linalg.py",
+        "if np.linalg.norm(r) < atol:",
+        "if np.linalg.norm(r) <= atol:",
+        "tests/test_linalg.py::TestCGEqualsScipy::test_diagonal_operator",
+    ),
+    Mutant(
+        "vr-threshold-lambda1-times-beta",
+        "solvers.py",
+        "tau = reg.lambda1 / beta  # the y-update's threshold",
+        "tau = reg.lambda1 * beta  # the y-update's threshold",
+        "tests/test_solvers.py::TestEpochReplayOracle::test_constant_weight_epoch_matches_replay",
+    ),
+    Mutant(
+        "stoc-threshold-lambda1-times-beta",
+        "solvers.py",
+        "tau = reg.lambda1 / beta\n    w, Q = A.ata_eig",
+        "tau = reg.lambda1 * beta\n    w, Q = A.ata_eig",
+        "tests/test_solvers.py::TestStocReplay::test_chunks_match_straight_line_loop",
+    ),
+    Mutant(
+        "vr-entry-check-of-lambda-dropped",
+        "solvers.py",
+        'lam = as_vector(state.lambda_tilde, A.rows, "lambda")',
+        "lam = state.lambda_tilde",
+        "tests/test_solvers.py::TestLoopEntryChecks::test_vr_epoch[decaying-lambda]",
+    ),
+    Mutant(
+        "stoc-entry-check-of-x-dropped",
+        "solvers.py",
+        'x = as_vector(state.x, A.cols, "x")',
+        "x = state.x",
+        "tests/test_solvers.py::TestLoopEntryChecks::test_stoc_chunk[x]",
+    ),
+    Mutant(
+        "feature-means-over-n-plus-one",
+        "harness.py",
+        "np.full(data.n, 1.0 / data.n)",
+        "np.full(data.n, 1.0 / (data.n + 1))",
+        "tests/test_harness.py::TestGraph::test_feature_means_equal_scipy_mean_bitwise[300x10]",
+    ),
 )
 
 
