@@ -64,7 +64,9 @@ class SparseMatrixCSR:
 
     Invariants enforced at construction: ``row_offsets`` has length rows+1,
     is non-decreasing and ends at nnz; column indices are in range and
-    strictly increasing within each row; no explicit zeros are stored.
+    strictly increasing within each row; no explicit zeros are stored. The
+    three arrays are then read-only, and so is an array passed in that
+    needed no conversion (int64 indices, float64 values).
     """
 
     rows: int
@@ -93,6 +95,9 @@ class SparseMatrixCSR:
             raise MatrixFormatError("column indices must be strictly increasing within a row")
         if np.any(val == 0.0) or not np.all(np.isfinite(val)):
             raise MatrixFormatError("stored values must be nonzero and finite")
+        # the cached products, csr and ata_eig read these arrays: none may change
+        for arr in (off, idx, val):
+            arr.flags.writeable = False
 
     @property
     def nnz(self) -> int:
@@ -125,6 +130,7 @@ class SparseMatrixCSR:
         buf = mmap.mmap(-1, max(Q.nbytes, 1), flags=mmap.MAP_PRIVATE)
         kept = np.frombuffer(buf, dtype=Q.dtype, count=Q.size).reshape(Q.shape)
         kept[...] = Q
+        w.flags.writeable = kept.flags.writeable = False
         return w, kept
 
     @classmethod

@@ -86,6 +86,7 @@ class Dataset:
             raise DimensionError("labels length must equal the number of feature rows")
         if not np.all(np.abs(labels) == 1.0):
             raise DataFormatError("labels must be +1 or -1")
+        labels.flags.writeable = False  # the loss memo is keyed on x alone
         object.__setattr__(self, "labels", labels)
 
     @cached_property

@@ -92,6 +92,8 @@ class SolverConfig:
             raise ConfigError("b must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if isinstance(self.gamma, str):
             if self.gamma != "auto":
                 raise ConfigError("gamma must be a positive number or 'auto'")
@@ -552,51 +554,40 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
 def warn_if_outside_rate_regime(problem: ProblemSpec, config: SolverConfig) -> float | None:
     """Warn once when a numeric gamma undercuts gamma_min, where the
     proximal metric G = gamma I - (eta beta/theta) A^T A is not >= I; the
-    run proceeds either way. A constant theta is checked at its value and,
-    on a strongly convex problem, rho is returned, with a warning when
-    rho >= 1. A decaying theta raises gamma_min every epoch: the check steps
-    theta_next over the run's epochs and names the first epoch below
-    gamma_min and the first where G is indefinite (gamma < eta beta
-    ||A^T A|| / theta). None for a decaying theta or a problem that is not
-    strongly convex: the geometric rate does not apply."""
+    run proceeds either way. The check walks the run's epochs (at least
+    one) from its theta_0: a decaying theta steps theta_next, and a constant
+    one ends the walk after epoch 1. The warning names the first epoch below
+    gamma_min, with its gamma_min, and the first where G is indefinite
+    (gamma < eta beta ||A^T A|| / theta). A constant theta on a strongly
+    convex problem returns rho, warning when rho >= 1; otherwise None."""
+    theta = theta0 = _initial_theta(problem, config)
     ata_norm = problem.spectra.ata_norm
-    if isinstance(config.schedule, DecayingTheta):
-        if not isinstance(config.gamma, str):
-            _warn_decaying_regime(config, _initial_theta(problem, config), ata_norm)
-        return None
-    theta = float(config.schedule.theta)
+    constant = isinstance(config.schedule, ConstantTheta)
     if not isinstance(config.gamma, str):
-        gmin = gamma_min(config.eta, config.beta, theta, ata_norm)
-        if config.gamma < gmin - 1e-12:
+        gamma, pull, epochs = config.gamma, config.eta * config.beta * ata_norm, max(config.epochs, 1)
+        below = indefinite = None
+        for epoch in range(1, epochs + 1):
+            gmin = gamma_min(config.eta, config.beta, theta, ata_norm)
+            if below is None and gamma < gmin - 1e-12:
+                below, below_gmin = epoch, gmin
+            if gamma < pull / theta:
+                indefinite = epoch
+                break
+            if constant:
+                break
+            theta = theta_next(theta)
+        if below is not None:
+            where = f"from epoch {indefinite}" if indefinite else f"in none of the {epochs} epochs"
             warnings.warn(
-                f"gamma = {config.gamma} is below gamma_min = {gmin:.4f}; "
-                "the proximal metric is not >= identity",
+                f"gamma = {gamma} is below gamma_min = {below_gmin:.4f} from epoch {below}; "
+                f"the proximal metric is not >= identity, and it is indefinite {where}",
                 RuntimeWarning,
             )
-    if problem.f.strong_convexity <= 0:
+    if not constant or problem.f.strong_convexity <= 0:
         return None
-    rho = rho_rate(theta, RateParams.from_problem(problem), config)
+    rho = rho_rate(theta0, RateParams.from_problem(problem), config)
     if rho >= 1.0:
         warnings.warn(
             f"config outside the geometric-rate regime (rho = {rho:.4f} >= 1)", RuntimeWarning
         )
     return rho
-
-
-def _warn_decaying_regime(config: SolverConfig, theta: float, ata_norm: float) -> None:
-    gamma, pull = config.gamma, config.eta * config.beta * ata_norm
-    below = indefinite = None
-    for epoch in range(1, config.epochs + 1):
-        if below is None and gamma < gamma_min(config.eta, config.beta, theta, ata_norm) - 1e-12:
-            below = epoch
-        if gamma < pull / theta:
-            indefinite = epoch
-            break
-        theta = theta_next(theta)
-    if below is not None:
-        where = f"from epoch {indefinite}" if indefinite else f"in none of the {config.epochs} epochs"
-        warnings.warn(
-            f"gamma = {gamma} is below gamma_min from epoch {below} of the decaying "
-            f"schedule; the proximal metric is not >= identity, and it is indefinite {where}",
-            RuntimeWarning,
-        )

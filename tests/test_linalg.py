@@ -90,6 +90,25 @@ class TestCSRInvariants:
         A = SparseMatrixCSR.from_scipy(unsorted)
         assert A.col_indices.tolist() == [0, 1, 2] and A.values.tolist() == [2.0, 3.0, 1.0]
 
+    def test_arrays_and_eigenpairs_are_read_only(self):
+        # a write into values would reach A.csr, which shares its memory, and
+        # every product, but not the cached ata_eig: [[1, 2], [0, 3], [4, 0]]
+        # with values[0] = 0 has ||A^T A|| = 16.0 while the cache kept 17.83,
+        # and the matrix would store an explicit zero, which its constructor
+        # refuses. Arrays passed in as they are become read-only too
+        offsets, cols, vals = np.array([0, 2, 3, 4]), np.array([0, 1, 1, 0]), np.array([1.0, 2, 3, 4])
+        A = SparseMatrixCSR(3, 2, offsets, cols, vals)
+        assert A.row_offsets is offsets and A.col_indices is cols and A.values is vals
+        ata_norm = compute_spectral_constants(A).ata_norm
+        assert ata_norm == pytest.approx(17.83, abs=5e-3)
+        w, Q = A.ata_eig
+        for arr in (A.row_offsets, A.col_indices, A.values, A.csr.data, w, Q):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        assert A.to_dense().tolist() == [[1.0, 2.0], [0.0, 3.0], [4.0, 0.0]]
+        assert compute_spectral_constants(A).ata_norm == ata_norm
+        assert np.array_equal(spmv(A, np.ones(2)), [3.0, 3.0, 4.0])
+
 
 class TestSpmv:
     def test_identity(self):

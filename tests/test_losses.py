@@ -36,6 +36,17 @@ class TestTypes:
         with pytest.raises(DimensionError, match="labels length"):
             Dataset(features, [1.0, -1.0])
 
+    def test_labels_are_read_only(self):
+        # the loss memo is keyed on x alone: a write into the labels would
+        # leave its values stale
+        data = Dataset(SparseMatrixCSR.identity(3), np.array([1.0, -1.0, 1.0]))
+        f = LossObjective(LossKind.logistic(), data)
+        x = np.array([0.5, -1.0, 2.0])
+        value = f.value(x)
+        with pytest.raises(ValueError, match="read-only"):
+            data.labels[0] = -1.0
+        assert f.value(x) == value == LossObjective(LossKind.logistic(), data).value(x)
+
     def test_labels_must_be_plus_or_minus_one(self):
         features = SparseMatrixCSR.identity(3)
         for bad in (0.0, 2.0, np.nan):

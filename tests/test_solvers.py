@@ -9,7 +9,7 @@ import pytest
 import sadmm.solvers
 from sadmm.datasets import make_classification
 from sadmm.errors import ConfigError, ConvergenceError, DimensionError, RankDeficiencyError
-from sadmm.harness import build_graph_matrix, run_solver
+from sadmm.harness import ExperimentConfig, build_graph_matrix, resolve_solver_config, run_solver
 from sadmm.linalg import SparseMatrixCSR, compute_spectral_constants, spmv, spmv_t
 from sadmm.losses import LossKind, LossObjective
 from sadmm.metrics import compute_reference
@@ -712,10 +712,19 @@ class TestVRConfigValidation:
         ("b", 0, "b must be >= 1"),
         ("epochs", -1, "epochs must be >= 0"),
         ("gamma", "min", "gamma must be a positive number or 'auto'"),
-    ], ids=["b-zero", "epochs-negative", "gamma-string"])
+        ("seed", 1.7, "seed must be an integer >= 0, got 1.7"),
+        ("seed", 1.0, "seed must be an integer >= 0, got 1.0"),
+        ("seed", True, "seed must be an integer >= 0, got True"),
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
+    ], ids=["b-zero", "epochs-negative", "gamma-string", "seed-fraction", "seed-float",
+            "seed-bool", "seed-negative"])
     def test_solver_config_refusals(self, field, value, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             SolverConfig(m=5, eta=0.1, beta=0.5, **{field: value})
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3)], ids=["zero", "int", "numpy-int"])
+    def test_integer_seeds_accepted(self, seed):
+        assert SolverConfig(m=5, eta=0.1, beta=0.5, seed=seed).seed == seed
 
     def test_theta_exactly_one_allowed(self):
         # the degenerate momentum-free mode must run even for b < n
@@ -1265,8 +1274,8 @@ class TestRateRegimeWarnings:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert warn_if_outside_rate_regime(problem, cfg) is None
-        assert [str(w.message)[:46] for w in caught] == [
-            "gamma = 1.0 is below gamma_min from epoch 1 of"
+        assert [str(w.message)[:53] for w in caught] == [
+            "gamma = 1.0 is below gamma_min = 1.1965 from epoch 1;"
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1275,8 +1284,8 @@ class TestRateRegimeWarnings:
     def test_decaying_schedule_names_its_first_epochs_outside_the_regime(
         self, general_convex_instance
     ):
-        # criterion 06's preset config: gamma = 1 is below gamma_min from
-        # theta_0 = 0.9858 on, and G turns indefinite at epoch 4, whose
+        # criterion 06's preset config: gamma = 1 is below gamma_min = 1.3804
+        # from theta_0 = 0.9858 on, and G turns indefinite at epoch 4, whose
         # theta_3 = 0.362 falls below eta beta ||A^T A|| = 0.375. At the
         # in-regime test's beta = 0.01, gamma = 1 is still below gamma_min,
         # but G stays positive definite over all 64 epochs
@@ -1285,15 +1294,91 @@ class TestRateRegimeWarnings:
         problem = general_convex_instance[0]
         cfg = SolverConfig(m=200, eta=1.0 / (8.0 * problem.f.smoothness), beta=1.0, b=10,
                            gamma=1.0, epochs=64, schedule=DecayingTheta())
-        for beta, tail in ((1.0, "indefinite from epoch 4"),
-                           (0.01, "indefinite in none of the 64 epochs")):
+        for beta, gmin, tail in ((1.0, "1.3804", "indefinite from epoch 4"),
+                                 (0.01, "1.0038", "indefinite in none of the 64 epochs")):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert warn_if_outside_rate_regime(problem, dataclasses.replace(cfg, beta=beta)) is None
             assert len(caught) == 1 and caught[0].category is RuntimeWarning
             message = str(caught[0].message)
-            assert message.startswith("gamma = 1.0 is below gamma_min from epoch 1 of"), message
+            assert message.startswith(f"gamma = 1.0 is below gamma_min = {gmin} from epoch 1; "), message
             assert message.endswith(tail), message
+
+    @staticmethod
+    def gamma_warning(problem, cfg):
+        # rho and the one gamma warning (a rho >= 1 warning may come too)
+        from sadmm.solvers import warn_if_outside_rate_regime
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rho = warn_if_outside_rate_regime(problem, cfg)
+        messages = [str(w.message) for w in caught if str(w.message).startswith("gamma")]
+        assert len(messages) == 1 and all(w.category is RuntimeWarning for w in caught), messages
+        return rho, messages[0]
+
+    def test_constant_theta_walks_one_epoch_and_names_the_run_length(self):
+        # theta = 1: gamma_min = pull + 1 and G is indefinite below pull =
+        # eta beta ||A^T A||. A gamma between the two is below gamma_min in
+        # every epoch while G stays positive definite; a decaying theta from
+        # 1 would lift pull / theta past it within the run's ten epochs
+        problem = vr_problem(seed=31)
+        cfg = SolverConfig(m=500, eta=1.0 / (2.5 * problem.f.smoothness), beta=2.0, b=2,
+                           epochs=10, schedule=ConstantTheta(1.0))
+        pull = cfg.eta * cfg.beta * problem.spectra.ata_norm
+        for gamma, tail in ((pull + 0.5, "in none of the 10 epochs"),
+                            (0.5 * pull, "from epoch 1")):
+            rho, message = self.gamma_warning(problem, dataclasses.replace(cfg, gamma=gamma))
+            assert rho > 0  # a strongly convex problem: rho is still returned
+            assert message == (
+                f"gamma = {gamma} is below gamma_min = {pull + 1.0:.4f} from epoch 1; the "
+                f"proximal metric is not >= identity, and it is indefinite {tail}"
+            )
+
+    @pytest.fixture(scope="class")
+    def smallbatch_2k(self):
+        # the benchmark's smallbatch-2k instance (criterion 07's)
+        data = make_classification(2000, 60, seed=23, label_noise=0.3)
+        return ProblemSpec(LossObjective(LossKind.logistic(), data), Regularizer(1e-5),
+                           build_graph_matrix(data, 0.9))
+
+    @pytest.mark.parametrize("solver, gmin, tail", [
+        ("svrg", "1.3750", "in none of the 5 epochs"),
+        ("asvrg_sc", "1.3777", "in none of the 5 epochs"),
+        ("asvrg_gc", "1.3777", "from epoch 4"),
+    ])
+    def test_smallbatch_2k_runs_outside_the_regime(self, smallbatch_2k, solver, gmin, tail):
+        # resolved as the benchmark resolves them: b = 20, 5 epochs, gamma =
+        # 1, eta = 1/(8L), beta = 1, so pull = 0.375; asvrg_sc takes the
+        # batch-size bound 0.99293 as its constant theta, and asvrg_gc starts
+        # its decaying theta there
+        cfg = ExperimentConfig(lambda1=1e-5, graph_threshold=0.9, solver=solver, b=20, epochs=5)
+        config = resolve_solver_config(smallbatch_2k, cfg, 0)
+        _, message = self.gamma_warning(smallbatch_2k, config)
+        assert message == (
+            f"gamma = 1.0 is below gamma_min = {gmin} from epoch 1; the proximal metric "
+            f"is not >= identity, and it is indefinite {tail}"
+        )
+
+    def test_a_zero_epoch_run_is_walked_for_its_first_epoch(self, general_convex_instance):
+        problem = general_convex_instance[0]
+        cfg = SolverConfig(m=200, eta=1.0 / (8.0 * problem.f.smoothness), beta=1.0, b=10,
+                           gamma=1.0, epochs=0, schedule=DecayingTheta())
+        _, message = self.gamma_warning(problem, cfg)
+        assert message.startswith("gamma = 1.0 is below gamma_min = 1.3804 from epoch 1; "), message
+        assert message.endswith("indefinite in none of the 1 epochs"), message
+
+    def test_a_constant_theta_above_the_batch_size_bound_is_refused_as_by_the_run(self):
+        from sadmm.solvers import theta_bound, warn_if_outside_rate_regime
+
+        problem = vr_problem(seed=31)
+        eta = 1.0 / (4.0 * problem.f.smoothness)
+        theta = theta_bound(problem, eta, 1) + 0.05
+        cfg = SolverConfig(m=5, eta=eta, beta=0.5, b=1, gamma=1.0, schedule=ConstantTheta(theta))
+        with pytest.raises(ConfigError, match="exceeds the batch-size bound") as run_error:
+            init_vr_state(problem, cfg)
+        with pytest.raises(ConfigError) as warn_error:
+            warn_if_outside_rate_regime(problem, cfg)
+        assert str(warn_error.value) == str(run_error.value)
 
 
 class TestFiniteIterates:

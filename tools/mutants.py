@@ -512,8 +512,8 @@ MUTANTS = (
     Mutant(
         "gamma-check-only-when-strongly-convex",
         "solvers.py",
-        "    theta = float(config.schedule.theta)\n",
-        "    theta = float(config.schedule.theta)\n"
+        "    constant = isinstance(config.schedule, ConstantTheta)\n",
+        "    constant = isinstance(config.schedule, ConstantTheta)\n"
         "    if problem.f.strong_convexity <= 0:\n        return None\n",
         "tests/test_solvers.py::TestRateRegimeWarnings::test_general_convex_gamma_below_floor_warns",
     ),
@@ -603,9 +603,67 @@ MUTANTS = (
     Mutant(
         "decaying-regime-epochs-counted-from-zero",
         "solvers.py",
-        "for epoch in range(1, config.epochs + 1):",
-        "for epoch in range(config.epochs):",
+        "for epoch in range(1, epochs + 1):",
+        "for epoch in range(epochs):",
         "tests/test_solvers.py::TestRateRegimeWarnings::test_decaying_schedule_names_its_first_epochs_outside_the_regime",
+    ),
+    # the regime walk: one loop for both schedules, over at least one epoch
+    Mutant(
+        "constant-regime-theta-stepped-by-theta-next",
+        "solvers.py",
+        "            if constant:\n                break\n",
+        "",
+        "tests/test_solvers.py::TestRateRegimeWarnings::test_constant_theta_walks_one_epoch_and_names_the_run_length",
+    ),
+    Mutant(
+        "regime-indefinite-read-as-below-gamma-min",
+        "solvers.py",
+        "if gamma < pull / theta:",
+        "if gamma < gmin:",
+        "tests/test_solvers.py::TestRateRegimeWarnings::test_smallbatch_2k_runs_outside_the_regime",
+    ),
+    Mutant(
+        "regime-constant-theta-read-unchecked",
+        "solvers.py",
+        "theta = theta0 = _initial_theta(problem, config)",
+        "theta = theta0 = getattr(config.schedule, \"theta\", None) or _initial_theta(problem, config)",
+        "tests/test_solvers.py::TestRateRegimeWarnings::test_a_constant_theta_above_the_batch_size_bound_is_refused_as_by_the_run",
+    ),
+    Mutant(
+        "regime-walk-skips-a-zero-epoch-run",
+        "solvers.py",
+        "max(config.epochs, 1)",
+        "config.epochs",
+        "tests/test_solvers.py::TestRateRegimeWarnings::test_a_zero_epoch_run_is_walked_for_its_first_epoch",
+    ),
+    # what a matrix's caches read cannot change under them
+    Mutant(
+        "csr-values-left-writable",
+        "linalg.py",
+        "for arr in (off, idx, val):",
+        "for arr in (off, idx):",
+        "tests/test_linalg.py::TestCSRInvariants::test_arrays_and_eigenpairs_are_read_only",
+    ),
+    Mutant(
+        "ata-eigenvectors-left-writable",
+        "linalg.py",
+        "w.flags.writeable = kept.flags.writeable = False",
+        "w.flags.writeable = False",
+        "tests/test_linalg.py::TestCSRInvariants::test_arrays_and_eigenpairs_are_read_only",
+    ),
+    Mutant(
+        "labels-left-writable",
+        "losses.py",
+        "labels.flags.writeable = False",
+        "pass",
+        "tests/test_losses.py::TestTypes::test_labels_are_read_only",
+    ),
+    Mutant(
+        "solver-config-takes-a-float-seed",
+        "solvers.py",
+        "not isinstance(self.seed, (int, np.integer))",
+        "not isinstance(self.seed, (int, float, np.integer))",
+        "tests/test_solvers.py::TestVRConfigValidation::test_solver_config_refusals",
     ),
     # the compiled-loop Gram and full-data products against their scipy forms
     Mutant(
