@@ -109,15 +109,22 @@ class SparseMatrixCSR:
 
     @cached_property
     def csr(self) -> scipy.sparse.csr_matrix:
-        """The same matrix as a scipy CSR matrix, for its sparse products."""
-        return scipy.sparse.csr_matrix(
+        """The same matrix as a scipy CSR matrix, for its sparse products;
+        its arrays are read-only, as the matrix's own are."""
+        m = scipy.sparse.csr_matrix(
             (self.values, self.col_indices, self.row_offsets), shape=(self.rows, self.cols)
         )
+        # data is values itself; the index arrays are scipy's int32 copies
+        m.indices.flags.writeable = m.indptr.flags.writeable = False
+        return m
 
     @cached_property
     def csr_t(self) -> scipy.sparse.csr_matrix:
-        """The transpose, stored row-major so A^T y is a CSR product."""
-        return self.csr.T.tocsr()
+        """The transpose, stored row-major so A^T y is a CSR product; its
+        arrays are read-only."""
+        t = self.csr.T.tocsr()
+        t.data.flags.writeable = t.indices.flags.writeable = t.indptr.flags.writeable = False
+        return t
 
     @cached_property
     def ata_eig(self) -> tuple[np.ndarray, np.ndarray]:

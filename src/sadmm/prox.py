@@ -35,10 +35,11 @@ def soft_threshold(v, tau: float) -> np.ndarray:
     return _soft_threshold(np.asarray(v, dtype=np.float64), tau)
 
 
-def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
+def _soft_threshold(v: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
     """soft_threshold without its checks, for loops that check v and tau
-    once at entry: v a float64 array and tau >= 0."""
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    once at entry: v a float64 array and tau >= 0. With out, the result is
+    written there, the same bits."""
+    return np.multiply(np.sign(v), np.maximum(np.abs(v) - tau, 0.0), out=out)
 
 
 def y_update(reg: Regularizer, Az, lambda_dual, beta: float) -> np.ndarray:

@@ -26,8 +26,18 @@ a stoc trace row) starts, since every draw is a pure function of (seed,
 epoch, k), and gather them once with f.batch_plan; each inner step then
 pays only for the gradient work that depends on its point. Each loop also
 checks its start vectors and forms the y-update's threshold lambda1/beta
-once, at entry, and its steps call the unchecked product and
-soft-threshold cores.
+once, at entry, and its steps call A's compiled products (csr_matvec,
+csc_matvec) and the soft-threshold formula without checks.
+
+Each loop keeps its iterates in one float64 buffer, [y | x | z | lambda]
+for an epoch and [y | x | lambda] for a stoc trace row, and every step
+writes them there in place. So the per-step bookkeeping is one call over a
+contiguous slice each: the running sum (epoch) or mean (trace row) over
+(y, x), and the running maximum of |.| over (z, lambda) or (x, lambda).
+The step sizes eta_k of a trace row, Q^T and the arguments of A's products
+are formed once per loop. The state gets copies of the iterates, so no
+view of the buffer outlives the loop. Every output is the same, bit for
+bit, as the loop that made a fresh array per iterate.
 """
 
 from __future__ import annotations
@@ -42,10 +52,10 @@ from .errors import ConfigError, ConvergenceError
 # perfbench/tracing.py patches solve_aat, spmv, spmv_t, y_update and
 # vr_gradient by name in this module. Nothing here calls solve_aat (the dual
 # reads A.ata_eig) or vr_gradient (vr_admm_epoch runs its batch-plan form),
-# and the stochastic loops call the unchecked cores _spmv, _spmv_t and
-# _soft_threshold, so the traced names see only the batch solver and the
-# constant-theta dual
-from .linalg import _spmv, _spmv_t, as_vector, cg, solve_aat, spmv, spmv_t  # noqa: F401
+# and the stochastic loops call the compiled products csr_matvec and
+# csc_matvec, module globals here, and _soft_threshold, so the traced names
+# see only the batch solver and the constant-theta dual
+from .linalg import as_vector, cg, csc_matvec, csr_matvec, solve_aat, spmv, spmv_t  # noqa: F401
 from .problem import ProblemSpec
 from .prox import _soft_threshold, y_update
 from .vr import BatchSampler, Snapshot, delta_b, vr_gradient  # noqa: F401
@@ -358,21 +368,29 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
     """
     f, A, reg = problem.f, problem.A, problem.reg
     beta, m = config.beta, config.m
+    d1, d2 = A.cols, A.rows
     # the loop's compiled products read without bounds checks: its start
     # vectors are checked here, once (the snapshot gradient has the
-    # snapshot's shape), and not copied, as the loop rebinds z, x and lam
-    z = as_vector(state.z, A.cols, "z")
-    x_snap = as_vector(state.snapshot.x_tilde, A.cols, "snapshot x")
-    lam = as_vector(state.lambda_tilde, A.rows, "lambda")
+    # snapshot's shape), and copied into the loop's buffer
+    z0 = as_vector(state.z, d1, "z")
+    x_snap = as_vector(state.snapshot.x_tilde, d1, "snapshot x")
+    lam0 = as_vector(state.lambda_tilde, d2, "lambda")
     tau = reg.lambda1 / beta  # the y-update's threshold
     decaying = isinstance(config.schedule, DecayingTheta)
     theta = state.theta
     gamma = _resolve_gamma(config, theta, problem.spectra.ata_norm)
+    # the iterates [y | x | z | lambda] in one buffer, each step writing into
+    # it: the running sum over (y, x) and maximum of |(z, lambda)| are one call each
+    buf = np.zeros(2 * (d1 + d2))
+    y, x, z, lam = np.split(buf, [d2, d2 + d1, d2 + 2 * d1])
+    yx, zlam = buf[: d2 + d1], buf[d2 + d1 :]
+    lam[:] = lam0
     if decaying:
-        x = (1.0 - theta) * x_snap + theta * z
+        z[:] = z0
+        x[:] = (1.0 - theta) * x_snap + theta * z
     else:
         # x_snap itself: the theta-mix of x_snap with itself need not round to x_snap
-        z = x = x_snap
+        z[:] = x[:] = x_snap
 
     sampler = BatchSampler(f.n, config.b, config.seed)
     epoch = state.epoch + 1
@@ -382,29 +400,32 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
     g_snap = state.snapshot.full_grad
     scale = config.eta / (gamma * theta)
     snap_share = (1.0 - theta) * x_snap
-    sum_x = np.zeros_like(x)
-    sum_y = np.zeros_like(lam)
-    Az = _spmv(A, z)
-    # running elementwise maxima of |z| and |lambda|: one sup per trace row
-    abs_z, abs_lam = np.abs(z), np.abs(lam)
+    # A z and A^T r by the compiled loops of spmv and spmv_t, into fresh zeros
+    off, idx, val = A.row_offsets, A.col_indices, A.values
+    Az = np.zeros(d2)
+    csr_matvec(d2, d1, off, idx, val, z, Az)
+    sums = np.zeros(d2 + d1)  # running sums of (y, x)
+    sups = np.abs(zlam)  # running elementwise maxima of |(z, lambda)|: one sup each per trace row
     for k in range(m):
-        y = _soft_threshold(Az + lam, tau)  # y_update(reg, Az, lam, beta)
+        _soft_threshold(Az + lam, tau, out=y)  # y_update(reg, Az, lam, beta)
         g = plan.grad(k, x) + g_snap  # vr_gradient(state.snapshot, f, x, batch k)
-        z = z - scale * (g + beta * _spmv_t(A, Az - y + lam))
-        x = snap_share + theta * z
-        Az = _spmv(A, z)
-        lam = lam + (Az - y)
-        sum_x += x
-        sum_y += y
-        np.maximum(abs_z, np.abs(z), out=abs_z)
-        np.maximum(abs_lam, np.abs(lam), out=abs_lam)
+        Atr = np.zeros(d1)
+        csc_matvec(d1, d2, off, idx, val, Az - y + lam, Atr)
+        np.subtract(z, scale * (g + beta * Atr), out=z)
+        np.add(snap_share, theta * z, out=x)
+        Az = np.zeros(d2)
+        csr_matvec(d2, d1, off, idx, val, z, Az)
+        np.add(lam, Az - y, out=lam)
+        sums += yx
+        np.maximum(sups, np.abs(zlam), out=sups)
     state.grad_evals += m * 2 * config.b
 
-    x_tilde = sum_x / m
-    y_tilde = (1.0 - theta) * state.y_tilde + (theta / m) * sum_y
+    x_tilde = sums[d2:] / m
+    y_tilde = (1.0 - theta) * state.y_tilde + (theta / m) * sums[:d2]
     g_new = f.full_grad(x_tilde)
     state.grad_evals += f.n
-    state.z, state.x, state.y, state.lam = z, x, y, lam
+    # copies: no view of the buffer leaves the epoch
+    state.z, state.x, state.y, state.lam = z.copy(), x.copy(), y.copy(), lam.copy()
     state.snapshot = Snapshot(x_tilde, g_new)
     state.y_tilde = y_tilde
     if decaying:
@@ -413,7 +434,7 @@ def vr_admm_epoch(state: VRState, problem: ProblemSpec, config: SolverConfig) ->
     else:
         state.lambda_tilde = _constant_theta_dual(problem, beta, g_new)
     state.epoch += 1
-    state.sup_z, state.sup_lambda = _sup(abs_z), _sup(abs_lam)
+    state.sup_z, state.sup_lambda = _sup(sups[:d1]), _sup(sups[d1:])
     _require_finite(x_tilde, y_tilde, state.lambda_tilde)
     return state
 
@@ -519,35 +540,51 @@ def stoc_admm_chunk(state: StocState, problem: ProblemSpec, config: SolverConfig
     update as in the batch solver.
     """
     f, A, reg, beta, eta = problem.f, problem.A, problem.reg, config.beta, config.eta
-    # x and lambda checked once, as in vr_admm_epoch
-    x = as_vector(state.x, A.cols, "x")
-    lam = as_vector(state.lam, A.rows, "lambda")
+    d1, d2 = A.cols, A.rows
+    # x, lambda and the averages checked once, as in vr_admm_epoch
+    x0 = as_vector(state.x, d1, "x")
+    lam0 = as_vector(state.lam, d2, "lambda")
+    y_bar = as_vector(state.y_bar, d2, "y_bar")
+    bars = np.concatenate((y_bar, as_vector(state.x_bar, d1, "x_bar")))  # running means of (y, x)
     tau = reg.lambda1 / beta
+    # the iterates [y | x | lambda] in one buffer, as in vr_admm_epoch: the
+    # running means over (y, x) and maximum of |(x, lambda)| are one call each
+    buf = np.zeros(2 * d2 + d1)
+    y, x, lam = np.split(buf, [d2, d2 + d1])
+    yx, xlam = buf[: d2 + d1], buf[d2:]
+    x[:], lam[:] = x0, lam0
     w, Q = A.ata_eig
+    QT, beta_w = Q.T, beta * w
     first = state.grad_evals + 1
+    ks = np.arange(first, first + config.m)
+    # eta_k = eta / sqrt(k) and 1 / eta_k, each the same IEEE operation as its scalar form
+    etas = eta / np.sqrt(ks)
     sampler = BatchSampler(f.n, 1, config.seed)
-    plan = f.batch_plan(sampler.draw(0, np.arange(first, first + config.m)))
-    Ax = _spmv(A, x)
-    x_bar, y_bar = state.x_bar, state.y_bar
-    beta_w = beta * w
-    abs_x, abs_lam = np.abs(x), np.abs(lam)
-    for k in range(first, first + config.m):
-        eta_k = eta / math.sqrt(k)
-        y = _soft_threshold(Ax + lam, tau)
-        g = plan.grad(k - first, x)
-        rhs = x / eta_k - g - beta * _spmv_t(A, lam - y)
-        x = Q @ ((Q.T @ rhs) / (1.0 / eta_k + beta_w))
-        Ax = _spmv(A, x)
-        lam = lam + (Ax - y)
-        x_bar += (x - x_bar) / k
-        y_bar += (y - y_bar) / k
-        np.maximum(abs_x, np.abs(x), out=abs_x)
-        np.maximum(abs_lam, np.abs(lam), out=abs_lam)
-    state.x, state.y, state.lam = x, y, lam
+    plan = f.batch_plan(sampler.draw(0, ks))
+    off, idx, val = A.row_offsets, A.col_indices, A.values
+    Ax = np.zeros(d2)
+    csr_matvec(d2, d1, off, idx, val, x, Ax)
+    sups = np.abs(xlam)
+    steps = zip(ks.tolist(), etas.tolist(), (1.0 / etas).tolist())
+    for i, (k, eta_k, inv_eta_k) in enumerate(steps):
+        _soft_threshold(Ax + lam, tau, out=y)
+        g = plan.grad(i, x)
+        Atr = np.zeros(d1)
+        csc_matvec(d1, d2, off, idx, val, lam - y, Atr)
+        rhs = x / eta_k - g - beta * Atr
+        np.matmul(Q, (QT @ rhs) / (inv_eta_k + beta_w), out=x)
+        Ax = np.zeros(d2)
+        csr_matvec(d2, d1, off, idx, val, x, Ax)
+        np.add(lam, Ax - y, out=lam)
+        bars += (yx - bars) / k
+        np.maximum(sups, np.abs(xlam), out=sups)
+    # copies: no view of the buffer leaves the trace row
+    state.x, state.y, state.lam = x.copy(), y.copy(), lam.copy()
+    state.y_bar, state.x_bar = bars[:d2].copy(), bars[d2:].copy()
     state.grad_evals += config.m
-    state.sup_z, state.sup_lambda = _sup(abs_x), _sup(abs_lam)
+    state.sup_z, state.sup_lambda = _sup(sups[:d1]), _sup(sups[d1:])
     state.epoch += 1
-    _require_finite(x, y, lam)
+    _require_finite(buf)
     return state
 
 

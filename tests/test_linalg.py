@@ -109,6 +109,27 @@ class TestCSRInvariants:
         assert compute_spectral_constants(A).ata_norm == ata_norm
         assert np.array_equal(spmv(A, np.ones(2)), [3.0, 3.0, 4.0])
 
+    def test_scipy_forms_are_read_only(self):
+        # scipy narrows the int64 index arrays into writable int32 copies, and
+        # csr_t is a fresh transpose: a write there would change the losses'
+        # full-data products, which read csr and csr_t, but not spmv or
+        # ata_eig. Every array of both forms refuses it, for a penalty matrix
+        # and a dataset's features, and the library's calls on them still run
+        A = SparseMatrixCSR.from_dense([[1.0, 2.0], [0.0, 3.0], [4.0, 0.0]])
+        data = make_classification(40, 6, seed=3)
+        for M in (A, data.features):
+            for form in (M.csr, M.csr_t):
+                for arr in (form.data, form.indices, form.indptr):
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0] = arr[0]
+        assert A.csr.indices.dtype == np.int32  # scipy's copy, not col_indices
+        f = LossObjective(LossKind.l2_logistic(0.1), data)
+        x = np.linspace(-1.0, 1.0, data.dim)
+        assert np.all(np.isfinite(f.full_grad(x))) and np.isfinite(f.value(x))
+        assert np.all(np.isfinite(f.hess_vec(x, x))) and np.all(np.isfinite(f.hessian(x)))
+        assert np.all(np.isfinite(f.batch_plan([np.array([0, 3])], x).grad(0, x)))
+        assert np.array_equal(A.csr[[0, 2]].toarray(), [[1.0, 2.0], [4.0, 0.0]])
+
 
 class TestSpmv:
     def test_identity(self):

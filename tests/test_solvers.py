@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import warnings
@@ -611,11 +612,14 @@ class TestLoopEntryChecks:
 
     @staticmethod
     def _spy_compiled_products(monkeypatch):
+        # the loops call A's products as module globals of sadmm.solvers, and
+        # the plan's through sadmm.losses
         import sadmm.linalg
         import sadmm.losses
+        import sadmm.solvers
 
         calls = []
-        for module in (sadmm.linalg, sadmm.losses):
+        for module in (sadmm.linalg, sadmm.losses, sadmm.solvers):
             for name in ("csr_matvec", "csc_matvec", "csr_matvecs"):
                 if hasattr(module, name):
                     def spy(*args, _inner=getattr(module, name), _name=name):
@@ -656,6 +660,55 @@ class TestLoopEntryChecks:
         with pytest.raises(DimensionError):
             stoc_admm_chunk(state, problem, config)
         assert calls == []
+
+    def test_spy_sees_every_product_of_a_loop(self, monkeypatch):
+        # so an empty call list above means no product ran: per step, A^T r,
+        # A z and the plan's two, plus the entry A z (A x for a trace row)
+        problem = vr_problem(seed=5)
+        cfg = vr_config(problem, b=2, m=4)
+        state = init_vr_state(problem, cfg)
+        calls = self._spy_compiled_products(monkeypatch)
+        vr_admm_epoch(state, problem, cfg)
+        steps = calls[: 1 + 4 * cfg.m]
+        assert steps.count("csr_matvec") == 1 + 2 * cfg.m and steps.count("csc_matvec") == 2 * cfg.m
+        calls.clear()
+        stoc_admm_chunk(init_stoc_state(problem), problem, SolverConfig(m=3, eta=0.5, beta=0.5))
+        assert calls.count("csr_matvec") == 1 + 2 * 3 and calls.count("csc_matvec") == 2 * 3
+
+
+class TestLoopBuffers:
+    """Each stochastic loop keeps its iterates in one buffer of its own; the
+    state gets copies, so no two returned arrays share memory, each owns its
+    memory, and a later epoch or trace row changes none of them."""
+
+    FIELDS = ("z", "x", "y", "lam", "lambda_tilde", "x_bar", "y_bar")
+
+    def _returned(self, state):
+        return {k: getattr(state, k) for k in self.FIELDS if hasattr(state, k)}
+
+    def _check(self, step, state):
+        step(state)
+        first = self._returned(state)
+        for (a, u), (b, v) in itertools.combinations(first.items(), 2):
+            assert not np.shares_memory(u, v), (a, b)
+        for name, arr in first.items():
+            assert arr.base is None, name
+        kept = {k: v.copy() for k, v in first.items()}
+        step(state)
+        for name, arr in first.items():
+            assert np.array_equal(arr, kept[name]), name
+            assert self._returned(state)[name] is not arr, name
+
+    @pytest.mark.parametrize("schedule", [ConstantTheta(0.5), DecayingTheta()], ids=["constant", "decaying"])
+    def test_vr_epoch(self, schedule):
+        problem = vr_problem(seed=5)
+        cfg = dataclasses.replace(vr_config(problem, b=2, m=4), schedule=schedule)
+        self._check(lambda st: vr_admm_epoch(st, problem, cfg), init_vr_state(problem, cfg))
+
+    def test_stoc_chunk(self):
+        problem = vr_problem(seed=5)
+        cfg = SolverConfig(m=5, eta=0.5, beta=0.5, seed=1)
+        self._check(lambda st: stoc_admm_chunk(st, problem, cfg), init_stoc_state(problem))
 
 
 def vr_problem(seed=0, lambda1=0.01, lambda2=0.05, n=30, dim=5):

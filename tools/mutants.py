@@ -45,15 +45,15 @@ MUTANTS = (
     Mutant(
         "stoc-sup-lambda-seeded-with-zeros",
         "solvers.py",
-        "abs_x, abs_lam = np.abs(x), np.abs(lam)",
-        "abs_x, abs_lam = np.abs(x), np.zeros_like(lam)",
+        "sups = np.abs(xlam)",
+        "sups = np.concatenate((np.abs(x), np.zeros_like(lam)))",
         "tests/test_solvers.py::TestStocAdmm::test_zero_gradient_moves_by_penalty_pull",
     ),
     Mutant(
         "vr-sup-lambda-seeded-with-zeros",
         "solvers.py",
-        "abs_z, abs_lam = np.abs(z), np.abs(lam)",
-        "abs_z, abs_lam = np.abs(z), np.zeros_like(lam)",
+        "sups = np.abs(zlam)",
+        "sups = np.concatenate((np.abs(z), np.zeros_like(lam)))",
         "tests/test_solvers.py::TestVREpochIdentities::test_sup_lambda_counts_the_entry_dual",
     ),
     Mutant(
@@ -372,16 +372,16 @@ MUTANTS = (
     Mutant(
         "y-tilde-without-carry",
         "solvers.py",
-        "y_tilde = (1.0 - theta) * state.y_tilde + (theta / m) * sum_y",
-        "y_tilde = (theta / m) * sum_y",
+        "y_tilde = (1.0 - theta) * state.y_tilde + (theta / m) * sums[:d2]",
+        "y_tilde = (theta / m) * sums[:d2]",
         "tests/test_solvers.py::TestEpochReplayOracle",
     ),
     # gap 2: criterion 06 passes with either of these two
     Mutant(
         "decaying-x-mix-ignores-z",
         "solvers.py",
-        "x = (1.0 - theta) * x_snap + theta * z",
-        "x = (1.0 - theta) * x_snap + theta * x_snap",
+        "x[:] = (1.0 - theta) * x_snap + theta * z",
+        "x[:] = (1.0 - theta) * x_snap + theta * x_snap",
         "tests/test_solvers.py::TestEpochReplayOracle",
     ),
     Mutant(
@@ -409,8 +409,8 @@ MUTANTS = (
     Mutant(
         "constant-theta-z-restarts-from-last-z",
         "solvers.py",
-        "        z = x = x_snap",
-        "        z, x = state.z, x_snap",
+        "        z[:] = x[:] = x_snap",
+        "        z[:], x[:] = state.z, x_snap",
         "tests/test_solvers.py::TestEpochReplayOracle",
     ),
     # the byte-identity half of criterion 04 catches a run_solver that
@@ -571,8 +571,8 @@ MUTANTS = (
     Mutant(
         "constant-theta-epoch-carries-z",
         "solvers.py",
-        "        z = x = x_snap",
-        "        z = x = state.z",
+        "        z[:] = x[:] = x_snap",
+        "        z[:] = x[:] = state.z",
         "tests/test_solvers.py::test_criterion_06_slopes_stay_in_their_bands",
     ),
     Mutant(
@@ -761,22 +761,22 @@ MUTANTS = (
     Mutant(
         "stoc-threshold-lambda1-times-beta",
         "solvers.py",
-        "tau = reg.lambda1 / beta\n    w, Q = A.ata_eig",
-        "tau = reg.lambda1 * beta\n    w, Q = A.ata_eig",
+        "tau = reg.lambda1 / beta\n    # the iterates [y | x | lambda]",
+        "tau = reg.lambda1 * beta\n    # the iterates [y | x | lambda]",
         "tests/test_solvers.py::TestStocReplay::test_chunks_match_straight_line_loop",
     ),
     Mutant(
         "vr-entry-check-of-lambda-dropped",
         "solvers.py",
-        'lam = as_vector(state.lambda_tilde, A.rows, "lambda")',
-        "lam = state.lambda_tilde",
+        'lam0 = as_vector(state.lambda_tilde, d2, "lambda")',
+        "lam0 = state.lambda_tilde",
         "tests/test_solvers.py::TestLoopEntryChecks::test_vr_epoch[decaying-lambda]",
     ),
     Mutant(
         "stoc-entry-check-of-x-dropped",
         "solvers.py",
-        'x = as_vector(state.x, A.cols, "x")',
-        "x = state.x",
+        'x0 = as_vector(state.x, d1, "x")',
+        "x0 = state.x",
         "tests/test_solvers.py::TestLoopEntryChecks::test_stoc_chunk[x]",
     ),
     Mutant(
@@ -785,6 +785,128 @@ MUTANTS = (
         "np.full(data.n, 1.0 / data.n)",
         "np.full(data.n, 1.0 / (data.n + 1))",
         "tests/test_harness.py::TestGraph::test_feature_means_equal_scipy_mean_bitwise[300x10]",
+    ),
+    # the loops' one iterate buffer: the slices the bookkeeping reads, and
+    # the copies the state gets
+    Mutant(
+        "vr-sups-split-at-the-row-count",
+        "solvers.py",
+        "state.epoch += 1\n    state.sup_z, state.sup_lambda = _sup(sups[:d1]), _sup(sups[d1:])",
+        "state.epoch += 1\n    state.sup_z, state.sup_lambda = _sup(sups[:d2]), _sup(sups[d2:])",
+        "tests/test_solvers.py::TestEpochReplayOracle::test_constant_weight_epoch_matches_replay",
+    ),
+    Mutant(
+        "stoc-sups-read-swapped",
+        "solvers.py",
+        "state.grad_evals += config.m\n    state.sup_z, state.sup_lambda = _sup(sups[:d1]), _sup(sups[d1:])",
+        "state.grad_evals += config.m\n    state.sup_z, state.sup_lambda = _sup(sups[d1:]), _sup(sups[:d1])",
+        "tests/test_solvers.py::TestStocReplay::test_chunks_match_straight_line_loop",
+    ),
+    Mutant(
+        "vr-sups-over-y-and-x",
+        "solvers.py",
+        "np.maximum(sups, np.abs(zlam), out=sups)",
+        "np.maximum(sups, np.abs(yx), out=sups)",
+        "tests/test_solvers.py::TestEpochReplayOracle::test_constant_weight_epoch_matches_replay",
+    ),
+    Mutant(
+        "stoc-sups-over-y-and-x",
+        "solvers.py",
+        "np.maximum(sups, np.abs(xlam), out=sups)",
+        "np.maximum(sups, np.abs(yx), out=sups)",
+        "tests/test_solvers.py::TestStocReplay::test_chunks_match_straight_line_loop",
+    ),
+    Mutant(
+        "vr-sums-over-z-and-lambda",
+        "solvers.py",
+        "sums += yx",
+        "sums += zlam",
+        "tests/test_solvers.py::TestEpochReplayOracle::test_constant_weight_epoch_matches_replay",
+    ),
+    Mutant(
+        "stoc-means-over-x-and-lambda",
+        "solvers.py",
+        "bars += (yx - bars) / k",
+        "bars += (xlam - bars) / k",
+        "tests/test_solvers.py::TestStocReplay::test_chunks_match_straight_line_loop",
+    ),
+    Mutant(
+        "soft-threshold-ignores-out",
+        "prox.py",
+        "np.maximum(np.abs(v) - tau, 0.0), out=out)",
+        "np.maximum(np.abs(v) - tau, 0.0))",
+        "tests/test_solvers.py::TestEpochReplayOracle::test_constant_weight_epoch_matches_replay",
+    ),
+    Mutant(
+        "vr-iterates-not-copied-out",
+        "solvers.py",
+        "z.copy(), x.copy(), y.copy(), lam.copy()",
+        "z, x, y, lam",
+        "tests/test_solvers.py::TestLoopBuffers::test_vr_epoch[constant]",
+    ),
+    Mutant(
+        "vr-carried-lambda-is-the-state-lambda",
+        "solvers.py",
+        "state.lambda_tilde = lam.copy()",
+        "state.lambda_tilde = state.lam",
+        "tests/test_solvers.py::TestLoopBuffers::test_vr_epoch[decaying]",
+    ),
+    Mutant(
+        "stoc-iterates-not-copied-out",
+        "solvers.py",
+        "state.x, state.y, state.lam = x.copy(), y.copy(), lam.copy()",
+        "state.x, state.y, state.lam = x, y, lam",
+        "tests/test_solvers.py::TestLoopBuffers::test_stoc_chunk",
+    ),
+    Mutant(
+        "stoc-means-not-copied-out",
+        "solvers.py",
+        "state.y_bar, state.x_bar = bars[:d2].copy(), bars[d2:].copy()",
+        "state.y_bar, state.x_bar = bars[:d2], bars[d2:]",
+        "tests/test_solvers.py::TestLoopBuffers::test_stoc_chunk",
+    ),
+    Mutant(
+        "stoc-means-written-into-the-entry-arrays",
+        "solvers.py",
+        "state.y_bar, state.x_bar = bars[:d2].copy(), bars[d2:].copy()",
+        "state.y_bar[:], state.x_bar[:] = bars[:d2], bars[d2:]",
+        "tests/test_solvers.py::TestLoopBuffers::test_stoc_chunk",
+    ),
+    # scipy's forms of a matrix: every array read-only
+    Mutant(
+        "csr-indices-left-writable",
+        "linalg.py",
+        "m.indices.flags.writeable = m.indptr.flags.writeable = False",
+        "m.indptr.flags.writeable = False",
+        "tests/test_linalg.py::TestCSRInvariants::test_scipy_forms_are_read_only",
+    ),
+    Mutant(
+        "csr-indptr-left-writable",
+        "linalg.py",
+        "m.indices.flags.writeable = m.indptr.flags.writeable = False",
+        "m.indices.flags.writeable = False",
+        "tests/test_linalg.py::TestCSRInvariants::test_scipy_forms_are_read_only",
+    ),
+    Mutant(
+        "csr-t-data-left-writable",
+        "linalg.py",
+        "t.data.flags.writeable = t.indices.flags.writeable = t.indptr.flags.writeable = False",
+        "t.indices.flags.writeable = t.indptr.flags.writeable = False",
+        "tests/test_linalg.py::TestCSRInvariants::test_scipy_forms_are_read_only",
+    ),
+    Mutant(
+        "csr-t-indices-left-writable",
+        "linalg.py",
+        "t.data.flags.writeable = t.indices.flags.writeable = t.indptr.flags.writeable = False",
+        "t.data.flags.writeable = t.indptr.flags.writeable = False",
+        "tests/test_linalg.py::TestCSRInvariants::test_scipy_forms_are_read_only",
+    ),
+    Mutant(
+        "csr-t-indptr-left-writable",
+        "linalg.py",
+        "t.data.flags.writeable = t.indices.flags.writeable = t.indptr.flags.writeable = False",
+        "t.data.flags.writeable = t.indices.flags.writeable = False",
+        "tests/test_linalg.py::TestCSRInvariants::test_scipy_forms_are_read_only",
     ),
 )
 
