@@ -14,9 +14,10 @@ has_canonical_format), A x is csr_matvec, and A^T y is csc_matvec on the
 same arrays (the CSC form of A^T). So spmv and spmv_t equal A.csr @ x and
 A.csr_t @ y bit for bit: each output entry is summed from 0.0 in increasing
 storage order (a column's nonzeros appear in increasing row order). spmv and
-spmv_t check their vector; the unchecked cores _spmv and _spmv_t serve the
-stochastic inner loops, which check theirs once at entry, and solve_aat's
-CG, whose vectors have the right length by construction.
+spmv_t check their vector; the unchecked cores _spmv and _spmv_t serve
+solve_aat's CG, whose vectors have the right length by construction. The
+stochastic inner loops, which check theirs once at entry, call csr_matvec
+and csc_matvec on A's arrays themselves.
 
 gram(M) is the dense M^T M of A or of a dataset's features: the csr_matmat
 call of scipy's M.csr.T @ M.csr, into a cols x cols buffer, without scipy's

@@ -407,18 +407,16 @@ class TestStocReplay:
     """stoc_admm_chunk against a straight-line loop that builds a fresh
     single-sample sampler for every draw, compared bitwise."""
 
-    def test_chunks_match_straight_line_loop(self):
+    def _check_two_chunks(self, problem, config):
         from sadmm.prox import y_update
         from sadmm.vr import BatchSampler
 
-        problem = logistic_problem(n=25, dim=4, seed=9)
-        config = SolverConfig(m=15, eta=0.5, beta=0.5, seed=12)
         f, A, reg, beta = problem.f, problem.A, problem.reg, config.beta
         w, Q = np.linalg.eigh((A.csr.T @ A.csr).toarray())
         x, lam = np.zeros(problem.d1), np.zeros(problem.d2)
         x_bar, y_bar = np.zeros(problem.d1), np.zeros(problem.d2)
-        for k in range(1, 31):
-            if k in (1, 16):  # a trace row's sups start from its entry iterates
+        for k in range(1, 2 * config.m + 1):
+            if (k - 1) % config.m == 0:  # a trace row's sups start from its entry iterates
                 sup_x, sup_lam = float(np.max(np.abs(x))), float(np.max(np.abs(lam)))
             eta_k = config.eta / math.sqrt(k)
             i = BatchSampler(f.n, 1, config.seed).draw(0, k)
@@ -433,7 +431,7 @@ class TestStocReplay:
         state = init_stoc_state(problem)
         stoc_admm_chunk(state, problem, config)
         stoc_admm_chunk(state, problem, config)
-        assert state.grad_evals == 30
+        assert state.grad_evals == 2 * config.m
         assert np.array_equal(state.x, x)
         assert np.array_equal(state.y, y)
         assert np.array_equal(state.lam, lam)
@@ -441,6 +439,16 @@ class TestStocReplay:
         assert np.array_equal(state.y_bar, y_bar)
         assert state.sup_z == sup_x
         assert state.sup_lambda == sup_lam
+
+    def test_chunks_match_straight_line_loop(self):
+        problem = logistic_problem(n=25, dim=4, seed=9)
+        self._check_two_chunks(problem, SolverConfig(m=15, eta=0.5, beta=0.5, seed=12))
+
+    def test_non_square_penalty_matches_straight_line_loop(self):
+        # A = [G; I] has more rows than columns, so x and lambda, which share
+        # the loop's buffer, differ in length
+        problem = vr_problem(seed=5)
+        self._check_two_chunks(problem, SolverConfig(m=15, eta=0.5, beta=0.5, seed=12))
 
     def test_runs_share_the_problems_eigendecomposition(self):
         # two runs on one problem, with a dense A^T A, use its one

@@ -796,6 +796,13 @@ MUTANTS = (
         "tests/test_solvers.py::TestEpochReplayOracle::test_constant_weight_epoch_matches_replay",
     ),
     Mutant(
+        "stoc-sups-split-at-the-row-count",
+        "solvers.py",
+        "state.grad_evals += config.m\n    state.sup_z, state.sup_lambda = _sup(sups[:d1]), _sup(sups[d1:])",
+        "state.grad_evals += config.m\n    state.sup_z, state.sup_lambda = _sup(sups[:d2]), _sup(sups[d2:])",
+        "tests/test_solvers.py::TestStocReplay::test_non_square_penalty_matches_straight_line_loop",
+    ),
+    Mutant(
         "stoc-sups-read-swapped",
         "solvers.py",
         "state.grad_evals += config.m\n    state.sup_z, state.sup_lambda = _sup(sups[:d1]), _sup(sups[d1:])",
