@@ -366,8 +366,9 @@ def reference_key(problem: ProblemSpec, tol: float, beta: float) -> str:
     h = hashlib.sha256()
     h.update(repr((kind.kind, kind.lambda2, kind.huber_width, reg.lambda1, tol, beta)).encode())
     F = data.features
-    for arr in (np.int64([F.rows, F.cols]), F.row_offsets, F.col_indices, F.values, data.labels,
-                A.row_offsets, A.col_indices, A.values):
+    # the index arrays widened to int64, the type every existing key hashed
+    wide = lambda M: (M.row_offsets.astype(np.int64), M.col_indices.astype(np.int64), M.values)
+    for arr in (np.int64([F.rows, F.cols]), *wide(F), data.labels, *wide(A)):
         h.update(arr.tobytes())
     return h.hexdigest()
 

@@ -14,10 +14,10 @@ has_canonical_format), A x is csr_matvec, and A^T y is csc_matvec on the
 same arrays (the CSC form of A^T). So spmv and spmv_t equal A.csr @ x and
 A.csr_t @ y bit for bit: each output entry is summed from 0.0 in increasing
 storage order (a column's nonzeros appear in increasing row order). spmv and
-spmv_t check their vector; the unchecked cores _spmv and _spmv_t serve
-solve_aat's CG, whose vectors have the right length by construction. The
-stochastic inner loops, which check theirs once at entry, call csr_matvec
-and csc_matvec on A's arrays themselves.
+spmv_t check their vector; the stochastic inner loops, which check theirs
+once at entry, call csr_matvec and csc_matvec on A's arrays themselves. A
+matrix stores its indices in the type scipy picks (int32 unless nnz or a
+side reaches 2**31), so it holds one set of arrays: its csr views all three.
 
 gram(M) is the dense M^T M of A or of a dataset's features: the csr_matmat
 call of scipy's M.csr.T @ M.csr, into a cols x cols buffer, without scipy's
@@ -66,8 +66,11 @@ class SparseMatrixCSR:
     Invariants enforced at construction: ``row_offsets`` has length rows+1,
     is non-decreasing and ends at nnz; column indices are in range and
     strictly increasing within each row; no explicit zeros are stored. The
-    three arrays are then read-only, and so is an array passed in that
-    needed no conversion (int64 indices, float64 values).
+    checks read the indices as int64; then both are stored in the type scipy
+    picks, so csr views all three arrays: int32 unless nnz, or a side of a
+    shape with no zero side, reaches 2**31. The arrays are then read-only,
+    and so is an array passed in that needed no conversion (indices of that
+    type, float64 values).
     """
 
     rows: int
@@ -77,10 +80,9 @@ class SparseMatrixCSR:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "row_offsets", np.asarray(self.row_offsets, dtype=np.int64))
-        object.__setattr__(self, "col_indices", np.asarray(self.col_indices, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        off, idx, val = self.row_offsets, self.col_indices, self.values
+        off = np.asarray(self.row_offsets, dtype=np.int64)
+        idx = np.asarray(self.col_indices, dtype=np.int64)
+        val = np.asarray(self.values, dtype=np.float64)
         if self.rows < 0 or self.cols < 0:
             raise MatrixFormatError("negative dimension")
         if off.shape != (self.rows + 1,):
@@ -96,9 +98,15 @@ class SparseMatrixCSR:
             raise MatrixFormatError("column indices must be strictly increasing within a row")
         if np.any(val == 0.0) or not np.all(np.isfinite(val)):
             raise MatrixFormatError("stored values must be nonzero and finite")
+        # scipy's index type, so csr takes the arrays as they are; the checks
+        # above bound every index by nnz or cols, so none wraps
+        if len(val) < 2**31 and (0 in self.shape or max(self.shape) < 2**31):
+            off = np.asarray(self.row_offsets, dtype=np.int32)
+            idx = np.asarray(self.col_indices, dtype=np.int32)
         # the cached products, csr and ata_eig read these arrays: none may change
-        for arr in (off, idx, val):
+        for name, arr in (("row_offsets", off), ("col_indices", idx), ("values", val)):
             arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def nnz(self) -> int:
@@ -110,14 +118,11 @@ class SparseMatrixCSR:
 
     @cached_property
     def csr(self) -> scipy.sparse.csr_matrix:
-        """The same matrix as a scipy CSR matrix, for its sparse products;
-        its arrays are read-only, as the matrix's own are."""
-        m = scipy.sparse.csr_matrix(
+        """The same matrix as a scipy CSR matrix, for its sparse products:
+        its data, indices and indptr are the matrix's own read-only arrays."""
+        return scipy.sparse.csr_matrix(
             (self.values, self.col_indices, self.row_offsets), shape=(self.rows, self.cols)
         )
-        # data is values itself; the index arrays are scipy's int32 copies
-        m.indices.flags.writeable = m.indptr.flags.writeable = False
-        return m
 
     @cached_property
     def csr_t(self) -> scipy.sparse.csr_matrix:
@@ -172,24 +177,16 @@ def as_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
 
 def spmv(A: SparseMatrixCSR, x) -> np.ndarray:
     """A @ x by scipy's csr_matvec, bit for bit A.csr @ x."""
-    return _spmv(A, as_vector(x, A.cols, "x"))
-
-
-def spmv_t(A: SparseMatrixCSR, y) -> np.ndarray:
-    """A^T @ y by scipy's csc_matvec on A's CSR arrays, which are the CSC
-    arrays of A^T; bit for bit A.csr_t @ y."""
-    return _spmv_t(A, as_vector(y, A.rows, "y"))
-
-
-def _spmv(A: SparseMatrixCSR, x: np.ndarray) -> np.ndarray:
-    """spmv without its check: x must be a float64 vector of length A.cols."""
+    x = as_vector(x, A.cols, "x")
     Ax = np.zeros(A.rows)
     csr_matvec(A.rows, A.cols, A.row_offsets, A.col_indices, A.values, x, Ax)
     return Ax
 
 
-def _spmv_t(A: SparseMatrixCSR, y: np.ndarray) -> np.ndarray:
-    """spmv_t without its check: y must be a float64 vector of length A.rows."""
+def spmv_t(A: SparseMatrixCSR, y) -> np.ndarray:
+    """A^T @ y by scipy's csc_matvec on A's CSR arrays, which are the CSC
+    arrays of A^T; bit for bit A.csr_t @ y."""
+    y = as_vector(y, A.rows, "y")
     Aty = np.zeros(A.cols)
     csc_matvec(A.cols, A.rows, A.row_offsets, A.col_indices, A.values, y, Aty)
     return Aty
@@ -294,7 +291,7 @@ def solve_aat(A: SparseMatrixCSR, v, tol: float = 1e-12) -> np.ndarray:
     nv = np.linalg.norm(v)
     if nv == 0.0:
         return np.zeros(A.rows)
-    aat = lambda w: _spmv(A, _spmv_t(A, w))
+    aat = lambda w: spmv(A, spmv_t(A, w))
     u = cg(aat, v, rtol=tol, maxiter=max(20 * A.rows, 1000))
     resid = np.linalg.norm(aat(u) - v)
     if not resid <= tol * nv:  # a NaN residual fails too

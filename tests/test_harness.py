@@ -24,14 +24,15 @@ from sadmm.harness import (
     median_summary,
     parse_config_file,
     read_trace_csv,
+    reference_key,
     resolve_solver_config,
     run_experiment,
     run_solver,
     save_graph,
     write_trace_csv,
 )
-from sadmm.linalg import compute_spectral_constants, solve_aat, spmv_t
-from sadmm.losses import LossKind, LossObjective
+from sadmm.linalg import SparseMatrixCSR, compute_spectral_constants, solve_aat, spmv_t
+from sadmm.losses import Dataset, LossKind, LossObjective
 from sadmm.metrics import (
     CSV_HEADER,
     GAP_FLOOR,
@@ -682,6 +683,20 @@ class TestRunExperiment:
             with pytest.raises(ConfigError, match="problem.f.kind"):
                 get_reference(problem, kind, data, tol=1e-10, beta=0.1, cache_dir=tmp_path)
         assert not list(tmp_path.glob("*.npz"))
+
+    def test_reference_key_is_pinned(self):
+        # the key names a cache entry, so a change to it would orphan every
+        # stored reference: it hashes the index arrays widened to int64,
+        # whatever type the matrices store them in
+        X = SparseMatrixCSR.from_dense(
+            [[1.5, 0.0, -2.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.0], [-1.0, 3.0, 0.5]]
+        )
+        data = Dataset(X, [1.0, -1.0, -1.0, 1.0])
+        A = graph_matrix(GraphSpec(((0, 2, 0.7), (1, 2, -0.4))), 3)
+        problem = ProblemSpec(LossObjective(LossKind.l2_logistic(0.01), data), Regularizer(1e-3), A)
+        assert reference_key(problem, 1e-10, 0.1) == (
+            "9075f5c1ad0e019b540ec0846e6ea1b23a1ec4ba05b087caf821b1883440ad0d"
+        )
 
     def test_losses_on_one_dataset_get_their_own_entries(self, tmp_path, caplog):
         # l2-logistic and plain logistic on the same data and graph differ

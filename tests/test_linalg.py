@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sadmm.datasets import make_classification
+from sadmm.datasets import make_classification, parse_libsvm, train_test_split, write_libsvm
 from sadmm.errors import (
     ConvergenceError,
     DimensionError,
@@ -95,8 +95,10 @@ class TestCSRInvariants:
         # every product, but not the cached ata_eig: [[1, 2], [0, 3], [4, 0]]
         # with values[0] = 0 has ||A^T A|| = 16.0 while the cache kept 17.83,
         # and the matrix would store an explicit zero, which its constructor
-        # refuses. Arrays passed in as they are become read-only too
-        offsets, cols, vals = np.array([0, 2, 3, 4]), np.array([0, 1, 1, 0]), np.array([1.0, 2, 3, 4])
+        # refuses. Arrays passed in as they are (int32 indices, the type a
+        # matrix this small stores) become read-only too
+        offsets, cols = np.array([0, 2, 3, 4], dtype=np.int32), np.array([0, 1, 1, 0], dtype=np.int32)
+        vals = np.array([1.0, 2, 3, 4])
         A = SparseMatrixCSR(3, 2, offsets, cols, vals)
         assert A.row_offsets is offsets and A.col_indices is cols and A.values is vals
         ata_norm = compute_spectral_constants(A).ata_norm
@@ -110,11 +112,11 @@ class TestCSRInvariants:
         assert np.array_equal(spmv(A, np.ones(2)), [3.0, 3.0, 4.0])
 
     def test_scipy_forms_are_read_only(self):
-        # scipy narrows the int64 index arrays into writable int32 copies, and
-        # csr_t is a fresh transpose: a write there would change the losses'
-        # full-data products, which read csr and csr_t, but not spmv or
-        # ata_eig. Every array of both forms refuses it, for a penalty matrix
-        # and a dataset's features, and the library's calls on them still run
+        # csr views the matrix's own arrays, and csr_t is a fresh transpose: a
+        # write there would change the losses' full-data products, which read
+        # csr and csr_t. Every array of both forms refuses it, for a penalty
+        # matrix and a dataset's features, and the library's calls on them
+        # still run
         A = SparseMatrixCSR.from_dense([[1.0, 2.0], [0.0, 3.0], [4.0, 0.0]])
         data = make_classification(40, 6, seed=3)
         for M in (A, data.features):
@@ -122,13 +124,73 @@ class TestCSRInvariants:
                 for arr in (form.data, form.indices, form.indptr):
                     with pytest.raises(ValueError, match="read-only"):
                         arr[0] = arr[0]
-        assert A.csr.indices.dtype == np.int32  # scipy's copy, not col_indices
+        assert np.shares_memory(A.csr.indices, A.col_indices)
         f = LossObjective(LossKind.l2_logistic(0.1), data)
         x = np.linspace(-1.0, 1.0, data.dim)
         assert np.all(np.isfinite(f.full_grad(x))) and np.isfinite(f.value(x))
         assert np.all(np.isfinite(f.hess_vec(x, x))) and np.all(np.isfinite(f.hessian(x)))
         assert np.all(np.isfinite(f.batch_plan([np.array([0, 3])], x).grad(0, x)))
         assert np.array_equal(A.csr[[0, 2]].toarray(), [[1.0, 2.0], [4.0, 0.0]])
+
+
+def assert_one_array_set(M):
+    """Each of M.csr's arrays views the whole of the matrix's own, not a copy
+    (by address, which also holds for an empty array, where
+    np.shares_memory is False)."""
+    m = M.csr
+    for got, own in ((m.indptr, M.row_offsets), (m.indices, M.col_indices), (m.data, M.values)):
+        assert got.dtype == own.dtype and got.shape == own.shape
+        assert got.ctypes.data == own.ctypes.data
+        assert got.size == 0 or np.shares_memory(got, own)
+
+
+class TestOneArraySet:
+    def test_every_route(self, tmp_path):
+        offsets, cols, vals = [0, 2, 3, 4], [0, 1, 1, 0], [1.0, 2.0, 3.0, 4.0]
+        data = make_classification(40, 6, seed=3)
+        write_libsvm(tmp_path / "data.libsvm", data)
+        coo = scipy.sparse.coo_matrix(([1.0, 2.0, 0.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
+        routes = {
+            "int32": SparseMatrixCSR(3, 2, np.int32(offsets), np.int32(cols), vals),
+            "int64": SparseMatrixCSR(3, 2, np.int64(offsets), np.int64(cols), vals),
+            "lists": SparseMatrixCSR(3, 2, offsets, cols, vals),
+            "from_scipy": SparseMatrixCSR.from_scipy(coo),
+            "from_dense": SparseMatrixCSR.from_dense([[1.0, 2.0], [0.0, 3.0], [4.0, 0.0]]),
+            "identity": SparseMatrixCSR.identity(4),
+            "graph_matrix": graph_matrix(GraphSpec(((0, 2, 0.7), (1, 2, -0.4))), 3),
+            "make_classification": data.features,
+            "parse_libsvm": parse_libsvm(tmp_path / "data.libsvm").features,
+            "train": train_test_split(data, 0.25, seed=1)[0].features,
+            "test": train_test_split(data, 0.25, seed=1)[1].features,
+        }
+        for name, M in routes.items():
+            assert M.row_offsets.dtype == M.col_indices.dtype == np.int32, name
+            assert_one_array_set(M)
+
+    def test_index_type_is_the_one_scipy_picks(self):
+        # one stored entry past int32's range needs no large array; a shape
+        # with a zero side needs no wide index, whatever its other side
+        for rows, cols, offsets, col_indices, int_type in (
+            (1, 2**31 + 5, [0, 1], [2**31 + 4], np.int64),
+            (1, 2**31, [0, 1], [2**31 - 1], np.int64),
+            (1, 2**31 - 1, [0, 1], [2**31 - 2], np.int32),
+            (0, 2**31 + 5, [0], [], np.int32),
+        ):
+            M = SparseMatrixCSR(rows, cols, offsets, col_indices, np.ones(len(col_indices)))
+            assert M.row_offsets.dtype == M.col_indices.dtype == int_type
+            assert_one_array_set(M)
+            assert M.csr.indices.tolist() == col_indices
+            wide = scipy.sparse.csr_matrix(
+                (M.values, np.int64(col_indices), np.int64(offsets)), shape=(rows, cols)
+            )
+            assert wide.indices.dtype == wide.indptr.dtype == int_type
+
+    def test_an_index_past_int32_is_refused_not_wrapped(self):
+        # 2**32 + 1 narrowed to int32 reads 1, which the checks would pass
+        with pytest.raises(MatrixFormatError, match="column index out of range"):
+            SparseMatrixCSR(1, 3, [0, 1], np.int64([2**32 + 1]), [1.0])
+        with pytest.raises(MatrixFormatError, match="non-decreasing from 0 to nnz"):
+            SparseMatrixCSR(1, 3, np.int64([0, 2**32 + 1]), [0], [1.0])
 
 
 class TestSpmv:

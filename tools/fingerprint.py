@@ -328,7 +328,8 @@ GRAPH_THRESHOLDS = (0.3, 0.5, 0.8, 0.9, 0.99)
 
 def matrix_digest(A) -> str:
     h = hashlib.sha256(np.int64([A.rows, A.cols]).tobytes())
-    for arr in (A.row_offsets, A.col_indices, A.values):
+    # indices widened to int64, the type the digests were first made from
+    for arr in (A.row_offsets.astype(np.int64), A.col_indices.astype(np.int64), A.values):
         h.update(arr.tobytes())
     return h.hexdigest()
 

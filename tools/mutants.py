@@ -640,8 +640,8 @@ MUTANTS = (
     Mutant(
         "csr-values-left-writable",
         "linalg.py",
-        "for arr in (off, idx, val):",
-        "for arr in (off, idx):",
+        "arr.flags.writeable = False",
+        "arr.flags.writeable = name == \"values\"",
         "tests/test_linalg.py::TestCSRInvariants::test_arrays_and_eigenpairs_are_read_only",
     ),
     Mutant(
@@ -879,19 +879,20 @@ MUTANTS = (
         "state.y_bar[:], state.x_bar[:] = bars[:d2], bars[d2:]",
         "tests/test_solvers.py::TestLoopBuffers::test_stoc_chunk",
     ),
-    # scipy's forms of a matrix: every array read-only
+    # scipy's forms of a matrix: every array read-only (csr's indices and
+    # indptr are the matrix's own col_indices and row_offsets)
     Mutant(
         "csr-indices-left-writable",
         "linalg.py",
-        "m.indices.flags.writeable = m.indptr.flags.writeable = False",
-        "m.indptr.flags.writeable = False",
+        "arr.flags.writeable = False",
+        "arr.flags.writeable = name == \"col_indices\"",
         "tests/test_linalg.py::TestCSRInvariants::test_scipy_forms_are_read_only",
     ),
     Mutant(
         "csr-indptr-left-writable",
         "linalg.py",
-        "m.indices.flags.writeable = m.indptr.flags.writeable = False",
-        "m.indices.flags.writeable = False",
+        "arr.flags.writeable = False",
+        "arr.flags.writeable = name == \"row_offsets\"",
         "tests/test_linalg.py::TestCSRInvariants::test_scipy_forms_are_read_only",
     ),
     Mutant(
@@ -914,6 +915,43 @@ MUTANTS = (
         "t.data.flags.writeable = t.indices.flags.writeable = t.indptr.flags.writeable = False",
         "t.data.flags.writeable = t.indices.flags.writeable = False",
         "tests/test_linalg.py::TestCSRInvariants::test_scipy_forms_are_read_only",
+    ),
+    # one array set per matrix, in scipy's index type, and the cache keys of
+    # the int64 indices
+    Mutant(
+        "indices-narrowed-with-no-fit-check",
+        "linalg.py",
+        "if len(val) < 2**31 and (0 in self.shape or max(self.shape) < 2**31):",
+        "if True:",
+        "tests/test_linalg.py::TestOneArraySet::test_index_type_is_the_one_scipy_picks",
+    ),
+    Mutant(
+        "indices-kept-wide-for-an-empty-shape",
+        "linalg.py",
+        "(0 in self.shape or max(self.shape) < 2**31)",
+        "max(self.shape) < 2**31",
+        "tests/test_linalg.py::TestOneArraySet::test_index_type_is_the_one_scipy_picks",
+    ),
+    Mutant(
+        "indices-narrowed-before-the-range-checks",
+        "linalg.py",
+        "idx = np.asarray(self.col_indices, dtype=np.int64)",
+        "idx = np.asarray(self.col_indices, dtype=np.int64).astype(np.int32).astype(np.int64)",
+        "tests/test_linalg.py::TestOneArraySet::test_an_index_past_int32_is_refused_not_wrapped",
+    ),
+    Mutant(
+        "csr-copies-the-arrays",
+        "linalg.py",
+        "shape=(self.rows, self.cols)\n",
+        "shape=(self.rows, self.cols), copy=True\n",
+        "tests/test_linalg.py::TestOneArraySet::test_every_route",
+    ),
+    Mutant(
+        "reference-key-hashes-the-stored-indices",
+        "harness.py",
+        "wide = lambda M: (M.row_offsets.astype(np.int64), M.col_indices.astype(np.int64), M.values)",
+        "wide = lambda M: (M.row_offsets, M.col_indices, M.values)",
+        "tests/test_harness.py::TestRunExperiment::test_reference_key_is_pinned",
     ),
 )
 
